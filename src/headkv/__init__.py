@@ -20,7 +20,6 @@ from .cache import (
     LocalCache,
     MemoryCache,
     frame_slots,
-    retained_frames,
     roll_after_block,
 )
 from .episodic import AdmissionDecision, EpisodicEntry, EpisodicMemory
@@ -45,7 +44,7 @@ from .rollout import (
     WindowStrategy,
     generate_rollout,
 )
-from .tensor_ops import RopeParams, TokenPosition, apply_rope, attention, softmax_rows
+from .tensor_ops import RopeParams, apply_rope, attention, softmax_rows
 
 __all__ = [
     "AdmissionDecision",
@@ -75,7 +74,6 @@ __all__ = [
     "SequencingError",
     "ShapeError",
     "StabilityReport",
-    "TokenPosition",
     "UnboundedStrategy",
     "WindowStrategy",
     "apply_rope",
@@ -91,7 +89,6 @@ __all__ = [
     "packed_attention",
     "profile_rollout",
     "reencode_temporal",
-    "retained_frames",
     "roll_after_block",
     "softmax_rows",
     "weights_checksum",

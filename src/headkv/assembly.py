@@ -6,7 +6,6 @@ attention regardless of context-length differences.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -207,36 +206,3 @@ def packed_attention(buffer: PackedBuffer) -> list[np.ndarray]:
         outputs.append(softmax_rows(q @ k.T * scale) @ v)
     return outputs
 
-
-_MAGIC = b"HKVPACK1"
-
-
-def dump_buffer(buffer: PackedBuffer) -> bytes:
-    """Little-endian debug dump: magic, head count, offset/length tables as
-    u64, then raw key and value scalars as f64."""
-    _check_integrity(buffer)
-    n = buffer.n_heads
-    parts = [_MAGIC, struct.pack("<Q", n)]
-    for table in (buffer.k_offsets, buffer.k_lengths):
-        parts.append(struct.pack(f"<{n}Q", *(int(x) for x in table)))
-    parts.append(np.ascontiguousarray(buffer.keys, dtype="<f8").tobytes())
-    parts.append(np.ascontiguousarray(buffer.values, dtype="<f8").tobytes())
-    return b"".join(parts)
-
-
-def load_buffer(blob: bytes, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of dump_buffer: (keys, values, k_offsets, k_lengths)."""
-    if blob[:8] != _MAGIC:
-        raise IntegrityError("bad packed-buffer magic")
-    off = 8
-    (n,) = struct.unpack_from("<Q", blob, off)
-    off += 8
-    k_offsets = np.array(struct.unpack_from(f"<{n}Q", blob, off), dtype=np.int64)
-    off += 8 * n
-    k_lengths = np.array(struct.unpack_from(f"<{n}Q", blob, off), dtype=np.int64)
-    off += 8 * n
-    total = int(k_lengths.sum())
-    keys = np.frombuffer(blob, dtype="<f8", count=total * d, offset=off).reshape(total, d)
-    off += total * d * 8
-    values = np.frombuffer(blob, dtype="<f8", count=total * d, offset=off).reshape(total, d)
-    return keys.copy(), values.copy(), k_offsets, k_lengths

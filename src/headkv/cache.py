@@ -146,20 +146,10 @@ def make_cache(role: HeadRole, layer: int, head: int, f: int, b_fast: int,
     return MemoryCache(b_fast=b_fast, layer=layer, head=head, episodic=episodic)
 
 
-def roll_after_block(role: HeadRole, cache: RoleCache, block_index: int,
-                     frames: list[FrameKV]) -> list[FrameKV]:
+def roll_after_block(cache: RoleCache, block_index: int, frames: list[FrameKV]) -> list[FrameKV]:
     """Advance one cache past a finished block. Returns frames evicted from
     fast memory (memory heads only); the caller decides episodic candidacy."""
-    del role  # dispatch is by cache type; the tag is kept for call-site clarity
     return cache.roll(block_index, frames)
-
-
-def retained_frames(role: HeadRole, cache: RoleCache,
-                    current_frames: list[FrameKV]) -> list[FrameKV]:
-    """Ordered attention context for one head: history per role policy, then
-    the current block's frames. Pass current_frames=[] for history only."""
-    del role
-    return cache.history() + list(current_frames)
 
 
 @dataclass(frozen=True)

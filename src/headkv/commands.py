@@ -16,7 +16,7 @@ from .errors import ConfigError
 from .model import init_model
 from .profiling import classify_heads, core_stability_ratio, profile_rollout
 from .reference import ReferenceGenerator, token_cosine_fidelity
-from .roles import HeadRole, HeadRoleMap, role_map_from_lists
+from .roles import HeadRoleMap, role_map_from_lists
 from .rollout import (
     HeadWiseStrategy,
     RolloutEngine,

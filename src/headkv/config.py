@@ -91,6 +91,20 @@ def _take(d: dict, allowed: dict[str, Any], section: str) -> dict:
     return out
 
 
+def _int(value: Any, name: str) -> int:
+    """An integer field's value; floats, bools and strings are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _float(value: Any, name: str) -> float:
+    """A real field's value; bools and strings are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     top_defaults = {
         "model": {}, "strategy": {"type": "unbounded"}, "hyperparameters": {},
@@ -101,7 +115,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     m = _take(raw["model"], {**_TOY_MODEL, "scene_period": 1, "scene_jitter": 0.05,
                              "prompt_strength": 0.05}, "model")
-    model = ModelConfig(**m)
+    model = ModelConfig(**{
+        k: _float(v, f"model.{k}") if k in ("scene_jitter", "prompt_strength") else _int(v, f"model.{k}")
+        for k, v in m.items()
+    })
 
     hp_defaults = {
         "alpha_anchor": 0.25, "tau_local": 0.20, "B_epi": 5, "B_fast": 3,
@@ -112,17 +129,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     rope_defaults = {"d_t": model.d // 2, "d_h": model.d // 4, "d_w": model.d // 4,
                      "base": 10000.0}
     rp = _take(hp["rope"], rope_defaults, "rope")
-    rope = RopeParams(d_t=rp["d_t"], d_h=rp["d_h"], d_w=rp["d_w"], base=rp["base"])
+    rope = RopeParams(d_t=_int(rp["d_t"], "rope.d_t"), d_h=_int(rp["d_h"], "rope.d_h"),
+                      d_w=_int(rp["d_w"], "rope.d_w"), base=_float(rp["base"], "rope.base"))
     if rope.d != model.d:
         raise ConfigError(f"rope split totals {rope.d} channels but model.d = {model.d}")
     hyper = HeadWiseHyper(
-        b_epi=int(hp["B_epi"]), b_fast=int(hp["B_fast"]), tau_novel=float(hp["tau_novel"]),
-        update_interval=int(hp["update_interval"]), candidate_mode=hp["candidate_mode"],
+        b_epi=_int(hp["B_epi"], "B_epi"), b_fast=_int(hp["B_fast"], "B_fast"),
+        tau_novel=_float(hp["tau_novel"], "tau_novel"),
+        update_interval=_int(hp["update_interval"], "update_interval"),
+        candidate_mode=hp["candidate_mode"],
         novelty_metric=hp["novelty_metric"],
     )
 
     st = _take(raw["strategy"], {"type": "unbounded", "W": 8, "n_sink": 1}, "strategy")
-    strategy = StrategySpec(type=st["type"], W=int(st["W"]), n_sink=int(st["n_sink"]))
+    strategy = StrategySpec(type=st["type"], W=_int(st["W"], "strategy.W"),
+                            n_sink=_int(st["n_sink"], "strategy.n_sink"))
 
     schedule_raw = raw["prompt_schedule"]
     if not isinstance(schedule_raw, list) or not schedule_raw:
@@ -131,32 +152,33 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for entry in schedule_raw:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ConfigError(f"prompt_schedule entries must be [prompt, start_block], got {entry!r}")
-        schedule.append((str(entry[0]), int(entry[1])))
+        schedule.append((str(entry[0]), _int(entry[1], "prompt_schedule start block")))
 
     pf = _take(raw["profiling"], {"sampled_blocks": [3, 8, 13], "repeats": 1,
                                   "window": 8, "n_sink": 1, "perturb_scale": 0.05},
                "profiling")
     profiling = ProfilingSpec(
-        sampled_blocks=tuple(int(b) for b in pf["sampled_blocks"]),
-        repeats=int(pf["repeats"]), window=int(pf["window"]),
-        n_sink=int(pf["n_sink"]), perturb_scale=float(pf["perturb_scale"]),
+        sampled_blocks=tuple(_int(b, "profiling.sampled_blocks") for b in pf["sampled_blocks"]),
+        repeats=_int(pf["repeats"], "profiling.repeats"), window=_int(pf["window"], "profiling.window"),
+        n_sink=_int(pf["n_sink"], "profiling.n_sink"), perturb_scale=_float(pf["perturb_scale"], "profiling.perturb_scale"),
     )
 
     sb = _take(raw["stability"], {"runs": 4, "axis": "prompts", "prompt_pool": [],
                                   "block_sets": []}, "stability")
     stability = StabilitySpec(
-        runs=int(sb["runs"]), axis=sb["axis"],
+        runs=_int(sb["runs"], "stability.runs"), axis=sb["axis"],
         prompt_pool=tuple(str(p) for p in sb["prompt_pool"]),
-        block_sets=tuple(tuple(int(b) for b in bs) for bs in sb["block_sets"]),
+        block_sets=tuple(tuple(_int(b, "stability.block_sets") for b in bs) for bs in sb["block_sets"]),
     )
 
-    n_blocks = int(raw["n_blocks"])
+    n_blocks = _int(raw["n_blocks"], "n_blocks")
     if n_blocks < 1:
         raise ConfigError("n_blocks must be >= 1")
 
     return ExperimentConfig(
         model=model, strategy=strategy, hyper=hyper, rope=rope,
-        alpha_anchor=float(hp["alpha_anchor"]), tau_local=float(hp["tau_local"]),
+        alpha_anchor=_float(hp["alpha_anchor"], "alpha_anchor"),
+        tau_local=_float(hp["tau_local"], "tau_local"),
         prompt_schedule=schedule, n_blocks=n_blocks,
         output_dir=str(raw["output_dir"]), head_role_map=raw["head_role_map"],
         profiling=profiling, stability=stability,

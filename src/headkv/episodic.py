@@ -42,9 +42,6 @@ class EpisodicEntry:
     latent: Optional[np.ndarray] = None  # raw frame latent, kept for the
                                          # latent-similarity novelty variant
 
-    def identity(self) -> tuple[int, bool]:
-        return (self.frame_index, self.is_summary)
-
 
 @dataclass
 class AdmissionDecision:
@@ -61,7 +58,6 @@ class EpisodicMemory:
     tokens_per_frame: int                      # s; summaries hold exactly s tokens
     novelty_metric: str = "key_cosine"         # or "latent"
     entries: list[EpisodicEntry] = field(default_factory=list)
-    admission_log: list[AdmissionDecision] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -234,9 +230,7 @@ class EpisodicMemory:
         the same transaction if the append overflows capacity."""
         delta = self.novelty_score(candidate, latent=latent)
         if delta >= tau_novel:
-            decision = AdmissionDecision(block_index, delta, admitted=False, compressed=False)
-            self.admission_log.append(decision)
-            return decision
+            return AdmissionDecision(block_index, delta, admitted=False, compressed=False)
         self.entries.append(EpisodicEntry(
             frame_index=frame_index, is_summary=False, slots=dict(candidate), latent=latent,
         ))
@@ -244,6 +238,4 @@ class EpisodicMemory:
         if len(self.entries) > self.capacity:
             self._compress_overflow(prompt_keys)
             compressed = True
-        decision = AdmissionDecision(block_index, delta, admitted=True, compressed=compressed)
-        self.admission_log.append(decision)
-        return decision
+        return AdmissionDecision(block_index, delta, admitted=True, compressed=compressed)

@@ -20,7 +20,7 @@ from .errors import ConfigError, ShapeError
 from .model import ModelConfig, ModelWeights, measurement_perturbation
 from .roles import HeadRole, HeadRoleMap
 from .rollout import LatentBlock, RolloutEngine, WindowStrategy, _expand_schedule
-from .tensor_ops import RopeParams, softmax_rows
+from .tensor_ops import TEMPORAL, RopeParams, apply_rope, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -138,16 +138,15 @@ def _accumulate_block(sums: np.ndarray, archive: dict, block: LatentBlock,
     """Full-context attention map per head, reduced to bucket sums."""
     i = block.index
     f, s = config.f, config.s
-    base = f * (i - 1)
-    q_t = np.repeat(np.arange(base, base + f, dtype=np.int64), s)
+    q_pos = _frame_positions(f * (i - 1), f, s)
+    key_pos = _frame_positions(0, f * i, s)
     for rec in block.layer_records:
         for h in range(config.H):
             hist = archive[(rec.layer, h)]
             cur = [fr.keys for fr in rec.frames[h]]
             all_keys = np.vstack(hist + cur)
-            key_t = np.repeat(np.arange(f * i, dtype=np.int64), s)
-            k_enc = _rotate_temporal_fast(all_keys, key_t, rope)
-            q_enc = _rotate_temporal_fast(rec.q_spatial[h], q_t, rope)
+            k_enc = apply_rope(all_keys, key_pos, rope, axes=(TEMPORAL,))
+            q_enc = apply_rope(rec.q_spatial[h], q_pos, rope, axes=(TEMPORAL,))
             a = softmax_rows(q_enc @ k_enc.T / math.sqrt(config.d))
             p = bucket_proportions(a, s, i, f=f)
             sums[rec.layer, h, 0] += p.p_sink
@@ -155,19 +154,10 @@ def _accumulate_block(sums: np.ndarray, archive: dict, block: LatentBlock,
             sums[rec.layer, h, 2] += p.p_current
 
 
-def _rotate_temporal_fast(rows: np.ndarray, t_indices: np.ndarray, rope: RopeParams) -> np.ndarray:
-    half = rope.d_t // 2
-    if half == 0:
-        return rows
-    inv_freq = rope.base ** (-2.0 * np.arange(half) / rope.d_t)
-    angles = t_indices[:, None] * inv_freq[None, :]
-    cos, sin = np.cos(angles), np.sin(angles)
-    out = rows.copy()
-    even = rows[:, 0:rope.d_t:2]
-    odd = rows[:, 1:rope.d_t:2]
-    out[:, 0:rope.d_t:2] = even * cos - odd * sin
-    out[:, 1:rope.d_t:2] = even * sin + odd * cos
-    return out
+def _frame_positions(first_frame: int, n_frames: int, s: int) -> np.ndarray:
+    """(n_frames*s, 3) positions carrying only the global frame index."""
+    t = np.repeat(np.arange(first_frame, first_frame + n_frames, dtype=np.int64), s)
+    return np.column_stack((t, np.zeros_like(t), np.zeros_like(t)))
 
 
 def round_half_up(x: float) -> int:

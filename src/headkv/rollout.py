@@ -1,14 +1,16 @@
 """Block-wise autoregressive rollout engine with pluggable cache strategies.
 
 Each step projects per-head Q/K/V from the block's hidden state, asks the
-strategy for every head's retained history, temporally encodes the assembled
-context (contiguous re-indexing for the head-wise strategy, global frame
-indices for the baselines), packs all heads of a layer into one flat buffer,
-and runs packed attention. Caches advance only at commit time.
+strategy for every head's retained history and for its temporal encoding
+(contiguous re-indexing for the head-wise strategy, global frame indices for
+the baselines), packs all heads of a layer into one flat buffer, and runs
+packed attention. Caches advance only at commit time, through the strategy's
+roll.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
@@ -17,6 +19,7 @@ import numpy as np
 
 from .assembly import (
     AssembledSequence,
+    EncodedSequence,
     assemble,
     encode_queries,
     encode_temporal,
@@ -24,7 +27,7 @@ from .assembly import (
     packed_attention,
     reencode_temporal,
 )
-from .cache import FrameKV, RoleCache, make_cache, retained_frames, roll_after_block
+from .cache import FrameKV, RoleCache, make_cache, roll_after_block
 from .episodic import AdmissionDecision, EpisodicMemory, Slots
 from .errors import ConfigError
 from .model import ModelConfig, ModelWeights, block_input
@@ -44,12 +47,17 @@ class LayerRecord:
 
 @dataclass
 class LatentBlock:
-    """One generated block: f frames of final latents plus the per-layer
-    Q/K/V records retained for cache writes and profiling."""
+    """One generated block: f frames of final latents, the per-layer Q/K/V
+    records retained for cache writes and profiling, and what the step
+    attended: frames and key/value scalars summed over heads, plus per-head
+    retention evidence when the engine records it."""
 
     index: int
     frames: list[np.ndarray]             # f arrays of (s, d_model)
     layer_records: list[LayerRecord]
+    frame_slots: int = 0
+    stored_scalars: int = 0
+    retention: dict[tuple[int, int], RetentionSnapshot] = field(default_factory=dict)
 
     def hidden(self) -> np.ndarray:
         return np.vstack(self.frames)
@@ -70,9 +78,17 @@ class CacheStrategy(Protocol):
 
     def history_frames(self, layer: int, head: int) -> list[FrameKV]: ...
 
-    def uses_reencoding(self) -> bool: ...
+    def encode(self, seq: AssembledSequence, rope: RopeParams,
+               query_frame_indices: np.ndarray) -> EncodedSequence: ...
 
-    def roll(self, block: LatentBlock, prompt: str) -> Optional[AdmissionDecision]: ...
+    def roll(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]: ...
+
+
+def _encode_global(seq: AssembledSequence, rope: RopeParams,
+                   query_frame_indices: np.ndarray) -> EncodedSequence:
+    """Temporal encoding at each frame's global index, queries included."""
+    key_idx = np.array([fr.global_frame_index for fr in seq.frames], dtype=np.int64)
+    return encode_temporal(seq, rope, key_idx, query_frame_indices)
 
 
 class UnboundedStrategy:
@@ -87,14 +103,13 @@ class UnboundedStrategy:
     def history_frames(self, layer: int, head: int) -> list[FrameKV]:
         return list(self._frames[(layer, head)])
 
-    def uses_reencoding(self) -> bool:
-        return False
+    encode = staticmethod(_encode_global)
 
-    def roll(self, block: LatentBlock, prompt: str) -> None:
+    def roll(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]:
         for rec in block.layer_records:
             for h, frames in enumerate(rec.frames):
                 self._frames[(rec.layer, h)].extend(frames)
-        return None
+        return []
 
 
 class WindowStrategy:
@@ -126,10 +141,9 @@ class WindowStrategy:
         seen = {fr.global_frame_index for fr in sink}
         return sink + [fr for fr in recent if fr.global_frame_index not in seen]
 
-    def uses_reencoding(self) -> bool:
-        return False
+    encode = staticmethod(_encode_global)
 
-    def roll(self, block: LatentBlock, prompt: str) -> None:
+    def roll(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]:
         for rec in block.layer_records:
             for h, frames in enumerate(rec.frames):
                 lh = (rec.layer, h)
@@ -139,7 +153,7 @@ class WindowStrategy:
                 self._recent[lh].extend(frames)
                 keep = max(self.window - self._f, 0)
                 del self._recent[lh][:-keep or len(self._recent[lh])]
-        return None
+        return []
 
 
 @dataclass
@@ -154,6 +168,8 @@ class HeadWiseHyper:
     def __post_init__(self) -> None:
         if min(self.b_epi, self.b_fast, self.update_interval) < 1:
             raise ConfigError("B_epi, B_fast, update_interval must be >= 1")
+        if not math.isfinite(self.tau_novel):
+            raise ConfigError(f"tau_novel must be finite, got {self.tau_novel}")
         if self.candidate_mode not in ("latest", "all"):
             raise ConfigError(f"unknown candidate_mode {self.candidate_mode!r}")
 
@@ -198,14 +214,17 @@ class HeadWiseStrategy:
         self._pending: list[_Candidate] = []
         self._prompt_keys: Slots = {}
         self._active_prompt: Optional[str] = None
-        # raw frame latents, archived only when the latent novelty metric is on
+        # latents of the frames in fast memory, kept only for the latent
+        # novelty metric
         self._latents: dict[int, np.ndarray] = {}
 
     def history_frames(self, layer: int, head: int) -> list[FrameKV]:
-        return retained_frames(self.role_map.role(layer, head), self.caches[(layer, head)], [])
+        return self.caches[(layer, head)].history()
 
-    def uses_reencoding(self) -> bool:
-        return True
+    def encode(self, seq: AssembledSequence, rope: RopeParams,
+               query_frame_indices: np.ndarray) -> EncodedSequence:
+        # contiguous per-head indices replace the global ones
+        return reencode_temporal(seq, rope)
 
     def _refresh_prompt_keys(self, prompt: str) -> None:
         if prompt == self._active_prompt:
@@ -216,59 +235,50 @@ class HeadWiseStrategy:
         }
         self._active_prompt = prompt
 
-    def roll(self, block: LatentBlock, prompt: str) -> Optional[AdmissionDecision]:
+    def roll(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]:
         self._refresh_prompt_keys(prompt)
         f = self.config.f
+        if self.hyper.novelty_metric == "latent":
+            for k, frame in enumerate(block.frames):
+                self._latents[f * (block.index - 1) + k] = frame
         evicted_by_slot: dict[tuple[int, int], list[FrameKV]] = {}
         for rec in block.layer_records:
             for h, frames in enumerate(rec.frames):
                 lh = (rec.layer, h)
-                role = self.role_map.role(*lh)
-                evicted = roll_after_block(role, self.caches[lh], block.index, frames)
+                evicted = roll_after_block(self.caches[lh], block.index, frames)
                 if evicted:
                     evicted_by_slot[lh] = evicted
 
-        # Candidacy fires when a block's first frame leaves fast memory; at
-        # most one such frame per roll since evictions are consecutive.
+        # Every memory head evicts the same frames. A frame's latent is needed
+        # only while it is in fast memory; candidacy fires when a block's
+        # first frame leaves it.
         if evicted_by_slot:
-            any_slot = next(iter(evicted_by_slot.values()))
-            first_frames = [fr.global_frame_index for fr in any_slot if fr.global_frame_index % f == 0]
-            for fidx in first_frames:
-                slots = {
-                    lh: next(fr for fr in evicted if fr.global_frame_index == fidx)
-                    for lh, evicted in evicted_by_slot.items()
-                }
-                cand = _Candidate(frame_index=fidx, slots=slots, latent=self._candidate_latent(fidx))
+            for k, fr in enumerate(next(iter(evicted_by_slot.values()))):
+                latent = self._latents.pop(fr.global_frame_index, None)
+                if fr.global_frame_index % f:
+                    continue
+                cand = _Candidate(frame_index=fr.global_frame_index, latent=latent,
+                                  slots={lh: evicted[k] for lh, evicted in evicted_by_slot.items()})
                 if self.hyper.candidate_mode == "latest":
                     self._pending = [cand]
                 else:
                     self._pending.append(cand)
 
-        decision: Optional[AdmissionDecision] = None
-        if block.index % self.hyper.update_interval == 0 and self._pending:
-            for cand in self._pending:
-                decision = self.episodic.try_admit(
-                    candidate=cand.slots,
-                    frame_index=cand.frame_index,
-                    block_index=block.index,
-                    tau_novel=self.hyper.tau_novel,
-                    prompt_keys=self._prompt_keys,
-                    latent=cand.latent,
-                )
-            self._pending = []
-        return decision
-
-    def _candidate_latent(self, frame_index: int) -> Optional[np.ndarray]:
-        if self.hyper.novelty_metric != "latent":
-            return None
-        return self._latents.get(frame_index)
-
-    def archive_latents(self, block: LatentBlock) -> None:
-        if self.hyper.novelty_metric != "latent":
-            return
-        f = self.config.f
-        for k, frame in enumerate(block.frames):
-            self._latents[f * (block.index - 1) + k] = frame
+        if block.index % self.hyper.update_interval or not self._pending:
+            return []
+        decisions = [
+            self.episodic.try_admit(
+                candidate=cand.slots,
+                frame_index=cand.frame_index,
+                block_index=block.index,
+                tau_novel=self.hyper.tau_novel,
+                prompt_keys=self._prompt_keys,
+                latent=cand.latent,
+            )
+            for cand in self._pending
+        ]
+        self._pending = []
+        return decisions
 
 
 @dataclass
@@ -306,11 +316,8 @@ class RolloutEngine:
         self.record_retention = record_retention
         frame_grid = grid_positions(config.grid_h, config.grid_w)
         self._spatial_pos2 = frame_grid[:, 1:].copy()              # (s, 2)
-        block_pos = np.tile(frame_grid, (config.f, 1))
-        self._block_positions = block_pos                          # (f*s, 3), t column unused here
-        self._last_step_slots = 0
-        self._last_step_scalars = 0
-        self._last_retention: dict[tuple[int, int], RetentionSnapshot] = {}
+        # (f*s, 3); the t column stays 0, spatial rotation never reads it
+        self._block_positions = np.tile(frame_grid, (config.f, 1))
 
     def step(self, i: int, prompt: str, perturb: np.ndarray | None = None) -> LatentBlock:
         """Generate block i against the current cache state without mutating
@@ -335,8 +342,8 @@ class RolloutEngine:
                 q = hidden @ self.weights.wq[l, h]
                 k = hidden @ self.weights.wk[l, h]
                 v = hidden @ self.weights.wv[l, h]
-                q = apply_rope(q, self._positions_for_block(global_q_idx), self.rope, axes=SPATIAL_AXES)
-                k = apply_rope(k, self._positions_for_block(global_q_idx), self.rope, axes=SPATIAL_AXES)
+                q = apply_rope(q, self._block_positions, self.rope, axes=SPATIAL_AXES)
+                k = apply_rope(k, self._block_positions, self.rope, axes=SPATIAL_AXES)
                 current = [
                     FrameKV(keys=k[t * s:(t + 1) * s], values=v[t * s:(t + 1) * s],
                             spatial_positions=self._spatial_pos2,
@@ -345,11 +352,7 @@ class RolloutEngine:
                 ]
                 history = self.strategy.history_frames(l, h)
                 seq = assemble(l, h, history, current)
-                if self.strategy.uses_reencoding():
-                    enc = reencode_temporal(seq, self.rope)
-                else:
-                    key_idx = np.array([fr.global_frame_index for fr in seq.frames], dtype=np.int64)
-                    enc = encode_temporal(seq, self.rope, key_idx, global_q_idx)
+                enc = self.strategy.encode(seq, self.rope, global_q_idx)
                 q_enc = encode_queries(q, enc.query_frame_indices, s, self.rope)
                 q_sp.append(q)
                 frames_per_head.append(current)
@@ -375,27 +378,18 @@ class RolloutEngine:
                         output=outputs[h],
                     )
 
-        self._last_step_slots = step_slots
-        self._last_step_scalars = step_scalars
-        self._last_retention = retention
         frames = [hidden[t * s:(t + 1) * s].copy() for t in range(f)]
-        return LatentBlock(index=i, frames=frames, layer_records=records)
+        return LatentBlock(index=i, frames=frames, layer_records=records, frame_slots=step_slots,
+                           stored_scalars=step_scalars, retention=retention)
 
-    def _positions_for_block(self, frame_indices: np.ndarray) -> np.ndarray:
-        pos = self._block_positions.copy()
-        pos[:, 0] = np.repeat(frame_indices, self.config.s)
-        return pos
-
-    def commit(self, block: LatentBlock, prompt: str) -> Optional[AdmissionDecision]:
-        if isinstance(self.strategy, HeadWiseStrategy):
-            self.strategy.archive_latents(block)
+    def commit(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]:
+        """Advance the caches past a finished block; returns every episodic
+        admission decision the roll made (none for the baselines)."""
         return self.strategy.roll(block, prompt)
 
-    def run(self, n_blocks: int, schedule: list[tuple[str, int]],
-            observer=None) -> RolloutRecord:
+    def run(self, n_blocks: int, schedule: list[tuple[str, int]]) -> RolloutRecord:
         """Full rollout. `schedule` is [(prompt, start_block), ...] with the
-        first entry starting at block 1. `observer(engine, block, prompt)` is
-        called after each step, before commit."""
+        first entry starting at block 1."""
         prompts = _expand_schedule(schedule, n_blocks)
         record = RolloutRecord(strategy=self.strategy.name, blocks=[], metrics=[], admissions=[])
         for i in range(1, n_blocks + 1):
@@ -403,19 +397,15 @@ class RolloutEngine:
             t0 = time.perf_counter()
             block = self.step(i, prompt)
             wall_ms = (time.perf_counter() - t0) * 1000.0
-            if observer is not None:
-                observer(self, block, prompt)
-            decision = self.commit(block, prompt)
-            if decision is not None:
-                record.admissions.append(decision)
+            record.admissions.extend(self.commit(block, prompt))
             record.metrics.append(MetricsRow(
                 block_index=i, fidelity=None,
-                stored_scalar_count=self._last_step_scalars,
-                frame_slots_live=self._last_step_slots,
+                stored_scalar_count=block.stored_scalars,
+                frame_slots_live=block.frame_slots,
                 wall_time_ms=wall_ms, active_prompt=prompt,
             ))
             if self.record_retention:
-                record.retention.append(self._last_retention)
+                record.retention.append(block.retention)
             if self.keep_records:
                 record.blocks.append(block)
             else:

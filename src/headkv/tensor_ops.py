@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,14 +21,6 @@ HEIGHT = "height"
 WIDTH = "width"
 ALL_AXES = (TEMPORAL, HEIGHT, WIDTH)
 SPATIAL_AXES = (HEIGHT, WIDTH)
-
-
-class TokenPosition(NamedTuple):
-    """Per-token position: frame index t, grid row h, grid column w."""
-
-    t: int
-    h: int
-    w: int
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,7 @@ def _rotate_block(block: np.ndarray, positions: np.ndarray, d_axis: int, base: f
 
 def apply_rope(
     tokens: np.ndarray,
-    positions: Sequence[TokenPosition] | np.ndarray,
+    positions: np.ndarray,
     params: RopeParams,
     axes: Sequence[str] = ALL_AXES,
 ) -> np.ndarray:

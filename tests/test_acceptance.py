@@ -205,9 +205,7 @@ def test_criterion_06_episodic_invariants(tmp_path):
         decisions = []
         for i in range(1, 301):
             block = engine.step(i, "acceptance prompt")
-            decision = engine.commit(block, "acceptance prompt")
-            if decision is not None:
-                decisions.append(decision)
+            decisions.extend(engine.commit(block, "acceptance prompt"))
             assert len(memory.entries) <= hyper.b_epi
             hashes = {
                 hashlib.sha256(repr(memory.slot_identity_sequence(l, h)).encode()).hexdigest()

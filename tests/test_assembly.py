@@ -3,9 +3,7 @@ import pytest
 
 from headkv.assembly import (
     assemble,
-    dump_buffer,
     encode_temporal,
-    load_buffer,
     pack,
     packed_attention,
     reencode_temporal,
@@ -134,19 +132,6 @@ class TestPack:
         enc1, q1 = encoded_head(0, 0, 1, seed=2)
         with pytest.raises(ShapeError):
             pack([enc0, enc1], [q0, q1])
-
-    def test_dump_load_round_trip(self):
-        encs, qs = [], []
-        for h in range(3):
-            enc, q = encoded_head(0, h, n_history=h, seed=20 + h)
-            encs.append(enc)
-            qs.append(q)
-        buf = pack(encs, qs)
-        keys, values, k_off, k_len = load_buffer(dump_buffer(buf), D)
-        np.testing.assert_array_equal(keys, buf.keys)
-        np.testing.assert_array_equal(values, buf.values)
-        np.testing.assert_array_equal(k_off, buf.k_offsets)
-        np.testing.assert_array_equal(k_len, buf.k_lengths)
 
 
 class TestPackedAttention:

@@ -9,7 +9,6 @@ from headkv.cache import (
     budget_table,
     frame_slots,
     make_cache,
-    retained_frames,
     roll_after_block,
 )
 from headkv.errors import ConfigError, SequencingError, ShapeError
@@ -49,18 +48,18 @@ class TestFrameKV:
 class TestRollFirstBlock:
     def test_local(self):
         cache = LocalCache()
-        roll_after_block(HeadRole.LOCAL, cache, 1, block_frames(1))
+        roll_after_block(cache, 1, block_frames(1))
         assert cache.prev_frame.global_frame_index == 2
 
     def test_anchor_captures_first_frames(self):
         cache = AnchorCache(anchor_count=F)
-        roll_after_block(HeadRole.ANCHOR, cache, 1, block_frames(1))
+        roll_after_block(cache, 1, block_frames(1))
         assert indices(cache.anchor_frames) == [0, 1, 2]
         assert cache.prev_frame.global_frame_index == 2
 
     def test_memory_no_eviction(self):
         cache = MemoryCache(b_fast=3, layer=0, head=0)
-        evicted = roll_after_block(HeadRole.MEMORY, cache, 1, block_frames(1))
+        evicted = roll_after_block(cache, 1, block_frames(1))
         assert indices(cache.fast) == [0, 1, 2]
         assert evicted == []
 
@@ -102,38 +101,38 @@ class TestRollSecondBlock:
 
 
 class TestRetainedFrames:
-    def roll_through(self, role, cache, upto):
+    def roll_through(self, cache, upto):
         for i in range(1, upto + 1):
-            roll_after_block(role, cache, i, block_frames(i))
+            roll_after_block(cache, i, block_frames(i))
 
     def test_local_at_block_5(self):
         cache = LocalCache()
-        self.roll_through(HeadRole.LOCAL, cache, 4)
-        frames = retained_frames(HeadRole.LOCAL, cache, block_frames(5))
+        self.roll_through(cache, 4)
+        frames = cache.history() + block_frames(5)
         assert indices(frames) == [11, 12, 13, 14]
 
     def test_anchor_at_block_5(self):
         cache = AnchorCache(anchor_count=F)
-        self.roll_through(HeadRole.ANCHOR, cache, 4)
-        frames = retained_frames(HeadRole.ANCHOR, cache, block_frames(5))
+        self.roll_through(cache, 4)
+        frames = cache.history() + block_frames(5)
         assert indices(frames) == [0, 1, 2, 11, 12, 13, 14]
 
     def test_anchor_at_block_2_deduplicates_prev(self):
         cache = AnchorCache(anchor_count=F)
-        self.roll_through(HeadRole.ANCHOR, cache, 1)
-        frames = retained_frames(HeadRole.ANCHOR, cache, block_frames(2))
+        self.roll_through(cache, 1)
+        frames = cache.history() + block_frames(2)
         assert indices(frames) == [0, 1, 2, 3, 4, 5]
         assert len(frames) == 6
 
     def test_local_at_block_1_is_current_only(self):
-        frames = retained_frames(HeadRole.LOCAL, LocalCache(), block_frames(1))
+        frames = LocalCache().history() + block_frames(1)
         assert indices(frames) == [0, 1, 2]
 
     def test_anchor_frames_never_evicted(self):
         cache = AnchorCache(anchor_count=F)
         for i in range(1, 31):
-            roll_after_block(HeadRole.ANCHOR, cache, i, block_frames(i))
-            retained = retained_frames(HeadRole.ANCHOR, cache, block_frames(i + 1))
+            roll_after_block(cache, i, block_frames(i))
+            retained = cache.history() + block_frames(i + 1)
             assert indices(retained)[:3] == [0, 1, 2]
 
     @pytest.mark.parametrize("role,cap", [
@@ -144,8 +143,8 @@ class TestRetainedFrames:
         cache = make_cache(role, 0, 0, F, 3)
         counts = []
         for i in range(1, 13):
-            counts.append(len(retained_frames(role, cache, block_frames(i))))
-            roll_after_block(role, cache, i, block_frames(i))
+            counts.append(len(cache.history() + block_frames(i)))
+            roll_after_block(cache, i, block_frames(i))
         assert max(counts) == cap
         assert all(c <= cap for c in counts)
         assert counts[-1] == cap
@@ -153,9 +152,9 @@ class TestRetainedFrames:
     def test_memory_capacity_without_episodic(self):
         cache = MemoryCache(b_fast=3, layer=0, head=0)
         for i in range(1, 9):
-            frames = retained_frames(HeadRole.MEMORY, cache, block_frames(i))
+            frames = cache.history() + block_frames(i)
             assert len(frames) <= 3 + F
-            roll_after_block(HeadRole.MEMORY, cache, i, block_frames(i))
+            roll_after_block(cache, i, block_frames(i))
 
 
 class TestFrameSlots:

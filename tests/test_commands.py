@@ -289,6 +289,27 @@ class TestConfigLoading:
         assert cfg.hyper.update_interval == 3
         assert cfg.model.f == 3
 
+    @pytest.mark.parametrize("raw", [
+        {"n_blocks": 1.7},
+        {"n_blocks": True},
+        {"hyperparameters": {"tau_novel": "nan"}},
+        {"hyperparameters": {"tau_novel": float("inf")}},
+        {"hyperparameters": {"B_epi": True}},
+        {"hyperparameters": {"B_fast": 3.0}},
+        {"hyperparameters": {"update_interval": 2.9}},
+        {"strategy": {"type": "uniform_window", "W": True}},
+        {"strategy": {"type": "sink_window", "n_sink": 1.5}},
+        {"profiling": {"repeats": 2.0}},
+        {"profiling": {"window": "8"}},
+        {"profiling": {"sampled_blocks": [3, 8.5]}},
+        {"model": {"L": 4.0}},
+        {"hyperparameters": {"tau_novel": "high"}},
+        {"hyperparameters": {"rope": {"d_t": 8.0}}},
+    ], ids=repr)
+    def test_malformed_values_rejected_not_coerced(self, raw):
+        with pytest.raises(ConfigError):
+            config_from_dict(raw)
+
     def test_rope_split_must_match_model(self):
         with pytest.raises(ConfigError):
             config_from_dict({"hyperparameters": {"rope": {"d_t": 4, "d_h": 2, "d_w": 2}}})

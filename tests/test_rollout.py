@@ -95,6 +95,23 @@ class TestContextLengths:
         for row in record.metrics:
             assert row.stored_scalar_count == row.frame_slots_live * cfg.s * cfg.d * 2
 
+    @pytest.mark.parametrize("make", [
+        lambda cfg, weights, rm: UnboundedStrategy(cfg),
+        lambda cfg, weights, rm: WindowStrategy(cfg, window=6),
+        lambda cfg, weights, rm: WindowStrategy(cfg, window=6, n_sink=1),
+        lambda cfg, weights, rm: HeadWiseStrategy(cfg, weights, rm, HeadWiseHyper(update_interval=1)),
+    ], ids=["unbounded", "uniform_window", "sink_window", "head_wise"])
+    def test_step_reports_what_it_attended(self, make):
+        cfg, weights, rope = small_setup(scene_period=1)
+        strategy = make(cfg, weights, hand_map(cfg))
+        engine = RolloutEngine(weights, cfg, rope, strategy)
+        for i in range(1, 13):
+            expected = sum(len(strategy.history_frames(l, h)) + cfg.f for (l, h) in cfg.heads)
+            block = engine.step(i, "p")
+            assert block.frame_slots == expected
+            assert block.stored_scalars == expected * cfg.s * cfg.d * 2
+            engine.commit(block, "p")
+
 
 class TestScheduleHandling:
     def test_single_block_rollout(self):
@@ -162,7 +179,31 @@ class TestEpisodicCadence:
         cfg, weights, rope = small_setup(scene_period=1)
         rm = hand_map(cfg)
         latest = HeadWiseStrategy(cfg, weights, rm, HeadWiseHyper(update_interval=2, candidate_mode="latest"))
-        generate_rollout(weights, cfg, rope, latest, SCHED, 9)
+        latest_record = generate_rollout(weights, cfg, rope, latest, SCHED, 9)
         all_mode = HeadWiseStrategy(cfg, weights, rm, HeadWiseHyper(update_interval=2, candidate_mode="all"))
-        generate_rollout(weights, cfg, rope, all_mode, SCHED, 9)
-        assert len(all_mode.episodic.admission_log) > len(latest.episodic.admission_log)
+        all_record = generate_rollout(weights, cfg, rope, all_mode, SCHED, 9)
+        # blocks 1..8 leave fast memory at rolls 2..9; "all" evaluates each
+        # exited block at the next update, "latest" only the newest
+        assert [d.block_index for d in latest_record.admissions] == [2, 4, 6, 8]
+        assert [d.block_index for d in all_record.admissions] == [2, 4, 4, 6, 6, 8, 8]
+
+
+class TestLatentNovelty:
+    def rollout(self, metric):
+        cfg, weights, rope = small_setup(scene_period=4, scene_jitter=0.02)
+        hyper = HeadWiseHyper(update_interval=2, candidate_mode="all", novelty_metric=metric)
+        strategy = HeadWiseStrategy(cfg, weights, hand_map(cfg), hyper)
+        return cfg, hyper, strategy, generate_rollout(weights, cfg, rope, strategy, SCHED, 100)
+
+    def test_latent_archive_stays_bounded(self):
+        cfg, hyper, strategy, _ = self.rollout("latent")
+        assert len(strategy._latents) <= hyper.b_fast + cfg.f
+
+    def test_admissions_score_frame_latents(self):
+        *_, record = self.rollout("latent")
+        *_, key_record = self.rollout("key_cosine")
+        deltas = [d.delta for d in record.admissions]
+        # only the first admission meets an empty memory
+        assert deltas[0] == -1.0
+        assert all(-1.0 < d <= 1.0 for d in deltas[1:])
+        assert deltas != [d.delta for d in key_record.admissions]
