@@ -13,7 +13,7 @@ import numpy as np
 
 from .cache import FrameKV
 from .errors import IntegrityError, ShapeError
-from .tensor_ops import TEMPORAL, RopeParams, apply_rope, softmax_rows
+from .tensor_ops import TEMPORAL, RopeParams, apply_rope, softmax_rows, temporal_positions
 
 
 @dataclass
@@ -87,11 +87,8 @@ def encode_temporal(seq: AssembledSequence, rope: RopeParams,
 
     flat_keys = np.vstack([fr.keys for fr in seq.frames])
     flat_values = np.vstack([fr.values for fr in seq.frames])
-    token_t = np.concatenate([
-        np.full(fr.tokens, key_idx[p], dtype=np.int64) for p, fr in enumerate(seq.frames)
-    ])
-    positions = np.column_stack((token_t, np.zeros_like(token_t), np.zeros_like(token_t)))
-    keys = apply_rope(flat_keys, positions, rope, axes=(TEMPORAL,))
+    token_t = np.repeat(key_idx, [fr.tokens for fr in seq.frames])
+    keys = apply_rope(flat_keys, temporal_positions(token_t), rope, axes=(TEMPORAL,))
     seq.temporal_encoded = True
     return EncodedSequence(
         layer=seq.layer, head=seq.head, keys=keys, values=flat_values,
@@ -117,8 +114,7 @@ def encode_queries(q_spatial: np.ndarray, query_frame_indices: np.ndarray,
     if q_spatial.shape[0] != len(query_frame_indices) * tokens_per_frame:
         raise ShapeError("query rows do not match f_current * tokens_per_frame")
     t = np.repeat(np.asarray(query_frame_indices, dtype=np.int64), tokens_per_frame)
-    positions = np.column_stack((t, np.zeros_like(t), np.zeros_like(t)))
-    return apply_rope(q_spatial, positions, rope, axes=(TEMPORAL,))
+    return apply_rope(q_spatial, temporal_positions(t), rope, axes=(TEMPORAL,))
 
 
 @dataclass
@@ -203,6 +199,8 @@ def packed_attention(buffer: PackedBuffer) -> list[np.ndarray]:
         q, k, v = buffer.head_slice(idx)
         if q.shape[1] != d:
             raise IntegrityError("query width differs from key width")
-        outputs.append(softmax_rows(q @ k.T * scale) @ v)
+        scores = q @ k.T
+        scores *= scale
+        outputs.append(softmax_rows(scores) @ v)
     return outputs
 

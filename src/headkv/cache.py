@@ -20,38 +20,57 @@ if TYPE_CHECKING:  # avoids a cycle; episodic imports FrameKV from here
     from .episodic import EpisodicMemory
 
 
-@dataclass
 class FrameKV:
     """One frame's keys/values for one (layer, head).
 
-    keys are stored with spatial RoPE applied and no temporal rotation.
-    provenance maps each token row to its (source global frame, source token)
-    pair; for ordinary frames that is the identity, for summary frames the
-    rows originate from multiple source frames.
+    keys are stored with spatial RoPE applied and no temporal rotation, and
+    never change after construction, so the mean-pooled key and its norm are
+    computed once, on first use. provenance maps each token row to its
+    (source global frame, source token) pair: summary frames are given theirs,
+    since their rows originate from multiple source frames; for ordinary
+    frames it is the identity, built on first read.
     """
 
-    keys: np.ndarray                 # (tokens, d)
-    values: np.ndarray               # (tokens, d)
-    spatial_positions: np.ndarray    # (tokens, 2) int, (h, w)
-    global_frame_index: int
-    is_summary: bool = False
-    provenance: np.ndarray | None = None  # (tokens, 2) int, (frame, token)
+    __slots__ = ("keys", "values", "spatial_positions", "global_frame_index", "is_summary",
+                 "_provenance", "_pooled")
 
-    def __post_init__(self) -> None:
-        n = self.keys.shape[0]
-        if self.values.shape[0] != n or self.spatial_positions.shape[0] != n:
+    def __init__(self, keys: np.ndarray, values: np.ndarray, spatial_positions: np.ndarray,
+                 global_frame_index: int, is_summary: bool = False,
+                 provenance: np.ndarray | None = None):
+        n = keys.shape[0]
+        if values.shape[0] != n or spatial_positions.shape[0] != n:
             raise ShapeError("FrameKV keys/values/spatial_positions row counts differ")
-        if self.provenance is None:
-            self.provenance = np.column_stack(
-                (np.full(n, self.global_frame_index, dtype=np.int64),
-                 np.arange(n, dtype=np.int64))
-            )
-        elif self.provenance.shape[0] != n:
+        if provenance is not None and provenance.shape[0] != n:
             raise ShapeError("FrameKV provenance row count differs from keys")
+        self.keys = keys                              # (tokens, d)
+        self.values = values                          # (tokens, d)
+        self.spatial_positions = spatial_positions    # (tokens, 2) int, (h, w)
+        self.global_frame_index = global_frame_index
+        self.is_summary = is_summary
+        self._provenance = provenance                 # (tokens, 2) int, (frame, token)
+        self._pooled: tuple[np.ndarray, float] | None = None
 
     @property
     def tokens(self) -> int:
         return self.keys.shape[0]
+
+    @property
+    def provenance(self) -> np.ndarray:
+        if self._provenance is None:
+            n = self.tokens
+            self._provenance = np.column_stack(
+                (np.full(n, self.global_frame_index, dtype=np.int64),
+                 np.arange(n, dtype=np.int64))
+            )
+        return self._provenance
+
+    @property
+    def pooled_key(self) -> tuple[np.ndarray, float]:
+        """Mean of the key rows and that mean's L2 norm."""
+        if self._pooled is None:
+            pooled = self.keys.mean(axis=0)
+            self._pooled = (pooled, float(np.linalg.norm(pooled)))
+        return self._pooled
 
 
 def _check_roll_order(last_block: int, block_index: int) -> None:

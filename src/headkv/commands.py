@@ -1,7 +1,7 @@
 """The four experiment commands behind the CLI: profile, generate, budget,
 stability. Each takes a loaded ExperimentConfig, writes CSV/JSON artifacts
 into the output directory, and returns the paths it wrote. All outputs are
-deterministic given the config; only wall_time_ms varies run to run.
+deterministic given the config; only wall_time_ms and commit_ms vary run to run.
 """
 
 from __future__ import annotations
@@ -111,11 +111,12 @@ def cmd_generate(cfg: ExperimentConfig, out: str | None = None) -> dict[str, Pat
             row.stored_scalar_count,
             row.frame_slots_live,
             f"{row.wall_time_ms:.3f}",
+            f"{row.commit_ms:.3f}",
             row.active_prompt,
         ])
     _write_csv(metrics_path,
                ["block_index", "fidelity", "stored_scalar_count", "frame_slots_live",
-                "wall_time_ms", "active_prompt"], rows)
+                "wall_time_ms", "commit_ms", "active_prompt"], rows)
 
     admissions_path = out_path / "admissions.csv"
     _write_csv(admissions_path, ["block_index", "delta", "admitted", "compressed"],

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int as _int, require_number as _float
 from .model import ModelConfig
 from .rollout import HeadWiseHyper
 from .tensor_ops import RopeParams
@@ -89,20 +89,6 @@ def _take(d: dict, allowed: dict[str, Any], section: str) -> dict:
     out = dict(allowed)
     out.update(d)
     return out
-
-
-def _int(value: Any, name: str) -> int:
-    """An integer field's value; floats, bools and strings are refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _float(value: Any, name: str) -> float:
-    """A real field's value; bools and strings are refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

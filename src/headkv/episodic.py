@@ -20,16 +20,16 @@ from .errors import ConfigError, ShapeError
 Slots = dict[tuple[int, int], FrameKV]
 
 
-def _pooled_key(frame: FrameKV) -> np.ndarray:
-    return frame.keys.mean(axis=0)
+def _with_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
+    return v, float(np.linalg.norm(v))
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+def _cosine(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> float:
+    """Cosine of two (vector, L2 norm) pairs; 0 when either norm is 0."""
+    (va, na), (vb, nb) = a, b
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    return float(np.dot(va, vb) / (na * nb))
 
 
 @dataclass
@@ -99,26 +99,26 @@ class EpisodicMemory:
             return -1.0
         if self.novelty_metric == "latent":
             return self._novelty_latent(latent)
-        pooled_c = {lh: _pooled_key(candidate[lh]) for lh in self.memory_heads}
         best = -np.inf
         for entry in self.entries:
-            sims = [_cosine(pooled_c[lh], _pooled_key(entry.slots[lh])) for lh in self.memory_heads]
+            sims = [_cosine(candidate[lh].pooled_key, entry.slots[lh].pooled_key)
+                    for lh in self.memory_heads]
             best = max(best, sum(sims) / len(sims))
         return float(best)
 
     def _novelty_latent(self, latent: Optional[np.ndarray]) -> float:
         if latent is None:
             raise ConfigError("latent novelty metric requires the candidate frame latent")
-        pooled_c = latent.mean(axis=0)
+        pooled_c = _with_norm(latent.mean(axis=0))
         best = -np.inf
         for entry in self.entries:
             if entry.latent is None:
                 continue
-            best = max(best, _cosine(pooled_c, entry.latent.mean(axis=0)))
+            best = max(best, _cosine(pooled_c, _with_norm(entry.latent.mean(axis=0))))
         return float(best) if best > -np.inf else -1.0
 
     def _pair_similarity(self, a: EpisodicEntry, b: EpisodicEntry) -> float:
-        sims = [_cosine(_pooled_key(a.slots[lh]), _pooled_key(b.slots[lh])) for lh in self.memory_heads]
+        sims = [_cosine(a.slots[lh].pooled_key, b.slots[lh].pooled_key) for lh in self.memory_heads]
         return sum(sims) / len(sims)
 
     def find_redundant_pair(self) -> tuple[int, int]:
@@ -147,11 +147,14 @@ class EpisodicMemory:
         n = len(self.entries)
         if n - 1 < 2:
             raise ConfigError("merge-victim selection needs >= 2 non-summary entries")
+        # adjacent[i - 1] is the similarity of entries i and i + 1, so entry
+        # idx's neighbor similarities are adjacent[idx - 2] and adjacent[idx - 1]
+        adjacent = [self._pair_similarity(self.entries[i], self.entries[i + 1]) for i in range(1, n - 1)]
         best_idx = 1
         best_score = -np.inf
         for idx in range(1, n):
-            neighbors = [j for j in (idx - 1, idx + 1) if 1 <= j < n]
-            score = sum(self._pair_similarity(self.entries[idx], self.entries[j]) for j in neighbors) / len(neighbors)
+            pairs = adjacent[max(idx - 2, 0):idx]
+            score = sum(pairs) / len(pairs)
             if score > best_score:
                 best_score, best_idx = score, idx
         return best_idx
@@ -181,8 +184,9 @@ class EpisodicMemory:
         for l in layers:
             heads = heads_by_layer[l]
             r = np.zeros(2 * s)
+            cat_keys_by_head = {}
             for lh in heads:
-                cat_keys = np.vstack([first.slots[lh].keys, second.slots[lh].keys])
+                cat_keys = cat_keys_by_head[lh] = np.vstack([first.slots[lh].keys, second.slots[lh].keys])
                 pk = np.asarray(prompt_keys[lh])
                 pk_norm = float(np.linalg.norm(pk))
                 row_norms = np.linalg.norm(cat_keys, axis=1)
@@ -190,10 +194,11 @@ class EpisodicMemory:
                 sims = np.where(denom > 0.0, cat_keys @ pk / np.where(denom == 0.0, 1.0, denom), 0.0)
                 r += sims
             r /= len(heads)
-            order = sorted(range(2 * s), key=lambda n: (-r[n], n))[:s]
+            # stable sort: ties keep ascending position
+            order = np.argsort(-r, kind="stable")[:s]
             for lh in heads:
                 a, b = first.slots[lh], second.slots[lh]
-                cat_keys = np.vstack([a.keys, b.keys])
+                cat_keys = cat_keys_by_head[lh]
                 cat_vals = np.vstack([a.values, b.values])
                 cat_pos = np.vstack([a.spatial_positions, b.spatial_positions])
                 cat_prov = np.vstack([a.provenance, b.provenance])

@@ -19,3 +19,17 @@ class SequencingError(RuntimeError):
 
 class IntegrityError(RuntimeError):
     """Internal bookkeeping violated: corrupted offsets, double re-encoding, etc."""
+
+
+def require_int(value, name: str) -> int:
+    """An integer input value; floats, bools and strings are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def require_number(value, name: str) -> float:
+    """A real input value; bools and strings are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)

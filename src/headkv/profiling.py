@@ -20,7 +20,7 @@ from .errors import ConfigError, ShapeError
 from .model import ModelConfig, ModelWeights, measurement_perturbation
 from .roles import HeadRole, HeadRoleMap
 from .rollout import LatentBlock, RolloutEngine, WindowStrategy, _expand_schedule
-from .tensor_ops import TEMPORAL, RopeParams, apply_rope, softmax_rows
+from .tensor_ops import TEMPORAL, RopeParams, apply_rope, softmax_rows, temporal_positions
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,7 @@ def _accumulate_block(sums: np.ndarray, archive: dict, block: LatentBlock,
 
 def _frame_positions(first_frame: int, n_frames: int, s: int) -> np.ndarray:
     """(n_frames*s, 3) positions carrying only the global frame index."""
-    t = np.repeat(np.arange(first_frame, first_frame + n_frames, dtype=np.int64), s)
-    return np.column_stack((t, np.zeros_like(t), np.zeros_like(t)))
+    return temporal_positions(np.repeat(np.arange(first_frame, first_frame + n_frames, dtype=np.int64), s))
 
 
 def round_half_up(x: float) -> int:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int, require_number
 
 
 class HeadRole(str, Enum):
@@ -64,12 +64,14 @@ class HeadRoleMap:
     def from_json(cls, text: str, provenance: str = "") -> "HeadRoleMap":
         try:
             payload = json.loads(text)
-            alpha = float(payload["alpha_anchor"])
-            tau = float(payload["tau_local"])
-            roles = {
-                (int(e["layer"]), int(e["head"])): HeadRole(e["role"])
-                for e in payload["roles"]
-            }
+            alpha = require_number(payload["alpha_anchor"], "alpha_anchor")
+            tau = require_number(payload["tau_local"], "tau_local")
+            roles: dict[tuple[int, int], HeadRole] = {}
+            for e in payload["roles"]:
+                key = (require_int(e["layer"], "role entry layer"), require_int(e["head"], "role entry head"))
+                if key in roles:
+                    raise ConfigError(f"duplicate role entry for (layer, head) {key}")
+                roles[key] = HeadRole(e["role"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed role map JSON: {exc}") from exc
         if not roles:

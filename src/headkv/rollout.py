@@ -287,7 +287,8 @@ class MetricsRow:
     fidelity: Optional[float]
     stored_scalar_count: int
     frame_slots_live: int
-    wall_time_ms: float
+    wall_time_ms: float                  # step()
+    commit_ms: float                     # commit(): cache roll and episodic work
     active_prompt: str
 
 
@@ -396,13 +397,15 @@ class RolloutEngine:
             prompt = prompts[i - 1]
             t0 = time.perf_counter()
             block = self.step(i, prompt)
-            wall_ms = (time.perf_counter() - t0) * 1000.0
+            t1 = time.perf_counter()
             record.admissions.extend(self.commit(block, prompt))
+            t2 = time.perf_counter()
             record.metrics.append(MetricsRow(
                 block_index=i, fidelity=None,
                 stored_scalar_count=block.stored_scalars,
                 frame_slots_live=block.frame_slots,
-                wall_time_ms=wall_ms, active_prompt=prompt,
+                wall_time_ms=(t1 - t0) * 1000.0, commit_ms=(t2 - t1) * 1000.0,
+                active_prompt=prompt,
             ))
             if self.record_retention:
                 record.retention.append(block.retention)

@@ -8,6 +8,7 @@ float32 arrays for the relaxed-tolerance fast path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,22 +53,17 @@ class RopeParams:
             raise ShapeError(f"default channel split needs d divisible by 4, got {d}; pass an explicit split")
         return cls(d_t=d // 2, d_h=d // 4, d_w=d // 4, base=base)
 
-    def axis_slices(self) -> dict[str, slice]:
-        return {
-            TEMPORAL: slice(0, self.d_t),
-            HEIGHT: slice(self.d_t, self.d_t + self.d_h),
-            WIDTH: slice(self.d_t + self.d_h, self.d),
-        }
-
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction. Preserves shape and dtype."""
+    """Row-wise softmax with per-row max subtraction. Preserves shape and
+    dtype; the input is left unchanged and the result is one new buffer."""
     m = np.asarray(m)
     if m.ndim != 2:
         raise ShapeError(f"softmax_rows expects a 2-D matrix, got shape {m.shape}")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    out = m - m.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -85,19 +81,47 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     return softmax_rows(scores) @ v
 
 
-def _rotate_block(block: np.ndarray, positions: np.ndarray, d_axis: int, base: float) -> np.ndarray:
+def _cos_sin(positions: np.ndarray, d_axis: int, base: float) -> tuple[np.ndarray, np.ndarray]:
     # Pairs are adjacent channels (2j, 2j+1); angle = pos * base**(-2j/d_axis).
-    half = d_axis // 2
-    inv_freq = base ** (-2.0 * np.arange(half, dtype=np.float64) / d_axis)
-    angles = positions[:, None].astype(np.float64) * inv_freq[None, :]
-    cos = np.cos(angles).astype(block.dtype, copy=False)
-    sin = np.sin(angles).astype(block.dtype, copy=False)
-    even = block[:, 0::2]
-    odd = block[:, 1::2]
-    out = np.empty_like(block)
-    out[:, 0::2] = even * cos - odd * sin
-    out[:, 1::2] = even * sin + odd * cos
-    return out
+    inv_freq = base ** (-2.0 * np.arange(d_axis // 2, dtype=np.float64) / d_axis)
+    angles = positions.astype(np.float64)[:, None] * inv_freq[None, :]
+    return np.cos(angles), np.sin(angles)
+
+
+@functools.lru_cache(maxsize=32)
+def rope_table(d_axis: int, base: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (size, d_axis/2) cos and sin for positions 0..size-1."""
+    cos, sin = _cos_sin(np.arange(size), d_axis, base)
+    cos.flags.writeable = False
+    sin.flags.writeable = False
+    return cos, sin
+
+
+_AXIS_COLUMN = {TEMPORAL: 0, HEIGHT: 1, WIDTH: 2}
+# Table sizes are powers of two from _MIN_TABLE to _MAX_TABLE positions.
+# Larger positions (global frame indices of long baseline rollouts) are
+# rotated from cos/sin computed per call, so table memory stays bounded.
+_MIN_TABLE = 16
+_MAX_TABLE = 1 << 12
+
+
+@functools.lru_cache(maxsize=64)
+def _rope_runs(params: RopeParams, axes: frozenset[str]) -> tuple:
+    """The selected channel groups merged into contiguous channel runs:
+    ((start, stop, position columns, ((column, d_axis), ...)), ...). Channel
+    groups and position columns share the (t, h, w) order, so a run's
+    columns are contiguous too."""
+    runs: list[list] = []      # [start, stop, groups]
+    start = 0
+    for axis, width in zip(ALL_AXES, (params.d_t, params.d_h, params.d_w)):
+        if axis in axes and width:
+            if not runs or runs[-1][1] != start:
+                runs.append([start, start, []])
+            runs[-1][1] = start + width
+            runs[-1][2].append((_AXIS_COLUMN[axis], width))
+        start += width
+    return tuple((a, b, slice(groups[0][0], groups[-1][0] + 1), tuple(groups))
+                 for a, b, groups in runs)
 
 
 def apply_rope(
@@ -107,7 +131,10 @@ def apply_rope(
     axes: Sequence[str] = ALL_AXES,
 ) -> np.ndarray:
     """Rotate the selected axis channel groups; unselected groups pass through
-    untouched. `positions` is one (t, h, w) triple per token row."""
+    untouched. `positions` is one non-negative integer (t, h, w) triple per
+    token row. cos/sin are read from `rope_table`, sized to the next power of
+    two above the largest selected position, or computed per call past
+    `_MAX_TABLE`."""
     tokens = np.asarray(tokens)
     pos = np.asarray(positions)
     if tokens.ndim != 2:
@@ -116,20 +143,49 @@ def apply_rope(
         raise ShapeError(f"token cols {tokens.shape[1]} != rope channel total {params.d}")
     if pos.ndim != 2 or pos.shape != (tokens.shape[0], 3):
         raise ShapeError(f"positions must be ({tokens.shape[0]}, 3), got {pos.shape}")
+    if pos.dtype.kind not in "iu":
+        raise ShapeError(f"rope positions must be integers, got dtype {pos.dtype}")
     for axis in axes:
         if axis not in ALL_AXES:
             raise ShapeError(f"unknown rope axis {axis!r}")
 
-    slices = params.axis_slices()
-    axis_pos = {TEMPORAL: pos[:, 0], HEIGHT: pos[:, 1], WIDTH: pos[:, 2]}
-    widths = {TEMPORAL: params.d_t, HEIGHT: params.d_h, WIDTH: params.d_w}
     out = tokens.copy()
-    for axis in axes:
-        d_axis = widths[axis]
-        if d_axis == 0:
-            continue
-        sl = slices[axis]
-        out[:, sl] = _rotate_block(out[:, sl], axis_pos[axis], d_axis, params.base)
+    for start, stop, columns, groups in _rope_runs(params, frozenset(axes)):
+        # OR of non-negative ints has the bit length of their max; any
+        # negative one makes it negative
+        bits = int(np.bitwise_or.reduce(pos[:, columns], axis=None))
+        if bits < 0:
+            raise ShapeError("rope positions must be non-negative")
+        size = max(_MIN_TABLE, 1 << bits.bit_length())
+        cos_parts, sin_parts = [], []
+        for column, d_axis in groups:
+            p = pos[:, column]
+            if size > _MAX_TABLE:
+                cos, sin = _cos_sin(p, d_axis, params.base)
+            else:
+                cos, sin = rope_table(d_axis, params.base, size)
+                cos, sin = cos.take(p, axis=0), sin.take(p, axis=0)
+            cos_parts.append(cos)
+            sin_parts.append(sin)
+        if len(groups) == 1:
+            cos, sin = cos_parts[0], sin_parts[0]
+        else:
+            cos, sin = np.concatenate(cos_parts, axis=1), np.concatenate(sin_parts, axis=1)
+        cos = cos.astype(tokens.dtype, copy=False)
+        sin = sin.astype(tokens.dtype, copy=False)
+        even, odd = tokens[:, start:stop:2], tokens[:, start + 1:stop:2]
+        out_even, out_odd = out[:, start:stop:2], out[:, start + 1:stop:2]
+        np.multiply(even, cos, out=out_even)
+        out_even -= odd * sin
+        np.multiply(even, sin, out=out_odd)
+        out_odd += odd * cos
+    return out
+
+
+def temporal_positions(token_t: np.ndarray) -> np.ndarray:
+    """(tokens, 3) positions carrying only each token's temporal index."""
+    out = np.zeros((token_t.shape[0], 3), dtype=np.int64)
+    out[:, 0] = token_t
     return out
 
 

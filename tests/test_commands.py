@@ -116,8 +116,32 @@ class TestCmdGenerate:
         cfg_b = self.generate_cfg(tmp_path / "b", {"type": "sink_window", "W": 6, "n_sink": 1})
         a = cmd_generate(cfg_a)["metrics"].read_text()
         b = cmd_generate(cfg_b)["metrics"].read_text()
-        strip = lambda text: re.sub(r"^(\d+,[^,]*,\d+,\d+,)[0-9.]+", r"\1_", text, flags=re.M)
+        strip = lambda text: re.sub(r"^(\d+,[^,]*,\d+,\d+,)[0-9.]+,[0-9.]+", r"\1_", text, flags=re.M)
         assert strip(a) == strip(b)
+
+    def test_commit_ms_column(self, tmp_path):
+        """commit_ms follows wall_time_ms and times the cache roll and the
+        episodic work, which here admits and compresses every block."""
+        map_paths = cmd_profile(profile_cfg(tmp_path / "prof"))
+        cfg = config_from_dict({
+            "model": dict(TOY_MODEL),
+            "strategy": {"type": "head_wise"},
+            "head_role_map": str(map_paths["role_map"]),
+            "hyperparameters": {"update_interval": 1},
+            "prompt_schedule": [["gen prompt", 1]],
+            "n_blocks": 12,
+            "output_dir": str(tmp_path),
+        })
+        paths = cmd_generate(cfg)
+        with paths["metrics"].open() as fh:
+            header = next(csv.reader(fh))
+        assert header.index("commit_ms") == header.index("wall_time_ms") + 1
+        commit_ms = [float(r["commit_ms"]) for r in csv.DictReader(paths["metrics"].open())]
+        assert len(commit_ms) == 12 and min(commit_ms) >= 0.0
+        compressed = [int(r["block_index"]) for r in csv.DictReader(paths["admissions"].open())
+                      if r["compressed"] == "true"]
+        assert compressed
+        assert all(commit_ms[i - 1] > 0.0 for i in compressed)
 
     def test_admission_log_schema(self, tmp_path):
         map_paths = cmd_profile(profile_cfg(tmp_path / "prof"))
@@ -230,6 +254,21 @@ class TestCli:
         proc = self.run_cli("generate", "--config", str(cfg))
         assert proc.returncode == 2
 
+    def test_duplicate_role_entry_exit_2(self, tmp_path):
+        roles = [{"layer": 0, "head": h, "role": "memory"} for h in (0, 0)]
+        (tmp_path / "roles.json").write_text(json.dumps({"alpha_anchor": 0.0, "tau_local": 0.0,
+                                                         "roles": roles}))
+        cfg = self.write_cfg(tmp_path, {
+            "model": dict(TOY_MODEL, L=1, H=1),
+            "strategy": {"type": "head_wise"},
+            "head_role_map": str(tmp_path / "roles.json"),
+            "n_blocks": 1,
+            "output_dir": str(tmp_path / "out"),
+        })
+        proc = self.run_cli("generate", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert "duplicate role entry" in proc.stderr
+
     def test_missing_config_exit_2(self, tmp_path):
         proc = self.run_cli("generate", "--config", str(tmp_path / "nope.json"))
         assert proc.returncode == 2
@@ -313,6 +352,46 @@ class TestConfigLoading:
     def test_rope_split_must_match_model(self):
         with pytest.raises(ConfigError):
             config_from_dict({"hyperparameters": {"rope": {"d_t": 4, "d_h": 2, "d_w": 2}}})
+
+    @staticmethod
+    def role_map_json(last=None, extra=None, **top):
+        """A 2x2 role map; `last` edits the (1, 1) entry, `extra` appends an
+        entry, `top` replaces thresholds. Each fault below is one a lenient
+        parser accepts: the last duplicate winning, int() truncating 1.9 to
+        the valid head 1, float() parsing "0.2"."""
+        entries = [{"layer": l, "head": h, "role": "memory"} for l in range(2) for h in range(2)]
+        entries[-1].update(last or {})
+        payload = {"alpha_anchor": 0.25, "tau_local": 0.2, "roles": entries + ([extra] if extra else [])}
+        payload.update(top)
+        return json.dumps(payload)
+
+    def test_role_map_well_formed_loads(self):
+        role_map = HeadRoleMap.from_json(self.role_map_json())
+        assert (role_map.layers, role_map.heads, role_map.alpha_anchor) == (2, 2, 0.25)
+
+    @pytest.mark.parametrize("changes", [
+        {"extra": {"layer": 0, "head": 0, "role": "anchor"}},
+        {"extra": {"layer": 1, "head": 1, "role": "memory"}},
+        {"last": {"head": 1.9}},
+        {"last": {"head": 1.0}},
+        {"last": {"layer": True}},
+        {"last": {"head": "1"}},
+        {"alpha_anchor": True},
+        {"alpha_anchor": "0.2"},
+        {"tau_local": False},
+        {"tau_local": "0.2"},
+    ], ids=repr)
+    def test_malformed_role_map_rejected_not_coerced(self, tmp_path, changes):
+        text = self.role_map_json(**changes)
+        with pytest.raises(ConfigError):
+            HeadRoleMap.from_json(text)
+        path = tmp_path / "roles.json"
+        path.write_text(text)
+        cfg = config_from_dict({"strategy": {"type": "head_wise"}, "head_role_map": str(path),
+                                "model": dict(TOY_MODEL, L=2, H=2), "n_blocks": 1,
+                                "output_dir": str(tmp_path / "out")})
+        with pytest.raises(ConfigError):
+            cmd_generate(cfg)
 
     def test_role_map_path_kept_verbatim(self, tmp_path):
         p = tmp_path / "c.json"

@@ -326,3 +326,54 @@ class TestLatentMetric:
                       prompt_keys=zero_prompt_keys(), latent=rng.standard_normal((S, 8)))
         with pytest.raises(ConfigError):
             mem.novelty_score(random_slots(rng, idx=3))
+
+
+class TestCachedPooledKeys:
+    """Pooled keys are cached on each FrameKV and provenance is built on first
+    read; after a rollout that compresses every block, both must still equal
+    what they would be if computed afresh."""
+
+    @pytest.fixture(scope="class")
+    def churned(self, toy_config, toy_weights, rope, toy_role_map):
+        from headkv.reference import FrameArchive
+        from headkv.rollout import HeadWiseHyper, HeadWiseStrategy, generate_rollout
+
+        strategy = HeadWiseStrategy(toy_config, toy_weights, toy_role_map,
+                                    HeadWiseHyper(update_interval=1))
+        record = generate_rollout(toy_weights, toy_config, rope, strategy,
+                                  [("churn prompt", 1)], 16, keep_records=True)
+        assert sum(d.compressed for d in record.admissions) >= 5
+        return strategy.episodic, record, FrameArchive.from_record(record)
+
+    def test_cached_pooled_key_equals_fresh_mean(self, churned):
+        mem, _, _ = churned
+        assert mem.summary_present and len(mem.entries) == mem.capacity
+        for entry in mem.entries:
+            for fr in entry.slots.values():
+                pooled, norm = fr.pooled_key
+                assert pooled.tobytes() == fr.keys.mean(axis=0).tobytes()
+                assert norm == float(np.linalg.norm(fr.keys.mean(axis=0)))
+
+    def test_novelty_matches_brute_force(self, churned):
+        mem, record, _ = churned
+        last = record.blocks[-1].layer_records
+        cand = {(l, h): last[l].frames[h][0] for (l, h) in mem.memory_heads}
+        # scored twice: the second call reads the candidate's cached pooled keys
+        for _ in range(2):
+            expected = brute_force_novelty(cand, [e.slots for e in mem.entries])
+            assert mem.novelty_score(cand) == pytest.approx(expected, abs=1e-12)
+
+    def test_plain_frame_provenance_is_identity(self, churned):
+        mem, _, _ = churned
+        fr = mem.entries[-1].slots[mem.memory_heads[0]]
+        assert not fr.is_summary
+        np.testing.assert_array_equal(fr.provenance[:, 0], np.full(fr.tokens, fr.global_frame_index))
+        np.testing.assert_array_equal(fr.provenance[:, 1], np.arange(fr.tokens))
+
+    def test_summary_provenance_points_at_merged_rows(self, churned):
+        mem, _, archive = churned
+        for lh, fr in mem.entries[0].slots.items():
+            assert fr.is_summary
+            for row, (frame, token) in enumerate(fr.provenance):
+                assert fr.keys[row].tobytes() == archive.keys[lh][frame][token].tobytes()
+                assert fr.values[row].tobytes() == archive.values[lh][frame][token].tobytes()

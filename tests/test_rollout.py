@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,32 @@ class TestLongRolloutStability:
             assert np.isfinite(hid).all()
             worst = max(worst, float(np.abs(hid).max()))
         assert worst < 1e3
+
+
+class TestMemoryStaysFlat:
+    """Peak memory of a bounded strategy does not grow with the rollout: the
+    cached rope tables and pooled keys must stay bounded too."""
+
+    @staticmethod
+    def peak_bytes(make_strategy, n_blocks):
+        cfg = ModelConfig(L=2, H=4, d=16, s=16, f=3, grid_h=4, grid_w=4, seed=5)
+        weights, rope = init_model(cfg), RopeParams.default_for(16)
+        engine = RolloutEngine(weights, cfg, rope, make_strategy(cfg, weights))
+        tracemalloc.start()
+        try:
+            for i in range(1, n_blocks + 1):
+                engine.commit(engine.step(i, "p"), "p")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("make_strategy", [
+        lambda cfg, w: HeadWiseStrategy(cfg, w, hand_map(cfg, 2, 2), HeadWiseHyper(update_interval=1)),
+        lambda cfg, w: WindowStrategy(cfg, 8, n_sink=1),
+    ], ids=["head_wise", "sink_window"])
+    def test_peak_at_4n_blocks_within_1_5x_of_n(self, make_strategy):
+        n = 40
+        assert self.peak_bytes(make_strategy, 4 * n) <= 1.5 * self.peak_bytes(make_strategy, n)
 
 
 class TestEpisodicCadence:

@@ -16,6 +16,7 @@ from headkv.tensor_ops import (
     apply_rope,
     attention,
     grid_positions,
+    rope_table,
     softmax_rows,
 )
 
@@ -39,6 +40,14 @@ class TestSoftmaxRows:
     def test_large_values_do_not_overflow(self):
         out = softmax_rows(np.array([[1000.0, 999.0]]))
         assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_input_left_unchanged(self, dtype):
+        m = (np.random.default_rng(8).standard_normal((4, 9)) * 5).astype(dtype)
+        before = m.copy()
+        out = softmax_rows(m)
+        np.testing.assert_array_equal(m, before)
+        assert out.dtype == dtype and not np.shares_memory(out, m)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**31 - 1))
@@ -178,7 +187,7 @@ class TestApplyRope:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((1, 16))
         y = rng.standard_normal((1, 16))
-        sl = self.rope.axis_slices()[axis]
+        sl = {TEMPORAL: slice(0, 8), HEIGHT: slice(8, 12), WIDTH: slice(12, 16)}[axis]
         col = {TEMPORAL: 0, HEIGHT: 1, WIDTH: 2}[axis]
 
         def pos(val):
@@ -209,6 +218,82 @@ class TestApplyRope:
     def test_unknown_axis_raises(self):
         with pytest.raises(ShapeError):
             apply_rope(self._tokens(2), self._positions(2), self.rope, axes=("sideways",))
+
+
+def rope_direct(x: np.ndarray, pos: np.ndarray, rope: RopeParams, axes) -> np.ndarray:
+    """Per-element rotation with math.cos/math.sin: each axis group rotates
+    pairs (2j, 2j+1) by position * base**(-2j / d_axis)."""
+    out = np.array(x, dtype=np.float64, copy=True)
+    start = 0
+    for axis, width, col in ((TEMPORAL, rope.d_t, 0), (HEIGHT, rope.d_h, 1), (WIDTH, rope.d_w, 2)):
+        if axis in axes:
+            for r in range(x.shape[0]):
+                for j in range(width // 2):
+                    angle = int(pos[r, col]) * rope.base ** (-2.0 * j / width)
+                    c, s = math.cos(angle), math.sin(angle)
+                    a, b = x[r, start + 2 * j], x[r, start + 2 * j + 1]
+                    out[r, start + 2 * j] = a * c - b * s
+                    out[r, start + 2 * j + 1] = a * s + b * c
+        start += width
+    return out
+
+
+class TestRopeTables:
+    """apply_rope reads cos/sin from cached tables that grow in powers of two;
+    these checks compare it with the formula itself, independent of the
+    tables (reference.py rotates spatial channels through apply_rope)."""
+
+    rope = RopeParams.default_for(16)
+    # on both sides of table-size boundaries, up to past the largest table
+    POSITIONS = [0, 1, 15, 16, 17, 31, 32, 63, 64, 255, 256, 1023, 1024, 4095, 4096, 5003]
+
+    def _case(self, seed=0):
+        n = len(self.POSITIONS)
+        p = np.array(self.POSITIONS, dtype=np.int64)
+        pos = np.column_stack((p, p[::-1], np.roll(p, 5)))
+        return np.random.default_rng(seed).standard_normal((n, 16)), pos
+
+    @pytest.mark.parametrize("axes", [(TEMPORAL,), (HEIGHT,), (WIDTH,), SPATIAL_AXES, ALL_AXES],
+                             ids=lambda a: "+".join(a))
+    def test_matches_direct_formula(self, axes):
+        x, pos = self._case()
+        np.testing.assert_allclose(apply_rope(x, pos, self.rope, axes=axes),
+                                   rope_direct(x, pos, self.rope, axes), rtol=0, atol=1e-12)
+
+    def test_growing_positions_match_direct_formula(self):
+        """Calls in increasing position order, as a rollout makes them, so
+        each table size is built in turn."""
+        x, _ = self._case(seed=1)
+        for p in self.POSITIONS:
+            pos = np.full((x.shape[0], 3), p, dtype=np.int64)
+            np.testing.assert_allclose(apply_rope(x, pos, self.rope),
+                                       rope_direct(x, pos, self.rope, ALL_AXES), rtol=0, atol=1e-12)
+
+    def test_float32_keeps_dtype_and_tracks_float64(self):
+        x, pos = self._case(seed=2)
+        x32 = x.astype(np.float32)
+        out32 = apply_rope(x32, pos, self.rope)
+        assert out32.dtype == np.float32
+        out64 = apply_rope(x32.astype(np.float64), pos, self.rope)
+        assert np.abs(out32 - out64).max() < 1e-6
+
+    def test_tables_are_read_only(self):
+        cos, sin = rope_table(8, 10000.0, 64)
+        assert cos.shape == sin.shape == (64, 4)
+        assert not cos.flags.writeable and not sin.flags.writeable
+        with pytest.raises(ValueError):
+            cos[1, 0] = 0.0
+        assert rope_table(8, 10000.0, 64)[0] is cos
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[0, 1, -1]] * 2, dtype=np.int64),
+        np.array([[-3, 0, 0]] * 2, dtype=np.int64),
+        np.array([[0.5, 1.0, 2.0]] * 2),
+        np.array([[1.0, 1.0, 2.0]] * 2),
+    ], ids=["negative-width", "negative-temporal", "fractional", "integral-float"])
+    def test_negative_or_non_integer_positions_raise(self, bad):
+        with pytest.raises(ShapeError):
+            apply_rope(np.ones((2, 16)), bad, self.rope)
 
 
 def test_grid_positions_row_major():
