@@ -81,47 +81,33 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     return softmax_rows(scores) @ v
 
 
-def _cos_sin(positions: np.ndarray, d_axis: int, base: float) -> tuple[np.ndarray, np.ndarray]:
-    # Pairs are adjacent channels (2j, 2j+1); angle = pos * base**(-2j/d_axis).
-    inv_freq = base ** (-2.0 * np.arange(d_axis // 2, dtype=np.float64) / d_axis)
-    angles = positions.astype(np.float64)[:, None] * inv_freq[None, :]
-    return np.cos(angles), np.sin(angles)
-
-
 @functools.lru_cache(maxsize=32)
 def rope_table(d_axis: int, base: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (size, d_axis/2) cos and sin for positions 0..size-1."""
-    cos, sin = _cos_sin(np.arange(size), d_axis, base)
+    """Read-only (size, d_axis/2) cos and sin for positions 0..size-1.
+    Pairs are adjacent channels (2j, 2j+1); angle = pos * base**(-2j/d_axis)."""
+    inv_freq = base ** (-2.0 * np.arange(d_axis // 2, dtype=np.float64) / d_axis)
+    angles = np.arange(size, dtype=np.float64)[:, None] * inv_freq[None, :]
+    cos, sin = np.cos(angles), np.sin(angles)
     cos.flags.writeable = False
     sin.flags.writeable = False
     return cos, sin
 
 
-_AXIS_COLUMN = {TEMPORAL: 0, HEIGHT: 1, WIDTH: 2}
-# Table sizes are powers of two from _MIN_TABLE to _MAX_TABLE positions.
-# Larger positions (global frame indices of long baseline rollouts) are
-# rotated from cos/sin computed per call, so table memory stays bounded.
-_MIN_TABLE = 16
-_MAX_TABLE = 1 << 12
-
-
 @functools.lru_cache(maxsize=64)
 def _rope_runs(params: RopeParams, axes: frozenset[str]) -> tuple:
-    """The selected channel groups merged into contiguous channel runs:
-    ((start, stop, position columns, ((column, d_axis), ...)), ...). Channel
-    groups and position columns share the (t, h, w) order, so a run's
-    columns are contiguous too."""
-    runs: list[list] = []      # [start, stop, groups]
+    """The selected channel groups merged into contiguous channel runs, so
+    that adjacent groups (height and width) rotate in one pass:
+    ((start, stop, ((position column, d_axis), ...)), ...)."""
+    runs: list[list] = []
     start = 0
-    for axis, width in zip(ALL_AXES, (params.d_t, params.d_h, params.d_w)):
-        if axis in axes and width:
+    for column, (axis, d_axis) in enumerate(zip(ALL_AXES, (params.d_t, params.d_h, params.d_w))):
+        if axis in axes and d_axis:
             if not runs or runs[-1][1] != start:
                 runs.append([start, start, []])
-            runs[-1][1] = start + width
-            runs[-1][2].append((_AXIS_COLUMN[axis], width))
-        start += width
-    return tuple((a, b, slice(groups[0][0], groups[-1][0] + 1), tuple(groups))
-                 for a, b, groups in runs)
+            runs[-1][1] = start + d_axis
+            runs[-1][2].append((column, d_axis))
+        start += d_axis
+    return tuple((a, b, tuple(groups)) for a, b, groups in runs)
 
 
 def apply_rope(
@@ -132,9 +118,8 @@ def apply_rope(
 ) -> np.ndarray:
     """Rotate the selected axis channel groups; unselected groups pass through
     untouched. `positions` is one non-negative integer (t, h, w) triple per
-    token row. cos/sin are read from `rope_table`, sized to the next power of
-    two above the largest selected position, or computed per call past
-    `_MAX_TABLE`."""
+    token row. cos/sin rows are read from `rope_table`, sized to the next
+    power of two above the axis's largest position."""
     tokens = np.asarray(tokens)
     pos = np.asarray(positions)
     if tokens.ndim != 2:
@@ -150,23 +135,18 @@ def apply_rope(
             raise ShapeError(f"unknown rope axis {axis!r}")
 
     out = tokens.copy()
-    for start, stop, columns, groups in _rope_runs(params, frozenset(axes)):
-        # OR of non-negative ints has the bit length of their max; any
-        # negative one makes it negative
-        bits = int(np.bitwise_or.reduce(pos[:, columns], axis=None))
-        if bits < 0:
-            raise ShapeError("rope positions must be non-negative")
-        size = max(_MIN_TABLE, 1 << bits.bit_length())
+    for start, stop, groups in _rope_runs(params, frozenset(axes)):
         cos_parts, sin_parts = [], []
         for column, d_axis in groups:
             p = pos[:, column]
-            if size > _MAX_TABLE:
-                cos, sin = _cos_sin(p, d_axis, params.base)
-            else:
-                cos, sin = rope_table(d_axis, params.base, size)
-                cos, sin = cos.take(p, axis=0), sin.take(p, axis=0)
-            cos_parts.append(cos)
-            sin_parts.append(sin)
+            # OR of non-negative ints has the bit length of their max; any
+            # negative one makes it negative
+            bits = int(np.bitwise_or.reduce(p))
+            if bits < 0:
+                raise ShapeError("rope positions must be non-negative")
+            cos, sin = rope_table(d_axis, params.base, 1 << bits.bit_length())
+            cos_parts.append(cos.take(p, axis=0))
+            sin_parts.append(sin.take(p, axis=0))
         if len(groups) == 1:
             cos, sin = cos_parts[0], sin_parts[0]
         else:

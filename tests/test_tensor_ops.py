@@ -244,8 +244,9 @@ class TestRopeTables:
     tables (reference.py rotates spatial channels through apply_rope)."""
 
     rope = RopeParams.default_for(16)
-    # on both sides of table-size boundaries, up to past the largest table
-    POSITIONS = [0, 1, 15, 16, 17, 31, 32, 63, 64, 255, 256, 1023, 1024, 4095, 4096, 5003]
+    # on both sides of table-size boundaries (powers of two)
+    POSITIONS = [0, 1, 2, 3, 4, 7, 8, 15, 16, 17, 31, 32, 63, 64, 255, 256, 1023, 1024,
+                 4095, 4096, 5003]
 
     def _case(self, seed=0):
         n = len(self.POSITIONS)
