@@ -345,8 +345,11 @@ class RolloutEngine:
                 v = hidden @ self.weights.wv[l, h]
                 q = apply_rope(q, self._block_positions, self.rope, axes=SPATIAL_AXES)
                 k = apply_rope(k, self._block_positions, self.rope, axes=SPATIAL_AXES)
+                # each frame owns its rows, so a frame kept past this block
+                # does not keep the whole block's k and v alive
                 current = [
-                    FrameKV(keys=k[t * s:(t + 1) * s], values=v[t * s:(t + 1) * s],
+                    FrameKV(keys=k[t * s:(t + 1) * s].copy(),
+                            values=v[t * s:(t + 1) * s].copy(),
                             spatial_positions=self._spatial_pos2,
                             global_frame_index=int(global_q_idx[t]))
                     for t in range(f)

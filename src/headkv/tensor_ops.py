@@ -22,6 +22,7 @@ HEIGHT = "height"
 WIDTH = "width"
 ALL_AXES = (TEMPORAL, HEIGHT, WIDTH)
 SPATIAL_AXES = (HEIGHT, WIDTH)
+_COMPLEX_OF = {np.dtype(np.float64): np.complex128, np.dtype(np.float32): np.complex64}
 
 
 @dataclass(frozen=True)
@@ -82,32 +83,14 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def rope_table(d_axis: int, base: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (size, d_axis/2) cos and sin for positions 0..size-1.
-    Pairs are adjacent channels (2j, 2j+1); angle = pos * base**(-2j/d_axis)."""
+def rope_table(d_axis: int, base: float, size: int) -> np.ndarray:
+    """Read-only (size, d_axis/2) complex128 rotations e^{i*angle} for
+    positions 0..size-1. Column j rotates the channel pair (2j, 2j+1), read
+    as the complex number x[2j] + i*x[2j+1]; angle = pos * base**(-2j/d_axis)."""
     inv_freq = base ** (-2.0 * np.arange(d_axis // 2, dtype=np.float64) / d_axis)
-    angles = np.arange(size, dtype=np.float64)[:, None] * inv_freq[None, :]
-    cos, sin = np.cos(angles), np.sin(angles)
-    cos.flags.writeable = False
-    sin.flags.writeable = False
-    return cos, sin
-
-
-@functools.lru_cache(maxsize=64)
-def _rope_runs(params: RopeParams, axes: frozenset[str]) -> tuple:
-    """The selected channel groups merged into contiguous channel runs, so
-    that adjacent groups (height and width) rotate in one pass:
-    ((start, stop, ((position column, d_axis), ...)), ...)."""
-    runs: list[list] = []
-    start = 0
-    for column, (axis, d_axis) in enumerate(zip(ALL_AXES, (params.d_t, params.d_h, params.d_w))):
-        if axis in axes and d_axis:
-            if not runs or runs[-1][1] != start:
-                runs.append([start, start, []])
-            runs[-1][1] = start + d_axis
-            runs[-1][2].append((column, d_axis))
-        start += d_axis
-    return tuple((a, b, tuple(groups)) for a, b, groups in runs)
+    table = np.exp(1j * (np.arange(size, dtype=np.float64)[:, None] * inv_freq[None, :]))
+    table.flags.writeable = False
+    return table
 
 
 def apply_rope(
@@ -117,13 +100,17 @@ def apply_rope(
     axes: Sequence[str] = ALL_AXES,
 ) -> np.ndarray:
     """Rotate the selected axis channel groups; unselected groups pass through
-    untouched. `positions` is one non-negative integer (t, h, w) triple per
-    token row. cos/sin rows are read from `rope_table`, sized to the next
-    power of two above the axis's largest position."""
+    untouched. `tokens` are float32 or float64; `positions` is one
+    non-negative integer (t, h, w) triple per token row. Each selected
+    group's channel pairs, viewed as complex numbers, are multiplied by rows
+    of `rope_table`, sized to the next power of two above the axis's largest
+    position."""
     tokens = np.asarray(tokens)
     pos = np.asarray(positions)
     if tokens.ndim != 2:
         raise ShapeError(f"apply_rope expects a 2-D token matrix, got shape {tokens.shape}")
+    if tokens.dtype not in _COMPLEX_OF:
+        raise ShapeError(f"rope tokens must be float32 or float64, got dtype {tokens.dtype}")
     if tokens.shape[1] != params.d:
         raise ShapeError(f"token cols {tokens.shape[1]} != rope channel total {params.d}")
     if pos.ndim != 2 or pos.shape != (tokens.shape[0], 3):
@@ -134,31 +121,20 @@ def apply_rope(
         if axis not in ALL_AXES:
             raise ShapeError(f"unknown rope axis {axis!r}")
 
-    out = tokens.copy()
-    for start, stop, groups in _rope_runs(params, frozenset(axes)):
-        cos_parts, sin_parts = [], []
-        for column, d_axis in groups:
+    out = tokens.copy()                      # C order, so pairs are adjacent
+    pairs = out.view(_COMPLEX_OF[tokens.dtype])
+    start = 0
+    for column, (axis, d_axis) in enumerate(zip(ALL_AXES, (params.d_t, params.d_h, params.d_w))):
+        if axis in axes and d_axis:
             p = pos[:, column]
             # OR of non-negative ints has the bit length of their max; any
             # negative one makes it negative
             bits = int(np.bitwise_or.reduce(p))
             if bits < 0:
                 raise ShapeError("rope positions must be non-negative")
-            cos, sin = rope_table(d_axis, params.base, 1 << bits.bit_length())
-            cos_parts.append(cos.take(p, axis=0))
-            sin_parts.append(sin.take(p, axis=0))
-        if len(groups) == 1:
-            cos, sin = cos_parts[0], sin_parts[0]
-        else:
-            cos, sin = np.concatenate(cos_parts, axis=1), np.concatenate(sin_parts, axis=1)
-        cos = cos.astype(tokens.dtype, copy=False)
-        sin = sin.astype(tokens.dtype, copy=False)
-        even, odd = tokens[:, start:stop:2], tokens[:, start + 1:stop:2]
-        out_even, out_odd = out[:, start:stop:2], out[:, start + 1:stop:2]
-        np.multiply(even, cos, out=out_even)
-        out_even -= odd * sin
-        np.multiply(even, sin, out=out_odd)
-        out_odd += odd * cos
+            rows = rope_table(d_axis, params.base, 1 << bits.bit_length()).take(p, axis=0)
+            pairs[:, start:start + d_axis // 2] *= rows
+        start += d_axis // 2
     return out
 
 

@@ -186,6 +186,34 @@ class TestMemoryStaysFlat:
         assert self.peak_bytes(make_strategy, 4 * n) <= 1.5 * self.peak_bytes(make_strategy, n)
 
 
+class TestCachedFramesOwnTheirRows:
+    """A frame kept past its block holds only its own keys and values, not
+    a view into the block's (f*s, d) arrays."""
+
+    @pytest.mark.parametrize("make_strategy", [
+        lambda cfg, w: HeadWiseStrategy(cfg, w, hand_map(cfg, 2, 2), HeadWiseHyper(update_interval=1)),
+        lambda cfg, w: WindowStrategy(cfg, 8, n_sink=1),
+    ], ids=["head_wise", "sink_window"])
+    def test_bytes_held_equal_scalars_accounted(self, make_strategy):
+        cfg = ModelConfig(L=2, H=4, d=16, s=16, f=3, grid_h=4, grid_w=4, seed=5, scene_period=1)
+        weights = init_model(cfg)
+        strategy = make_strategy(cfg, weights)
+        engine = RolloutEngine(weights, cfg, RopeParams.default_for(16), strategy)
+        for i in range(1, 13):
+            engine.commit(engine.step(i, "p"), "p")
+        accounted = 0
+        held = {}
+        for lh in cfg.heads:
+            for fr in strategy.history_frames(*lh):
+                accounted += fr.keys.size + fr.values.size
+                for arr in (fr.keys, fr.values):
+                    assert arr.base is None
+                    held[id(arr)] = arr.nbytes
+        if isinstance(strategy, HeadWiseStrategy):
+            assert strategy.episodic.entries      # the episodic tier is covered
+        assert sum(held.values()) == accounted * 8
+
+
 class TestEpisodicCadence:
     def test_candidates_only_at_update_interval(self):
         cfg, weights, rope = small_setup(scene_period=1)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -239,7 +240,7 @@ def rope_direct(x: np.ndarray, pos: np.ndarray, rope: RopeParams, axes) -> np.nd
 
 
 class TestRopeTables:
-    """apply_rope reads cos/sin from cached tables that grow in powers of two;
+    """apply_rope reads rotations from cached tables that grow in powers of two;
     these checks compare it with the formula itself, independent of the
     tables (reference.py rotates spatial channels through apply_rope)."""
 
@@ -279,12 +280,56 @@ class TestRopeTables:
         assert np.abs(out32 - out64).max() < 1e-6
 
     def test_tables_are_read_only(self):
-        cos, sin = rope_table(8, 10000.0, 64)
-        assert cos.shape == sin.shape == (64, 4)
-        assert not cos.flags.writeable and not sin.flags.writeable
+        table = rope_table(8, 10000.0, 64)
+        assert table.shape == (64, 4)
+        assert table.dtype == np.complex128
+        assert not table.flags.writeable
         with pytest.raises(ValueError):
-            cos[1, 0] = 0.0
-        assert rope_table(8, 10000.0, 64)[0] is cos
+            table[1, 0] = 0.0
+        assert rope_table(8, 10000.0, 64) is table
+
+    @pytest.mark.parametrize("axes", [(TEMPORAL,), (HEIGHT,), (WIDTH,), SPATIAL_AXES, ALL_AXES],
+                             ids=lambda a: "+".join(a))
+    def test_pairs_within_two_eps_of_real_formula(self, axes):
+        """Each rotated pair (a, b) lies within 2*eps*(|a*c| + |b*s|) of
+        a*c - b*s, and within 2*eps*(|a*s| + |b*c|) of a*s + b*c, both
+        computed exactly from the same table entry c + i*s; channels outside
+        the selected groups are unchanged."""
+        x, pos = self._case(seed=3)
+        out = apply_rope(x, pos, self.rope, axes=axes)
+        eps = Fraction(float(np.finfo(np.float64).eps))
+        start = 0
+        for column, (axis, width) in enumerate(zip(ALL_AXES, (self.rope.d_t, self.rope.d_h, self.rope.d_w))):
+            if axis not in axes:
+                np.testing.assert_array_equal(out[:, start:start + width], x[:, start:start + width])
+            else:
+                table = rope_table(width, self.rope.base, 8192)
+                for r in range(x.shape[0]):
+                    for k in range(start, start + width, 2):
+                        rot = table[pos[r, column], (k - start) // 2]
+                        c, s = Fraction(float(rot.real)), Fraction(float(rot.imag))
+                        a, b = Fraction(float(x[r, k])), Fraction(float(x[r, k + 1]))
+                        for got, t1, t2 in ((out[r, k], a * c, -b * s), (out[r, k + 1], a * s, b * c)):
+                            assert abs(Fraction(float(got)) - (t1 + t2)) <= 2 * eps * (abs(t1) + abs(t2))
+            start += width
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran"])
+    def test_non_contiguous_input_matches_contiguous_copy(self, layout):
+        x, pos = self._case(seed=4)
+        if layout == "strided":
+            x = np.random.default_rng(4).standard_normal((x.shape[0], 32))[:, ::2]
+        else:
+            x = np.asfortranarray(x)
+        assert not x.flags.c_contiguous
+        out = apply_rope(x, pos, self.rope)
+        np.testing.assert_array_equal(out, apply_rope(np.ascontiguousarray(x), pos, self.rope))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.bool_, np.float16,
+                                       np.complex128, np.object_])
+    def test_non_float_tokens_raise(self, dtype):
+        pos = np.zeros((2, 3), dtype=np.int64)
+        with pytest.raises(ShapeError):
+            apply_rope(np.arange(32).reshape(2, 16).astype(dtype), pos, self.rope)
 
     @pytest.mark.parametrize("bad", [
         np.array([[0, 1, -1]] * 2, dtype=np.int64),
