@@ -14,11 +14,9 @@ from .assembly import (
     reencode_temporal,
 )
 from .cache import (
-    AnchorCache,
     CacheBudget,
     FrameKV,
-    LocalCache,
-    MemoryCache,
+    FrameWindow,
     frame_slots,
     roll_after_block,
 )
@@ -40,7 +38,6 @@ from .rollout import (
     HeadWiseStrategy,
     LatentBlock,
     RolloutEngine,
-    UnboundedStrategy,
     WindowStrategy,
     generate_rollout,
 )
@@ -48,7 +45,6 @@ from .tensor_ops import RopeParams, apply_rope, attention, softmax_rows
 
 __all__ = [
     "AdmissionDecision",
-    "AnchorCache",
     "AssembledSequence",
     "BucketProportions",
     "CacheBudget",
@@ -57,14 +53,13 @@ __all__ = [
     "EpisodicEntry",
     "EpisodicMemory",
     "FrameKV",
+    "FrameWindow",
     "HeadRole",
     "HeadRoleMap",
     "HeadWiseHyper",
     "HeadWiseStrategy",
     "IntegrityError",
     "LatentBlock",
-    "LocalCache",
-    "MemoryCache",
     "ModelConfig",
     "ModelWeights",
     "PackedBuffer",
@@ -74,7 +69,6 @@ __all__ = [
     "SequencingError",
     "ShapeError",
     "StabilityReport",
-    "UnboundedStrategy",
     "WindowStrategy",
     "apply_rope",
     "assemble",

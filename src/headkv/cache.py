@@ -1,5 +1,5 @@
-"""Per-head KV cache state machines for the three head roles, plus the
-frame-slot budget accountant.
+"""Per-head frame windows, which hold every head's retained frames under
+each cache policy, plus the frame-slot budget accountant.
 
 Frame indexing is 0-based and global: block i (1-based) covers frames
 f*(i-1) .. f*i-1. Cached keys always carry spatial-only rotary encoding;
@@ -8,16 +8,12 @@ temporal encoding happens at assembly time, never at write time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, SequencingError, ShapeError
 from .roles import HeadRole, HeadRoleMap
-
-if TYPE_CHECKING:  # avoids a cycle; episodic imports FrameKV from here
-    from .episodic import EpisodicMemory
 
 
 class FrameKV:
@@ -80,94 +76,42 @@ def _check_roll_order(last_block: int, block_index: int) -> None:
         )
 
 
-@dataclass
-class LocalCache:
-    """Keeps only the last frame of the most recent block."""
+class FrameWindow:
+    """One head's retained frames: the first n_sink frames it saw plus its last
+    `keep` frames, or every frame when keep is None (the sink-plus-recent
+    cache of StreamingLLM). Local heads are FrameWindow(0, 1), anchor heads
+    FrameWindow(f, 1), a memory head's fast tier FrameWindow(0, B_fast)."""
 
-    prev_frame: Optional[FrameKV] = None
-    last_block: int = 0
+    __slots__ = ("n_sink", "keep", "frames", "last_block")
 
-    def roll(self, block_index: int, frames: list[FrameKV]) -> list[FrameKV]:
-        _check_roll_order(self.last_block, block_index)
-        self.prev_frame = frames[-1]
-        self.last_block = block_index
-        return []
-
-    def history(self) -> list[FrameKV]:
-        return [self.prev_frame] if self.prev_frame is not None else []
-
-
-@dataclass
-class AnchorCache:
-    """Local window plus the first f frames, which are captured once and
-    never evicted."""
-
-    anchor_count: int
-    anchor_frames: list[FrameKV] = field(default_factory=list)
-    prev_frame: Optional[FrameKV] = None
-    last_block: int = 0
+    def __init__(self, n_sink: int, keep: int | None):
+        if n_sink < 0 or (keep is not None and keep < 0):
+            raise ConfigError(f"FrameWindow needs n_sink, keep >= 0, got {n_sink}, {keep}")
+        self.n_sink = n_sink
+        self.keep = keep
+        self.frames: list[FrameKV] = []
+        self.last_block = 0
 
     def roll(self, block_index: int, frames: list[FrameKV]) -> list[FrameKV]:
+        """Append a finished block's frames; returns the frames dropped, oldest first."""
         _check_roll_order(self.last_block, block_index)
-        for fr in frames:
-            if fr.global_frame_index < self.anchor_count and len(self.anchor_frames) < self.anchor_count:
-                self.anchor_frames.append(fr)
-        self.prev_frame = frames[-1]
         self.last_block = block_index
-        return []
-
-    def history(self) -> list[FrameKV]:
-        out = list(self.anchor_frames)
-        seen = {fr.global_frame_index for fr in out}
-        if self.prev_frame is not None and self.prev_frame.global_frame_index not in seen:
-            out.append(self.prev_frame)
-        return out
-
-
-@dataclass
-class MemoryCache:
-    """FIFO fast memory of the B_fast most recent frames; the episodic tier is
-    a shared object owned by the episodic module (one per rollout)."""
-
-    b_fast: int
-    layer: int
-    head: int
-    episodic: Optional["EpisodicMemory"] = None
-    fast: list[FrameKV] = field(default_factory=list)
-    last_block: int = 0
-
-    def roll(self, block_index: int, frames: list[FrameKV]) -> list[FrameKV]:
-        _check_roll_order(self.last_block, block_index)
-        self.fast.extend(frames)
-        evicted: list[FrameKV] = []
-        while len(self.fast) > self.b_fast:
-            evicted.append(self.fast.pop(0))
-        self.last_block = block_index
+        self.frames.extend(frames)
+        if self.keep is None:
+            return []
+        # clamped at n_sink: nothing leaves until more than n_sink + keep frames are held
+        stop = max(len(self.frames) - self.keep, self.n_sink)
+        evicted = self.frames[self.n_sink:stop]
+        del self.frames[self.n_sink:stop]
         return evicted
 
     def history(self) -> list[FrameKV]:
-        out: list[FrameKV] = []
-        if self.episodic is not None:
-            out.extend(self.episodic.slot_frames(self.layer, self.head))
-        out.extend(self.fast)
-        return out
+        return list(self.frames)
 
 
-RoleCache = LocalCache | AnchorCache | MemoryCache
-
-
-def make_cache(role: HeadRole, layer: int, head: int, f: int, b_fast: int,
-               episodic: Optional["EpisodicMemory"] = None) -> RoleCache:
-    if role is HeadRole.LOCAL:
-        return LocalCache()
-    if role is HeadRole.ANCHOR:
-        return AnchorCache(anchor_count=f)
-    return MemoryCache(b_fast=b_fast, layer=layer, head=head, episodic=episodic)
-
-
-def roll_after_block(cache: RoleCache, block_index: int, frames: list[FrameKV]) -> list[FrameKV]:
-    """Advance one cache past a finished block. Returns frames evicted from
-    fast memory (memory heads only); the caller decides episodic candidacy."""
+def roll_after_block(cache: FrameWindow, block_index: int, frames: list[FrameKV]) -> list[FrameKV]:
+    """Advance one head's window past a finished block. Returns the frames it
+    dropped; the caller decides episodic candidacy."""
     return cache.roll(block_index, frames)
 
 

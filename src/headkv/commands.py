@@ -17,12 +17,7 @@ from .model import init_model
 from .profiling import classify_heads, core_stability_ratio, profile_rollout
 from .reference import ReferenceGenerator, token_cosine_fidelity
 from .roles import HeadRoleMap, role_map_from_lists
-from .rollout import (
-    HeadWiseStrategy,
-    RolloutEngine,
-    UnboundedStrategy,
-    WindowStrategy,
-)
+from .rollout import HeadWiseStrategy, RolloutEngine, WindowStrategy
 
 
 def _out_dir(cfg: ExperimentConfig, out: str | None) -> Path:
@@ -45,7 +40,7 @@ def _fmt(x: float) -> str:
 def build_strategy(cfg: ExperimentConfig, weights):
     spec = cfg.strategy
     if spec.type == "unbounded":
-        return UnboundedStrategy(cfg.model)
+        return WindowStrategy(cfg.model, window=None)
     if spec.type == "uniform_window":
         return WindowStrategy(cfg.model, window=spec.W, n_sink=0)
     if spec.type == "sink_window":

@@ -83,12 +83,26 @@ _TOY_MODEL = {"L": 4, "H": 6, "d": 16, "s": 16, "f": 3, "grid_h": 4, "grid_w": 4
 
 
 def _take(d: dict, allowed: dict[str, Any], section: str) -> dict:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {d!r}")
     unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
     out = dict(allowed)
     out.update(d)
     return out
+
+
+def _list(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _text(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -138,13 +152,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for entry in schedule_raw:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ConfigError(f"prompt_schedule entries must be [prompt, start_block], got {entry!r}")
-        schedule.append((str(entry[0]), _int(entry[1], "prompt_schedule start block")))
+        schedule.append((_text(entry[0], "prompt_schedule prompt"),
+                         _int(entry[1], "prompt_schedule start block")))
 
     pf = _take(raw["profiling"], {"sampled_blocks": [3, 8, 13], "repeats": 1,
                                   "window": 8, "n_sink": 1, "perturb_scale": 0.05},
                "profiling")
     profiling = ProfilingSpec(
-        sampled_blocks=tuple(_int(b, "profiling.sampled_blocks") for b in pf["sampled_blocks"]),
+        sampled_blocks=tuple(_int(b, "profiling.sampled_blocks")
+                             for b in _list(pf["sampled_blocks"], "profiling.sampled_blocks")),
         repeats=_int(pf["repeats"], "profiling.repeats"), window=_int(pf["window"], "profiling.window"),
         n_sink=_int(pf["n_sink"], "profiling.n_sink"), perturb_scale=_float(pf["perturb_scale"], "profiling.perturb_scale"),
     )
@@ -153,8 +169,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                                   "block_sets": []}, "stability")
     stability = StabilitySpec(
         runs=_int(sb["runs"], "stability.runs"), axis=sb["axis"],
-        prompt_pool=tuple(str(p) for p in sb["prompt_pool"]),
-        block_sets=tuple(tuple(_int(b, "stability.block_sets") for b in bs) for bs in sb["block_sets"]),
+        prompt_pool=tuple(_text(p, "stability.prompt_pool")
+                          for p in _list(sb["prompt_pool"], "stability.prompt_pool")),
+        block_sets=tuple(tuple(_int(b, "stability.block_sets") for b in _list(bs, "stability.block_sets"))
+                         for bs in _list(sb["block_sets"], "stability.block_sets")),
     )
 
     n_blocks = _int(raw["n_blocks"], "n_blocks")
@@ -166,7 +184,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         alpha_anchor=_float(hp["alpha_anchor"], "alpha_anchor"),
         tau_local=_float(hp["tau_local"], "tau_local"),
         prompt_schedule=schedule, n_blocks=n_blocks,
-        output_dir=str(raw["output_dir"]), head_role_map=raw["head_role_map"],
+        output_dir=_text(raw["output_dir"], "output_dir"),
+        head_role_map=None if raw["head_role_map"] is None else _text(raw["head_role_map"], "head_role_map"),
         profiling=profiling, stability=stability,
     )
 

@@ -27,7 +27,7 @@ from .assembly import (
     packed_attention,
     reencode_temporal,
 )
-from .cache import FrameKV, RoleCache, make_cache, roll_after_block
+from .cache import FrameKV, FrameWindow, roll_after_block
 from .episodic import AdmissionDecision, EpisodicMemory, Slots
 from .errors import ConfigError
 from .model import ModelConfig, ModelWeights, block_input
@@ -84,75 +84,45 @@ class CacheStrategy(Protocol):
     def roll(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]: ...
 
 
-def _encode_global(seq: AssembledSequence, rope: RopeParams,
-                   query_frame_indices: np.ndarray) -> EncodedSequence:
-    """Temporal encoding at each frame's global index, queries included."""
-    key_idx = np.array([fr.global_frame_index for fr in seq.frames], dtype=np.int64)
-    return encode_temporal(seq, rope, key_idx, query_frame_indices)
-
-
-class UnboundedStrategy:
-    """Keep every frame for every head; temporal indices stay global."""
-
-    name = "unbounded"
-
-    def __init__(self, config: ModelConfig):
-        self.config = config
-        self._frames: dict[tuple[int, int], list[FrameKV]] = {lh: [] for lh in config.heads}
-
-    def history_frames(self, layer: int, head: int) -> list[FrameKV]:
-        return list(self._frames[(layer, head)])
-
-    encode = staticmethod(_encode_global)
-
-    def roll(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]:
-        for rec in block.layer_records:
-            for h, frames in enumerate(rec.frames):
-                self._frames[(rec.layer, h)].extend(frames)
-        return []
-
-
 class WindowStrategy:
-    """Uniform sliding window, optionally with leading sink frames.
+    """Uniform sliding window, optionally with leading sink frames, at global
+    temporal indices; window=None keeps every frame (the unbounded baseline).
 
     The window counts the current block: each head attends the first n_sink
-    frames plus the most recent `window` frames of the full sequence
-    (deduplicated), so the steady-state budget is n_sink + window frames.
+    frames plus the most recent `window` frames of the full sequence (a sink
+    frame is not repeated), so the steady-state budget is n_sink + window
+    frames.
     """
 
-    def __init__(self, config: ModelConfig, window: int, n_sink: int = 0):
-        if window < config.f:
+    def __init__(self, config: ModelConfig, window: int | None, n_sink: int = 0):
+        if window is not None and window < config.f:
             raise ConfigError(f"window must be >= f ({config.f}), got {window}")
         if n_sink < 0:
             raise ConfigError("n_sink must be >= 0")
         self.config = config
-        self.window = window
-        self.n_sink = n_sink
-        self.name = f"sink_window(W={window}, n_sink={n_sink})" if n_sink else f"uniform_window(W={window})"
-        self._f = config.f
-        self._sink: dict[tuple[int, int], list[FrameKV]] = {lh: [] for lh in config.heads}
-        self._recent: dict[tuple[int, int], list[FrameKV]] = {lh: [] for lh in config.heads}
+        if window is None:
+            self.name = "unbounded"
+        elif n_sink:
+            self.name = f"sink_window(W={window}, n_sink={n_sink})"
+        else:
+            self.name = f"uniform_window(W={window})"
+        # the current block takes f of the window's slots
+        keep = None if window is None else window - config.f
+        self.windows = {lh: FrameWindow(n_sink, keep) for lh in config.heads}
 
     def history_frames(self, layer: int, head: int) -> list[FrameKV]:
-        sink = self._sink[(layer, head)]
-        # current block consumes f of the window's slots
-        keep = max(self.window - self._f, 0)
-        recent = self._recent[(layer, head)][-keep:] if keep else []
-        seen = {fr.global_frame_index for fr in sink}
-        return sink + [fr for fr in recent if fr.global_frame_index not in seen]
+        return self.windows[(layer, head)].history()
 
-    encode = staticmethod(_encode_global)
+    @staticmethod
+    def encode(seq: AssembledSequence, rope: RopeParams,
+               query_frame_indices: np.ndarray) -> EncodedSequence:
+        key_idx = np.array([fr.global_frame_index for fr in seq.frames], dtype=np.int64)
+        return encode_temporal(seq, rope, key_idx, query_frame_indices)
 
     def roll(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]:
         for rec in block.layer_records:
             for h, frames in enumerate(rec.frames):
-                lh = (rec.layer, h)
-                for fr in frames:
-                    if len(self._sink[lh]) < self.n_sink:
-                        self._sink[lh].append(fr)
-                self._recent[lh].extend(frames)
-                keep = max(self.window - self._f, 0)
-                del self._recent[lh][:-keep or len(self._recent[lh])]
+                self.windows[(rec.layer, h)].roll(block.index, frames)
         return []
 
 
@@ -207,10 +177,10 @@ class HeadWiseStrategy:
             tokens_per_frame=config.s,
             novelty_metric=self.hyper.novelty_metric,
         )
-        self.caches: dict[tuple[int, int], RoleCache] = {
-            (l, h): make_cache(role_map.role(l, h), l, h, config.f, self.hyper.b_fast, self.episodic)
-            for (l, h) in config.heads
-        }
+        self._memory_heads = set(memory_heads)
+        sizes = {HeadRole.LOCAL: (0, 1), HeadRole.ANCHOR: (config.f, 1),
+                 HeadRole.MEMORY: (0, self.hyper.b_fast)}
+        self.windows = {(l, h): FrameWindow(*sizes[role_map.role(l, h)]) for (l, h) in config.heads}
         self._pending: list[_Candidate] = []
         self._prompt_keys: Slots = {}
         self._active_prompt: Optional[str] = None
@@ -219,7 +189,10 @@ class HeadWiseStrategy:
         self._latents: dict[int, np.ndarray] = {}
 
     def history_frames(self, layer: int, head: int) -> list[FrameKV]:
-        return self.caches[(layer, head)].history()
+        frames = self.windows[(layer, head)].history()
+        if (layer, head) in self._memory_heads:
+            return self.episodic.slot_frames(layer, head) + frames
+        return frames
 
     def encode(self, seq: AssembledSequence, rope: RopeParams,
                query_frame_indices: np.ndarray) -> EncodedSequence:
@@ -245,8 +218,8 @@ class HeadWiseStrategy:
         for rec in block.layer_records:
             for h, frames in enumerate(rec.frames):
                 lh = (rec.layer, h)
-                evicted = roll_after_block(self.caches[lh], block.index, frames)
-                if evicted:
+                evicted = roll_after_block(self.windows[lh], block.index, frames)
+                if evicted and lh in self._memory_heads:
                     evicted_by_slot[lh] = evicted
 
         # Every memory head evicts the same frames. A frame's latent is needed

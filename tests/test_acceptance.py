@@ -33,7 +33,7 @@ from headkv.rollout import (
     HeadWiseHyper,
     HeadWiseStrategy,
     RolloutEngine,
-    UnboundedStrategy,
+    WindowStrategy,
     generate_rollout,
 )
 from headkv.tensor_ops import RopeParams
@@ -286,7 +286,7 @@ def test_criterion_07_oracle_suites():
 def test_criterion_08_unbounded_cache_consistency():
     with _Timer(30.0) as t:
         weights = init_model(TOY)
-        run = generate_rollout(weights, TOY, ROPE, UnboundedStrategy(TOY), SCHED, 16)
+        run = generate_rollout(weights, TOY, ROPE, WindowStrategy(TOY, window=None), SCHED, 16)
         ref = ReferenceGenerator(weights, TOY, ROPE).run(16, SCHED)
         for blk, rblk in zip(run.blocks, ref):
             assert np.abs(blk.hidden() - rblk.hidden()).max() < 1e-10

@@ -1,18 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from headkv.cache import (
-    AnchorCache,
-    FrameKV,
-    LocalCache,
-    MemoryCache,
-    budget_table,
-    frame_slots,
-    make_cache,
-    roll_after_block,
-)
+from headkv.cache import FrameKV, FrameWindow, budget_table, frame_slots, roll_after_block
 from headkv.errors import ConfigError, SequencingError, ShapeError
 from headkv.roles import HeadRole, role_map_from_lists
+from headkv.rollout import HeadWiseHyper, HeadWiseStrategy
 
 F = 3
 
@@ -47,36 +41,36 @@ class TestFrameKV:
 
 class TestRollFirstBlock:
     def test_local(self):
-        cache = LocalCache()
+        cache = FrameWindow(0, 1)
         roll_after_block(cache, 1, block_frames(1))
-        assert cache.prev_frame.global_frame_index == 2
+        assert indices(cache.history()) == [2]
 
     def test_anchor_captures_first_frames(self):
-        cache = AnchorCache(anchor_count=F)
+        cache = FrameWindow(F, 1)
         roll_after_block(cache, 1, block_frames(1))
-        assert indices(cache.anchor_frames) == [0, 1, 2]
-        assert cache.prev_frame.global_frame_index == 2
+        # the first f frames are the anchors; the last frame is among them
+        assert indices(cache.history()) == [0, 1, 2]
 
     def test_memory_no_eviction(self):
-        cache = MemoryCache(b_fast=3, layer=0, head=0)
+        cache = FrameWindow(0, 3)
         evicted = roll_after_block(cache, 1, block_frames(1))
-        assert indices(cache.fast) == [0, 1, 2]
+        assert indices(cache.history()) == [0, 1, 2]
         assert evicted == []
 
 
 class TestRollSecondBlock:
     def test_memory_evicts_whole_block(self):
-        cache = MemoryCache(b_fast=3, layer=0, head=0)
+        cache = FrameWindow(0, 3)
         cache.roll(1, block_frames(1))
         evicted = cache.roll(2, block_frames(2))
-        assert indices(cache.fast) == [3, 4, 5]
+        assert indices(cache.history()) == [3, 4, 5]
         assert indices(evicted) == [0, 1, 2]
         # the exited block's first frame is the episodic candidate
         first = [fr for fr in evicted if fr.global_frame_index % F == 0]
         assert indices(first) == [0]
 
     def test_sequencing_enforced(self):
-        cache = MemoryCache(b_fast=3, layer=0, head=0)
+        cache = FrameWindow(0, 3)
         cache.roll(1, block_frames(1))
         with pytest.raises(SequencingError):
             cache.roll(3, block_frames(3))
@@ -84,20 +78,45 @@ class TestRollSecondBlock:
     @pytest.mark.parametrize("b_fast", [2, 3, 4, 5, 7])
     def test_fast_window_closed_form(self, b_fast):
         """After rolling block i, fast holds {f*i - b_fast .. f*i - 1} clamped at 0."""
-        cache = MemoryCache(b_fast=b_fast, layer=0, head=0)
+        cache = FrameWindow(0, b_fast)
         for i in range(1, 11):
             cache.roll(i, block_frames(i))
             lo = max(F * i - b_fast, 0)
-            assert indices(cache.fast) == list(range(lo, F * i))
+            assert indices(cache.history()) == list(range(lo, F * i))
 
     @pytest.mark.parametrize("b_fast", [2, 3, 4, 5, 7])
     def test_every_frame_evicted_exactly_once(self, b_fast):
-        cache = MemoryCache(b_fast=b_fast, layer=0, head=0)
+        cache = FrameWindow(0, b_fast)
         seen = []
         for i in range(1, 11):
             seen += indices(cache.roll(i, block_frames(i)))
         assert seen == sorted(seen)
         assert len(set(seen)) == len(seen)
+
+
+class TestFrameWindowProperty:
+    @settings(deadline=None)
+    @given(n_sink=st.integers(0, 3), keep=st.none() | st.integers(0, 6),
+           f=st.integers(1, 4), n_blocks=st.integers(1, 40))
+    def test_history_is_sinks_plus_recent(self, n_sink, keep, f, n_blocks):
+        cache = FrameWindow(n_sink, keep)
+        seen: list[int] = []
+        evicted: list[int] = []
+        for i in range(1, n_blocks + 1):
+            frames = block_frames(i, f)
+            evicted += indices(cache.roll(i, frames))
+            seen += indices(frames)
+            kept = indices(cache.history())
+            stop = n_sink if keep is None else max(n_sink, len(seen) - keep)
+            assert kept == seen[:n_sink] + seen[stop:]
+            # every frame that left, left once and in order
+            assert evicted == [i for i in seen if i not in kept]
+
+    def test_negative_sizes_rejected(self):
+        with pytest.raises(ConfigError):
+            FrameWindow(-1, 1)
+        with pytest.raises(ConfigError):
+            FrameWindow(0, -1)
 
 
 class TestRetainedFrames:
@@ -106,30 +125,30 @@ class TestRetainedFrames:
             roll_after_block(cache, i, block_frames(i))
 
     def test_local_at_block_5(self):
-        cache = LocalCache()
+        cache = FrameWindow(0, 1)
         self.roll_through(cache, 4)
         frames = cache.history() + block_frames(5)
         assert indices(frames) == [11, 12, 13, 14]
 
     def test_anchor_at_block_5(self):
-        cache = AnchorCache(anchor_count=F)
+        cache = FrameWindow(F, 1)
         self.roll_through(cache, 4)
         frames = cache.history() + block_frames(5)
         assert indices(frames) == [0, 1, 2, 11, 12, 13, 14]
 
     def test_anchor_at_block_2_deduplicates_prev(self):
-        cache = AnchorCache(anchor_count=F)
+        cache = FrameWindow(F, 1)
         self.roll_through(cache, 1)
         frames = cache.history() + block_frames(2)
         assert indices(frames) == [0, 1, 2, 3, 4, 5]
         assert len(frames) == 6
 
     def test_local_at_block_1_is_current_only(self):
-        frames = LocalCache().history() + block_frames(1)
+        frames = FrameWindow(0, 1).history() + block_frames(1)
         assert indices(frames) == [0, 1, 2]
 
     def test_anchor_frames_never_evicted(self):
-        cache = AnchorCache(anchor_count=F)
+        cache = FrameWindow(F, 1)
         for i in range(1, 31):
             roll_after_block(cache, i, block_frames(i))
             retained = cache.history() + block_frames(i + 1)
@@ -139,8 +158,12 @@ class TestRetainedFrames:
         (HeadRole.LOCAL, F + 1),
         (HeadRole.ANCHOR, 2 * F + 1),
     ])
-    def test_capacity_reached_and_never_exceeded(self, role, cap):
-        cache = make_cache(role, 0, 0, F, 3)
+    def test_capacity_reached_and_never_exceeded(self, role, cap, toy_config, toy_weights,
+                                                 toy_role_map):
+        """The head-wise strategy gives each role the window whose steady
+        state is that role's closed-form budget."""
+        strategy = HeadWiseStrategy(toy_config, toy_weights, toy_role_map, HeadWiseHyper())
+        cache = strategy.windows[toy_role_map.heads_of(role)[0]]
         counts = []
         for i in range(1, 13):
             counts.append(len(cache.history() + block_frames(i)))
@@ -150,7 +173,7 @@ class TestRetainedFrames:
         assert counts[-1] == cap
 
     def test_memory_capacity_without_episodic(self):
-        cache = MemoryCache(b_fast=3, layer=0, head=0)
+        cache = FrameWindow(0, 3)
         for i in range(1, 9):
             frames = cache.history() + block_frames(i)
             assert len(frames) <= 3 + F

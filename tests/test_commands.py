@@ -269,6 +269,12 @@ class TestCli:
         assert proc.returncode == 2
         assert "duplicate role entry" in proc.stderr
 
+    def test_section_not_an_object_exit_2(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, {"model": 5, "output_dir": str(tmp_path / "out")})
+        proc = self.run_cli("generate", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert "model must be a JSON object" in proc.stderr
+
     def test_missing_config_exit_2(self, tmp_path):
         proc = self.run_cli("generate", "--config", str(tmp_path / "nope.json"))
         assert proc.returncode == 2
@@ -344,6 +350,15 @@ class TestConfigLoading:
         {"model": {"L": 4.0}},
         {"hyperparameters": {"tau_novel": "high"}},
         {"hyperparameters": {"rope": {"d_t": 8.0}}},
+        {"model": 5},
+        {"hyperparameters": {"rope": 5}},
+        {"strategy": "head_wise"},
+        {"profiling": {"sampled_blocks": 3}},
+        {"stability": {"block_sets": [3, 4]}},
+        {"head_role_map": 5},
+        {"prompt_schedule": [[5, 1]]},
+        {"stability": {"prompt_pool": [5]}},
+        {"output_dir": 5},
     ], ids=repr)
     def test_malformed_values_rejected_not_coerced(self, raw):
         with pytest.raises(ConfigError):

@@ -21,7 +21,6 @@ from headkv.roles import HeadRole, role_map_from_lists
 from headkv.rollout import (
     HeadWiseHyper,
     HeadWiseStrategy,
-    UnboundedStrategy,
     WindowStrategy,
     generate_rollout,
 )
@@ -66,7 +65,7 @@ class TestRotateTemporalRows:
 class TestFullAttentionReference:
     def test_block_one_equals_engine(self):
         cfg, weights, rope = small_setup()
-        engine_run = generate_rollout(weights, cfg, rope, UnboundedStrategy(cfg), SCHED, 1)
+        engine_run = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 1)
         ref_run = ReferenceGenerator(weights, cfg, rope).run(1, SCHED)
         np.testing.assert_allclose(engine_run.blocks[0].hidden(), ref_run[0].hidden(), atol=1e-12)
 
@@ -81,7 +80,7 @@ class TestFullAttentionReference:
 
     def test_unbounded_engine_matches_over_ten_blocks(self):
         cfg, weights, rope = small_setup()
-        run = generate_rollout(weights, cfg, rope, UnboundedStrategy(cfg), SCHED, 10)
+        run = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 10)
         ref = ReferenceGenerator(weights, cfg, rope).run(10, SCHED)
         for blk, rblk in zip(run.blocks, ref):
             np.testing.assert_allclose(blk.hidden(), rblk.hidden(), atol=1e-10)
@@ -120,7 +119,7 @@ class TestMaskedAttentionReference:
 
     def test_mask_everything_equals_full_reference(self):
         cfg, weights, rope = small_setup()
-        run = generate_rollout(weights, cfg, rope, UnboundedStrategy(cfg), SCHED, 3,
+        run = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 3,
                                keep_records=True, record_retention=True)
         archive = FrameArchive.from_record(run)
         i = 3

@@ -3,14 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from headkv.errors import ConfigError
+from headkv.errors import ConfigError, SequencingError
 from headkv.model import ModelConfig, init_model
 from headkv.roles import role_map_from_lists
 from headkv.rollout import (
     HeadWiseHyper,
     HeadWiseStrategy,
     RolloutEngine,
-    UnboundedStrategy,
     WindowStrategy,
     generate_rollout,
 )
@@ -33,8 +32,8 @@ def hand_map(cfg, n_anchor=1, n_local=1):
 class TestDeterminism:
     def test_identical_runs_bit_identical(self):
         cfg, weights, rope = small_setup()
-        a = generate_rollout(weights, cfg, rope, UnboundedStrategy(cfg), SCHED, 5)
-        b = generate_rollout(weights, cfg, rope, UnboundedStrategy(cfg), SCHED, 5)
+        a = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 5)
+        b = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 5)
         for ba, bb in zip(a.blocks, b.blocks):
             np.testing.assert_array_equal(ba.hidden(), bb.hidden())
 
@@ -51,7 +50,7 @@ class TestDeterminism:
         cfg, weights, rope = small_setup()
         rm = hand_map(cfg)
         runs = [
-            generate_rollout(weights, cfg, rope, UnboundedStrategy(cfg), SCHED, 1),
+            generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 1),
             generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=6), SCHED, 1),
             generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=6, n_sink=1), SCHED, 1),
             generate_rollout(weights, cfg, rope, HeadWiseStrategy(cfg, weights, rm), SCHED, 1),
@@ -65,7 +64,7 @@ class TestContextLengths:
     def test_unbounded_context_grows_linearly(self):
         cfg, weights, rope = small_setup()
         n_heads = cfg.L * cfg.H
-        record = generate_rollout(weights, cfg, rope, UnboundedStrategy(cfg), SCHED, 6)
+        record = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 6)
         for row in record.metrics:
             assert row.frame_slots_live == n_heads * cfg.f * row.block_index
 
@@ -93,16 +92,17 @@ class TestContextLengths:
 
     def test_scalar_count_tracks_frame_slots(self):
         cfg, weights, rope = small_setup()
-        record = generate_rollout(weights, cfg, rope, UnboundedStrategy(cfg), SCHED, 5)
+        record = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 5)
         for row in record.metrics:
             assert row.stored_scalar_count == row.frame_slots_live * cfg.s * cfg.d * 2
 
     @pytest.mark.parametrize("make", [
-        lambda cfg, weights, rm: UnboundedStrategy(cfg),
+        lambda cfg, weights, rm: WindowStrategy(cfg, window=None),
         lambda cfg, weights, rm: WindowStrategy(cfg, window=6),
+        lambda cfg, weights, rm: WindowStrategy(cfg, window=cfg.f),
         lambda cfg, weights, rm: WindowStrategy(cfg, window=6, n_sink=1),
         lambda cfg, weights, rm: HeadWiseStrategy(cfg, weights, rm, HeadWiseHyper(update_interval=1)),
-    ], ids=["unbounded", "uniform_window", "sink_window", "head_wise"])
+    ], ids=["unbounded", "uniform_window", "uniform_window_W_f", "sink_window", "head_wise"])
     def test_step_reports_what_it_attended(self, make):
         cfg, weights, rope = small_setup(scene_period=1)
         strategy = make(cfg, weights, hand_map(cfg))
@@ -118,26 +118,36 @@ class TestContextLengths:
 class TestScheduleHandling:
     def test_single_block_rollout(self):
         cfg, weights, rope = small_setup()
-        record = generate_rollout(weights, cfg, rope, UnboundedStrategy(cfg), SCHED, 1)
+        record = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 1)
         assert len(record.blocks) == 1
         assert record.metrics[0].active_prompt == "rollout prompt"
 
     def test_prompt_switch_applied(self):
         cfg, weights, rope = small_setup()
         sched = [("first", 1), ("second", 4)]
-        record = generate_rollout(weights, cfg, rope, UnboundedStrategy(cfg), sched, 6)
+        record = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), sched, 6)
         assert [m.active_prompt for m in record.metrics] == ["first"] * 3 + ["second"] * 3
 
     def test_schedule_must_start_at_one(self):
         cfg, weights, rope = small_setup()
         with pytest.raises(ConfigError):
-            generate_rollout(weights, cfg, rope, UnboundedStrategy(cfg), [("x", 2)], 4)
+            generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), [("x", 2)], 4)
 
     def test_mismatched_config_rejected(self):
         cfg, weights, rope = small_setup()
         other = ModelConfig(L=2, H=3, d=8, s=4, f=3, grid_h=2, grid_w=2, seed=99)
         with pytest.raises(ConfigError):
-            RolloutEngine(weights, cfg, rope, UnboundedStrategy(other))
+            RolloutEngine(weights, cfg, rope, WindowStrategy(other, window=None))
+
+    @pytest.mark.parametrize("window,n_sink", [(None, 0), (6, 0), (6, 1)])
+    def test_window_commit_out_of_order_raises(self, window, n_sink):
+        cfg, weights, rope = small_setup()
+        engine = RolloutEngine(weights, cfg, rope, WindowStrategy(cfg, window=window, n_sink=n_sink))
+        engine.commit(engine.step(1, "p"), "p")
+        with pytest.raises(SequencingError):
+            engine.commit(engine.step(3, "p"), "p")
+        with pytest.raises(SequencingError):
+            engine.commit(engine.step(1, "p"), "p")
 
     def test_role_map_grid_checked(self):
         cfg, weights, rope = small_setup()
