@@ -41,7 +41,15 @@ from .rollout import (
     WindowStrategy,
     generate_rollout,
 )
-from .tensor_ops import RopeParams, apply_rope, attention, softmax_rows
+from .tensor_ops import (
+    RopeParams,
+    Rotation,
+    apply_rope,
+    attention,
+    frame_rotation,
+    rope_rotation,
+    softmax_rows,
+)
 
 __all__ = [
     "AdmissionDecision",
@@ -66,6 +74,7 @@ __all__ = [
     "ProfileReport",
     "RolloutEngine",
     "RopeParams",
+    "Rotation",
     "SequencingError",
     "ShapeError",
     "StabilityReport",
@@ -76,6 +85,7 @@ __all__ = [
     "bucket_proportions",
     "classify_heads",
     "core_stability_ratio",
+    "frame_rotation",
     "frame_slots",
     "generate_rollout",
     "init_model",
@@ -84,6 +94,7 @@ __all__ = [
     "profile_rollout",
     "reencode_temporal",
     "roll_after_block",
+    "rope_rotation",
     "softmax_rows",
     "weights_checksum",
 ]

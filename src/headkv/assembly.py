@@ -13,13 +13,23 @@ import numpy as np
 
 from .cache import FrameKV
 from .errors import IntegrityError, ShapeError
-from .tensor_ops import TEMPORAL, RopeParams, apply_rope, softmax_rows, temporal_positions
+from .tensor_ops import (
+    TEMPORAL,
+    RopeParams,
+    Rotation,
+    apply_rope,
+    frame_rotation,
+    rope_rotation,
+    softmax_rows,
+    temporal_positions,
+)
 
 
 @dataclass
 class AssembledSequence:
     """Ordered frame context for one head; the current block occupies the
-    last f_current logical frames. Keys still carry spatial-only encoding."""
+    last f_current logical frames. Keys still carry spatial-only encoding.
+    Every frame holds the same number of tokens."""
 
     layer: int
     head: int
@@ -32,10 +42,16 @@ class AssembledSequence:
             raise ShapeError(
                 f"current block must occupy 1..{len(self.frames)} trailing frames, got {self.f_current}"
             )
+        if len({fr.tokens for fr in self.frames}) != 1:
+            raise ShapeError(f"head ({self.layer}, {self.head}) frames hold differing token counts")
 
     @property
     def frame_count(self) -> int:
         return len(self.frames)
+
+    @property
+    def tokens_per_frame(self) -> int:
+        return self.frames[0].tokens
 
     @property
     def token_count(self) -> int:
@@ -58,7 +74,8 @@ def assemble(layer: int, head: int, history: Sequence[FrameKV],
 @dataclass
 class EncodedSequence:
     """One head's attention-ready context: temporally rotated flat keys, flat
-    values, and the frame-index assignment used for queries and keys."""
+    values, the frame-index assignment used for queries and keys, and the
+    temporal rotation of the current block's queries."""
 
     layer: int
     head: int
@@ -66,55 +83,63 @@ class EncodedSequence:
     values: np.ndarray                # (tokens, d)
     key_frame_indices: np.ndarray     # (frame_count,) temporal index per frame
     query_frame_indices: np.ndarray   # (f_current,)
-    key_token_temporal: np.ndarray    # (tokens,) per-token temporal index
+    query_rotation: Rotation          # f_current * tokens_per_frame rows
+
+    @property
+    def key_token_temporal(self) -> np.ndarray:
+        """(tokens,) temporal index of every key row."""
+        return np.repeat(self.key_frame_indices, self.keys.shape[0] // len(self.key_frame_indices))
+
+
+def _encode(seq: AssembledSequence, key_idx: np.ndarray, query_idx: np.ndarray,
+            key_rotation: Rotation, query_rotation: Rotation) -> EncodedSequence:
+    """Rotate a transient flat copy of the keys; the cached frames themselves
+    stay spatial-only."""
+    if seq.temporal_encoded:
+        raise IntegrityError(
+            f"head ({seq.layer}, {seq.head}) keys already temporally encoded; double rotation refused"
+        )
+    keys = apply_rope(np.vstack([fr.keys for fr in seq.frames]), key_rotation)
+    seq.temporal_encoded = True
+    return EncodedSequence(
+        layer=seq.layer, head=seq.head, keys=keys,
+        values=np.vstack([fr.values for fr in seq.frames]),
+        key_frame_indices=key_idx, query_frame_indices=query_idx,
+        query_rotation=query_rotation,
+    )
 
 
 def encode_temporal(seq: AssembledSequence, rope: RopeParams,
                     key_frame_indices: Sequence[int],
                     query_frame_indices: Sequence[int]) -> EncodedSequence:
-    """Rotate the temporal channels of a transient key copy at the given
-    per-frame indices; the cached frames themselves stay spatial-only."""
-    if seq.temporal_encoded:
-        raise IntegrityError(
-            f"head ({seq.layer}, {seq.head}) keys already temporally encoded; double rotation refused"
-        )
+    """Temporal encoding at arbitrary per-frame indices (the window baselines
+    use global ones); both rotations are built on every call."""
     key_idx = np.asarray(key_frame_indices, dtype=np.int64)
     query_idx = np.asarray(query_frame_indices, dtype=np.int64)
     if key_idx.shape != (seq.frame_count,):
         raise ShapeError(f"need one temporal index per frame ({seq.frame_count}), got {key_idx.shape}")
     if query_idx.shape != (seq.f_current,):
         raise ShapeError(f"need one query index per current frame ({seq.f_current}), got {query_idx.shape}")
-
-    flat_keys = np.vstack([fr.keys for fr in seq.frames])
-    flat_values = np.vstack([fr.values for fr in seq.frames])
-    token_t = np.repeat(key_idx, [fr.tokens for fr in seq.frames])
-    keys = apply_rope(flat_keys, temporal_positions(token_t), rope, axes=(TEMPORAL,))
-    seq.temporal_encoded = True
-    return EncodedSequence(
-        layer=seq.layer, head=seq.head, keys=keys, values=flat_values,
-        key_frame_indices=key_idx, query_frame_indices=query_idx,
-        key_token_temporal=token_t,
-    )
+    s = seq.tokens_per_frame
+    return _encode(seq, key_idx, query_idx,
+                   rope_rotation(temporal_positions(np.repeat(key_idx, s)), rope, (TEMPORAL,)),
+                   rope_rotation(temporal_positions(np.repeat(query_idx, s)), rope, (TEMPORAL,)))
 
 
 def reencode_temporal(seq: AssembledSequence, rope: RopeParams) -> EncodedSequence:
     """Contiguous per-head re-indexing: keys take frame indices 0..F-1 in
     assembly order, queries take F-f..F-1, so every relative temporal
-    distance is bounded by the head's own capacity."""
-    F = seq.frame_count
-    key_idx = np.arange(F, dtype=np.int64)
-    query_idx = np.arange(F - seq.f_current, F, dtype=np.int64)
-    return encode_temporal(seq, rope, key_idx, query_idx)
+    distance is bounded by the head's own capacity. The rotations depend only
+    on (F, f, s), so they come from the `frame_rotation` cache."""
+    F, f, s = seq.frame_count, seq.f_current, seq.tokens_per_frame
+    return _encode(seq, np.arange(F, dtype=np.int64), np.arange(F - f, F, dtype=np.int64),
+                   frame_rotation(0, F, s, rope), frame_rotation(F - f, f, s, rope))
 
 
-def encode_queries(q_spatial: np.ndarray, query_frame_indices: np.ndarray,
-                   tokens_per_frame: int, rope: RopeParams) -> np.ndarray:
-    """Temporal rotation for the current block's queries (spatial already
-    applied at projection time). Query rows are frame-major."""
-    if q_spatial.shape[0] != len(query_frame_indices) * tokens_per_frame:
-        raise ShapeError("query rows do not match f_current * tokens_per_frame")
-    t = np.repeat(np.asarray(query_frame_indices, dtype=np.int64), tokens_per_frame)
-    return apply_rope(q_spatial, temporal_positions(t), rope, axes=(TEMPORAL,))
+def encode_queries(q_spatial: np.ndarray, enc: EncodedSequence) -> np.ndarray:
+    """Temporal rotation of the current block's frame-major queries (spatial
+    already applied at projection time) at enc's query indices."""
+    return apply_rope(q_spatial, enc.query_rotation)
 
 
 @dataclass

@@ -64,12 +64,9 @@ def main(argv: list[str] | None = None) -> int:
             counts = None
             if args.counts is not None:
                 try:
-                    parts = tuple(int(x) for x in args.counts.split(","))
+                    counts = tuple(int(x) for x in args.counts.split(","))
                 except ValueError as exc:
                     raise ConfigError(f"--counts must be three integers, got {args.counts!r}") from exc
-                if len(parts) != 3:
-                    raise ConfigError("--counts must be local,anchor,memory")
-                counts = parts
             paths = cmd_budget(cfg, args.out, counts=counts)
         else:
             paths = cmd_stability(cfg, args.out)

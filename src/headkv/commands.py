@@ -140,8 +140,11 @@ def cmd_budget(cfg: ExperimentConfig, out: str | None = None,
 
     Role counts come from the configured role map, or from explicit
     (local, anchor, memory) counts."""
-    out_path = _out_dir(cfg, out)
     if counts is not None:
+        if len(counts) != 3 or min(counts) < 0 or sum(counts) < 1:
+            raise ConfigError(
+                f"role counts must be three non-negative local,anchor,memory counts with a positive total, got {counts}"
+            )
         n_local, n_anchor, n_memory = counts
         layers, heads = 1, n_local + n_anchor + n_memory
         all_heads = [(0, h) for h in range(heads)]
@@ -157,7 +160,7 @@ def cmd_budget(cfg: ExperimentConfig, out: str | None = None,
 
     budget = frame_slots(role_map, cfg.hyper.b_epi, cfg.hyper.b_fast, cfg.model.f)
     rows = budget_table(budget)
-    path = out_path / "budget.csv"
+    path = _out_dir(cfg, out) / "budget.csv"
     _write_csv(path, ["method", "cache_per_head", "frame_slots", "relative_budget"],
                [[r["method"], r["cache_per_head"], r["frame_slots"], f"{r['relative_budget']:.1f}"]
                 for r in rows])

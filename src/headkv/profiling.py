@@ -20,7 +20,7 @@ from .errors import ConfigError, ShapeError
 from .model import ModelConfig, ModelWeights, measurement_perturbation
 from .roles import HeadRole, HeadRoleMap
 from .rollout import LatentBlock, RolloutEngine, WindowStrategy, _expand_schedule
-from .tensor_ops import TEMPORAL, RopeParams, apply_rope, softmax_rows, temporal_positions
+from .tensor_ops import TEMPORAL, RopeParams, apply_rope, frame_positions, rope_rotation, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -138,25 +138,19 @@ def _accumulate_block(sums: np.ndarray, archive: dict, block: LatentBlock,
     """Full-context attention map per head, reduced to bucket sums."""
     i = block.index
     f, s = config.f, config.s
-    q_pos = _frame_positions(f * (i - 1), f, s)
-    key_pos = _frame_positions(0, f * i, s)
+    q_rot = rope_rotation(frame_positions(f * (i - 1), f, s), rope, (TEMPORAL,))
+    key_rot = rope_rotation(frame_positions(0, f * i, s), rope, (TEMPORAL,))
     for rec in block.layer_records:
         for h in range(config.H):
             hist = archive[(rec.layer, h)]
             cur = [fr.keys for fr in rec.frames[h]]
-            all_keys = np.vstack(hist + cur)
-            k_enc = apply_rope(all_keys, key_pos, rope, axes=(TEMPORAL,))
-            q_enc = apply_rope(rec.q_spatial[h], q_pos, rope, axes=(TEMPORAL,))
+            k_enc = apply_rope(np.vstack(hist + cur), key_rot)
+            q_enc = apply_rope(rec.q_spatial[h], q_rot)
             a = softmax_rows(q_enc @ k_enc.T / math.sqrt(config.d))
             p = bucket_proportions(a, s, i, f=f)
             sums[rec.layer, h, 0] += p.p_sink
             sums[rec.layer, h, 1] += p.p_middle
             sums[rec.layer, h, 2] += p.p_current
-
-
-def _frame_positions(first_frame: int, n_frames: int, s: int) -> np.ndarray:
-    """(n_frames*s, 3) positions carrying only the global frame index."""
-    return temporal_positions(np.repeat(np.arange(first_frame, first_frame + n_frames, dtype=np.int64), s))
 
 
 def round_half_up(x: float) -> int:

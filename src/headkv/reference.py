@@ -18,7 +18,7 @@ from .cache import FrameKV
 from .errors import ConfigError, ShapeError
 from .model import ModelConfig, ModelWeights, block_input
 from .rollout import LatentBlock, RolloutRecord
-from .tensor_ops import RopeParams, SPATIAL_AXES, apply_rope, grid_positions
+from .tensor_ops import SPATIAL_AXES, RopeParams, apply_rope, grid_positions, rope_rotation
 
 
 def attention_rows(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -193,7 +193,7 @@ class ReferenceGenerator:
         self._keys: dict[tuple[int, int], list[np.ndarray]] = {lh: [] for lh in config.heads}
         self._values: dict[tuple[int, int], list[np.ndarray]] = {lh: [] for lh in config.heads}
         frame_grid = grid_positions(config.grid_h, config.grid_w)
-        self._block_positions = np.tile(frame_grid, (config.f, 1))
+        self._spatial = rope_rotation(np.tile(frame_grid, (config.f, 1)), rope, SPATIAL_AXES)
 
     def run(self, n_blocks: int, schedule: list[tuple[str, int]]) -> list[LatentBlock]:
         from .rollout import _expand_schedule
@@ -216,10 +216,8 @@ class ReferenceGenerator:
                 q = hidden @ self.weights.wq[l, h]
                 k = hidden @ self.weights.wk[l, h]
                 v = hidden @ self.weights.wv[l, h]
-                pos = self._block_positions.copy()
-                pos[:, 0] = np.repeat(q_frames, s)
-                q = apply_rope(q, pos, self.rope, axes=SPATIAL_AXES)
-                k = apply_rope(k, pos, self.rope, axes=SPATIAL_AXES)
+                q = apply_rope(q, self._spatial)
+                k = apply_rope(k, self._spatial)
                 all_keys = np.vstack(self._keys[(l, h)] + [k])
                 all_values = np.vstack(self._values[(l, h)] + [v])
                 frame_indices = np.arange(base + f, dtype=np.int64)

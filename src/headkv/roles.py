@@ -103,6 +103,10 @@ def role_map_from_lists(
     anchor_set, local_set = set(anchor), set(local)
     if anchor_set & local_set:
         raise ConfigError("anchor and local head sets overlap")
+    outside = sorted(lh for lh in anchor_set | local_set
+                     if not (0 <= lh[0] < layers and 0 <= lh[1] < heads))
+    if outside:
+        raise ConfigError(f"heads {outside} lie outside the {layers}x{heads} grid")
     for l in range(layers):
         for h in range(heads):
             if (l, h) in anchor_set:

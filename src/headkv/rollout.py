@@ -32,7 +32,7 @@ from .episodic import AdmissionDecision, EpisodicMemory, Slots
 from .errors import ConfigError
 from .model import ModelConfig, ModelWeights, block_input
 from .roles import HeadRole, HeadRoleMap
-from .tensor_ops import RopeParams, SPATIAL_AXES, apply_rope, grid_positions
+from .tensor_ops import SPATIAL_AXES, RopeParams, apply_rope, grid_positions, rope_rotation
 
 
 @dataclass
@@ -290,8 +290,8 @@ class RolloutEngine:
         self.record_retention = record_retention
         frame_grid = grid_positions(config.grid_h, config.grid_w)
         self._spatial_pos2 = frame_grid[:, 1:].copy()              # (s, 2)
-        # (f*s, 3); the t column stays 0, spatial rotation never reads it
-        self._block_positions = np.tile(frame_grid, (config.f, 1))
+        # q and k of every head and block share the f*s grid positions
+        self._spatial = rope_rotation(np.tile(frame_grid, (config.f, 1)), rope, SPATIAL_AXES)
 
     def step(self, i: int, prompt: str, perturb: np.ndarray | None = None) -> LatentBlock:
         """Generate block i against the current cache state without mutating
@@ -316,8 +316,8 @@ class RolloutEngine:
                 q = hidden @ self.weights.wq[l, h]
                 k = hidden @ self.weights.wk[l, h]
                 v = hidden @ self.weights.wv[l, h]
-                q = apply_rope(q, self._block_positions, self.rope, axes=SPATIAL_AXES)
-                k = apply_rope(k, self._block_positions, self.rope, axes=SPATIAL_AXES)
+                q = apply_rope(q, self._spatial)
+                k = apply_rope(k, self._spatial)
                 # each frame owns its rows, so a frame kept past this block
                 # does not keep the whole block's k and v alive
                 current = [
@@ -330,7 +330,7 @@ class RolloutEngine:
                 history = self.strategy.history_frames(l, h)
                 seq = assemble(l, h, history, current)
                 enc = self.strategy.encode(seq, self.rope, global_q_idx)
-                q_enc = encode_queries(q, enc.query_frame_indices, s, self.rope)
+                q_enc = encode_queries(q, enc)
                 q_sp.append(q)
                 frames_per_head.append(current)
                 encoded.append(enc)

@@ -1,5 +1,8 @@
 """Minimal dense numerics: row softmax, scaled dot-product attention, and
 3-axis rotary position encoding with temporal/height/width channel groups.
+A rotation is built once per position set (`rope_rotation`, or the cached
+temporal-only `frame_rotation`) and applied to any number of token matrices
+with `apply_rope`.
 
 All functions are pure and operate on plain numpy arrays (rows = tokens,
 cols = channels). Double precision is the reference path; callers may pass
@@ -93,37 +96,37 @@ def rope_table(d_axis: int, base: float, size: int) -> np.ndarray:
     return table
 
 
-def apply_rope(
-    tokens: np.ndarray,
-    positions: np.ndarray,
-    params: RopeParams,
-    axes: Sequence[str] = ALL_AXES,
-) -> np.ndarray:
-    """Rotate the selected axis channel groups; unselected groups pass through
-    untouched. `tokens` are float32 or float64; `positions` is one
-    non-negative integer (t, h, w) triple per token row. Each selected
-    group's channel pairs, viewed as complex numbers, are multiplied by rows
-    of `rope_table`, sized to the next power of two above the axis's largest
-    position."""
-    tokens = np.asarray(tokens)
+@dataclass(frozen=True, eq=False)
+class Rotation:
+    """A RoPE rotation built once for a fixed set of positions and applied by
+    `apply_rope` to any (tokens, d) matrix. Each run is (first complex column,
+    read-only complex128 rows of shape (tokens, width)); the channel pairs in
+    columns first..first+width-1 of the token matrix, viewed as complex
+    numbers, are multiplied by the rows. Adjacent selected axis groups share
+    one run."""
+
+    d: int
+    tokens: int
+    runs: tuple[tuple[int, np.ndarray], ...]
+
+
+def rope_rotation(positions: np.ndarray, params: RopeParams,
+                  axes: Sequence[str] = ALL_AXES) -> Rotation:
+    """The rotation of the selected axis channel groups at `positions`, one
+    non-negative integer (t, h, w) triple per token row; unselected groups
+    pass through untouched. Rows come from `rope_table`, sized to the next
+    power of two above the axis's largest position."""
     pos = np.asarray(positions)
-    if tokens.ndim != 2:
-        raise ShapeError(f"apply_rope expects a 2-D token matrix, got shape {tokens.shape}")
-    if tokens.dtype not in _COMPLEX_OF:
-        raise ShapeError(f"rope tokens must be float32 or float64, got dtype {tokens.dtype}")
-    if tokens.shape[1] != params.d:
-        raise ShapeError(f"token cols {tokens.shape[1]} != rope channel total {params.d}")
-    if pos.ndim != 2 or pos.shape != (tokens.shape[0], 3):
-        raise ShapeError(f"positions must be ({tokens.shape[0]}, 3), got {pos.shape}")
+    if pos.ndim != 2 or pos.shape[1] != 3:
+        raise ShapeError(f"positions must be (tokens, 3), got {pos.shape}")
     if pos.dtype.kind not in "iu":
         raise ShapeError(f"rope positions must be integers, got dtype {pos.dtype}")
     for axis in axes:
         if axis not in ALL_AXES:
             raise ShapeError(f"unknown rope axis {axis!r}")
 
-    out = tokens.copy()                      # C order, so pairs are adjacent
-    pairs = out.view(_COMPLEX_OF[tokens.dtype])
-    start = 0
+    runs: list[tuple[int, list[np.ndarray]]] = []
+    start = end = 0
     for column, (axis, d_axis) in enumerate(zip(ALL_AXES, (params.d_t, params.d_h, params.d_w))):
         if axis in axes and d_axis:
             p = pos[:, column]
@@ -133,9 +136,48 @@ def apply_rope(
             if bits < 0:
                 raise ShapeError("rope positions must be non-negative")
             rows = rope_table(d_axis, params.base, 1 << bits.bit_length()).take(p, axis=0)
-            pairs[:, start:start + d_axis // 2] *= rows
+            if runs and end == start:
+                runs[-1][1].append(rows)
+            else:
+                runs.append((start, [rows]))
+            end = start + d_axis // 2
         start += d_axis // 2
+    return Rotation(d=params.d, tokens=pos.shape[0],
+                    runs=tuple((first, _read_only(parts)) for first, parts in runs))
+
+
+def _read_only(parts: list[np.ndarray]) -> np.ndarray:
+    rows = parts[0] if len(parts) == 1 else np.hstack(parts)
+    rows.flags.writeable = False
+    return rows
+
+
+def apply_rope(tokens: np.ndarray, rotation: Rotation) -> np.ndarray:
+    """A rotated copy of `tokens`, float32 or float64 with rotation.tokens
+    rows and rotation.d columns: one complex multiply per run of the
+    rotation."""
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 2:
+        raise ShapeError(f"apply_rope expects a 2-D token matrix, got shape {tokens.shape}")
+    if tokens.dtype not in _COMPLEX_OF:
+        raise ShapeError(f"rope tokens must be float32 or float64, got dtype {tokens.dtype}")
+    if tokens.shape != (rotation.tokens, rotation.d):
+        raise ShapeError(f"tokens {tokens.shape} do not match the rotation's "
+                         f"({rotation.tokens}, {rotation.d})")
+    out = tokens.copy()                      # C order, so pairs are adjacent
+    pairs = out.view(_COMPLEX_OF[tokens.dtype])
+    for first, rows in rotation.runs:
+        pairs[:, first:first + rows.shape[1]] *= rows
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def frame_rotation(first_frame: int, n_frames: int, tokens_per_frame: int,
+                   params: RopeParams) -> Rotation:
+    """Temporal-only rotation of n_frames consecutive frames of
+    tokens_per_frame rows each, starting at frame index first_frame. Cached:
+    every caller shares the returned object, whose rows are read-only."""
+    return rope_rotation(frame_positions(first_frame, n_frames, tokens_per_frame), params, (TEMPORAL,))
 
 
 def temporal_positions(token_t: np.ndarray) -> np.ndarray:
@@ -143,6 +185,13 @@ def temporal_positions(token_t: np.ndarray) -> np.ndarray:
     out = np.zeros((token_t.shape[0], 3), dtype=np.int64)
     out[:, 0] = token_t
     return out
+
+
+def frame_positions(first_frame: int, n_frames: int, tokens_per_frame: int) -> np.ndarray:
+    """(n_frames*tokens_per_frame, 3) positions of consecutive frames
+    carrying only the frame index, starting at first_frame."""
+    frames = np.arange(first_frame, first_frame + n_frames, dtype=np.int64)
+    return temporal_positions(np.repeat(frames, tokens_per_frame))
 
 
 def grid_positions(grid_h: int, grid_w: int, t: int = 0) -> np.ndarray:

@@ -43,6 +43,10 @@ class TestAssemble:
         with pytest.raises(ShapeError):
             assemble(0, 0, [frame(0)], [])
 
+    def test_mixed_token_counts_raise(self):
+        with pytest.raises(ShapeError):
+            assemble(0, 0, [frame(0, s=2)], [frame(1), frame(2), frame(3)])
+
     def test_token_count_sums_frames(self):
         seq = assembled(n_history=3)
         assert seq.token_count == 6 * 4

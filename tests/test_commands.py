@@ -11,7 +11,7 @@ from headkv.commands import cmd_budget, cmd_generate, cmd_profile, cmd_stability
 from headkv.config import config_from_dict, load_config
 from headkv.errors import ConfigError
 from headkv.profiling import core_stability_ratio
-from headkv.roles import HeadRole, HeadRoleMap
+from headkv.roles import HeadRole, HeadRoleMap, role_map_from_lists
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -233,6 +233,17 @@ class TestCli:
         assert proc.returncode == 0
         assert (tmp_path / "out/budget.csv").exists()
 
+    @pytest.mark.parametrize("counts", ["-1,2,3", "0,0,0", "1,2"])
+    def test_budget_bad_counts_exit_2(self, tmp_path, counts):
+        """Counts must be three, non-negative, with a positive total: -1,2,3
+        used to write a table with 3 local heads and no anchors, and 0,0,0
+        crashed with ZeroDivisionError."""
+        cfg = self.write_cfg(tmp_path, {"output_dir": str(tmp_path / "out")})
+        proc = self.run_cli("budget", "--config", str(cfg), f"--counts={counts}")
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert not (tmp_path / "out/budget.csv").exists()
+
     def test_invalid_thresholds_exit_2(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {
             "hyperparameters": {"alpha_anchor": 0.7, "tau_local": 0.5},
@@ -407,6 +418,13 @@ class TestConfigLoading:
                                 "output_dir": str(tmp_path / "out")})
         with pytest.raises(ConfigError):
             cmd_generate(cfg)
+
+    @pytest.mark.parametrize("anchor, local", [
+        ([(5, 0)], []), ([], [(0, 3)]), ([(-1, 0)], []), ([(0, 0)], [(2, 2)]),
+    ], ids=repr)
+    def test_role_map_from_lists_rejects_heads_outside_grid(self, anchor, local):
+        with pytest.raises(ConfigError, match="outside the 2x3 grid"):
+            role_map_from_lists(2, 3, anchor=anchor, local=local)
 
     def test_role_map_path_kept_verbatim(self, tmp_path):
         p = tmp_path / "c.json"

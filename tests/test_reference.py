@@ -51,7 +51,7 @@ class TestRotateTemporalRows:
         np.testing.assert_array_equal(out, rows)
 
     def test_matches_vectorized_rotation(self):
-        from headkv.tensor_ops import TEMPORAL, apply_rope
+        from headkv.tensor_ops import TEMPORAL, apply_rope, rope_rotation
 
         rng = np.random.default_rng(2)
         rope = RopeParams.default_for(8)
@@ -59,7 +59,7 @@ class TestRotateTemporalRows:
         t = rng.integers(0, 20, 6)
         pos = np.column_stack((t, np.zeros(6, dtype=np.int64), np.zeros(6, dtype=np.int64)))
         np.testing.assert_allclose(rotate_temporal_rows(rows, t, rope),
-                                   apply_rope(rows, pos, rope, axes=(TEMPORAL,)), atol=1e-12)
+                                   apply_rope(rows, rope_rotation(pos, rope, (TEMPORAL,))), atol=1e-12)
 
 
 class TestFullAttentionReference:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from headkv import assembly, rollout, tensor_ops
 from headkv.errors import ConfigError, SequencingError
 from headkv.model import ModelConfig, init_model
 from headkv.roles import role_map_from_lists
@@ -222,6 +223,34 @@ class TestCachedFramesOwnTheirRows:
         if isinstance(strategy, HeadWiseStrategy):
             assert strategy.episodic.entries      # the episodic tier is covered
         assert sum(held.values()) == accounted * 8
+
+
+class TestRotationsBuiltOnce:
+    """Spatial rotations are built with the engine and head-wise temporal
+    rotations once per frame count, so a warm step builds none."""
+
+    def test_warm_head_wise_steps_build_no_rotation(self, monkeypatch, toy_config, toy_weights,
+                                                    rope, toy_role_map):
+        calls = []
+        build = tensor_ops.rope_rotation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        for module in (tensor_ops, assembly, rollout):
+            monkeypatch.setattr(module, "rope_rotation", counted)
+        strategy = HeadWiseStrategy(toy_config, toy_weights, toy_role_map, HeadWiseHyper(update_interval=1))
+        engine = RolloutEngine(toy_weights, toy_config, rope, strategy)
+        for i in range(1, 13):
+            engine.commit(engine.step(i, "p"), "p")
+        assert calls                            # the engine's spatial rotation at least
+        calls.clear()
+        for i in range(13, 17):
+            block = engine.step(i, "p")
+            engine.commit(block, "p")
+            assert block.frame_slots == 205    # steady state: 5 local, 6 anchor, 13 memory heads
+        assert calls == []
 
 
 class TestEpisodicCadence:

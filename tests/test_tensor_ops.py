@@ -16,9 +16,12 @@ from headkv.tensor_ops import (
     RopeParams,
     apply_rope,
     attention,
+    frame_rotation,
     grid_positions,
+    rope_rotation,
     rope_table,
     softmax_rows,
+    temporal_positions,
 )
 
 
@@ -149,20 +152,20 @@ class TestApplyRope:
 
     def test_zero_positions_identity(self):
         x = self._tokens()
-        out = apply_rope(x, self._positions(5), self.rope, axes=ALL_AXES)
+        out = apply_rope(x, rope_rotation(self._positions(5), self.rope, ALL_AXES))
         np.testing.assert_array_equal(out, x)
 
     def test_spatial_axes_leave_temporal_block_untouched(self):
         x = self._tokens()
         pos = self._positions(5, t=7, h=2, w=3)
-        out = apply_rope(x, pos, self.rope, axes=SPATIAL_AXES)
+        out = apply_rope(x, rope_rotation(pos, self.rope, SPATIAL_AXES))
         np.testing.assert_array_equal(out[:, :8], x[:, :8])
         assert not np.array_equal(out[:, 8:], x[:, 8:])
 
     def test_norm_preserved(self):
         x = self._tokens()
         pos = self._positions(5, t=11, h=3, w=1)
-        out = apply_rope(x, pos, self.rope)
+        out = apply_rope(x, rope_rotation(pos, self.rope))
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), np.linalg.norm(x, axis=1), atol=1e-12)
 
     def test_relative_position_property(self):
@@ -173,10 +176,10 @@ class TestApplyRope:
         for p in range(0, 9, 2):
             for k in range(0, 9, 3):
                 for c in (1, 3, 8):
-                    xa = apply_rope(x, self._positions(1, t=p), self.rope, axes=(TEMPORAL,))
-                    ya = apply_rope(y, self._positions(1, t=k), self.rope, axes=(TEMPORAL,))
-                    xb = apply_rope(x, self._positions(1, t=p + c), self.rope, axes=(TEMPORAL,))
-                    yb = apply_rope(y, self._positions(1, t=k + c), self.rope, axes=(TEMPORAL,))
+                    xa = apply_rope(x, rope_rotation(self._positions(1, t=p), self.rope, (TEMPORAL,)))
+                    ya = apply_rope(y, rope_rotation(self._positions(1, t=k), self.rope, (TEMPORAL,)))
+                    xb = apply_rope(x, rope_rotation(self._positions(1, t=p + c), self.rope, (TEMPORAL,)))
+                    yb = apply_rope(y, rope_rotation(self._positions(1, t=k + c), self.rope, (TEMPORAL,)))
                     lhs = (xa[:, :8] @ ya[:, :8].T).item()
                     rhs = (xb[:, :8] @ yb[:, :8].T).item()
                     assert abs(lhs - rhs) < 1e-10
@@ -196,10 +199,10 @@ class TestApplyRope:
             out[0, col] = val
             return out
 
-        xa = apply_rope(x, pos(p), self.rope, axes=(axis,))
-        ya = apply_rope(y, pos(k), self.rope, axes=(axis,))
-        xb = apply_rope(x, pos(p + c), self.rope, axes=(axis,))
-        yb = apply_rope(y, pos(k + c), self.rope, axes=(axis,))
+        xa = apply_rope(x, rope_rotation(pos(p), self.rope, (axis,)))
+        ya = apply_rope(y, rope_rotation(pos(k), self.rope, (axis,)))
+        xb = apply_rope(x, rope_rotation(pos(p + c), self.rope, (axis,)))
+        yb = apply_rope(y, rope_rotation(pos(k + c), self.rope, (axis,)))
         lhs = (xa[:, sl] @ ya[:, sl].T).item()
         rhs = (xb[:, sl] @ yb[:, sl].T).item()
         assert abs(lhs - rhs) < 1e-8
@@ -208,17 +211,62 @@ class TestApplyRope:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((7, 16))
         pos = np.column_stack((rng.integers(0, 9, 7), rng.integers(0, 4, 7), rng.integers(0, 4, 7)))
-        staged = apply_rope(apply_rope(x, pos, self.rope, axes=(TEMPORAL,)), pos, self.rope, axes=SPATIAL_AXES)
-        single = apply_rope(x, pos, self.rope, axes=ALL_AXES)
+        staged = apply_rope(apply_rope(x, rope_rotation(pos, self.rope, (TEMPORAL,))),
+                            rope_rotation(pos, self.rope, SPATIAL_AXES))
+        single = apply_rope(x, rope_rotation(pos, self.rope, ALL_AXES))
         np.testing.assert_allclose(staged, single, atol=1e-12)
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            apply_rope(self._tokens(5), self._positions(4), self.rope)
+            apply_rope(self._tokens(5), rope_rotation(self._positions(4), self.rope))
+
+    def test_width_mismatch_raises(self):
+        with pytest.raises(ShapeError):
+            apply_rope(self._tokens(5), rope_rotation(self._positions(5), RopeParams.default_for(8)))
 
     def test_unknown_axis_raises(self):
         with pytest.raises(ShapeError):
-            apply_rope(self._tokens(2), self._positions(2), self.rope, axes=("sideways",))
+            apply_rope(self._tokens(2), rope_rotation(self._positions(2), self.rope, ("sideways",)))
+
+
+class TestRotation:
+    """A rotation is built once and applied many times; building must not
+    change a single bit of the result."""
+
+    rope = RopeParams.default_for(16)
+    # axis set -> runs: adjacent selected groups share one run
+    RUNS = {(TEMPORAL,): 1, (HEIGHT,): 1, (WIDTH,): 1, SPATIAL_AXES: 1, ALL_AXES: 1, (TEMPORAL, WIDTH): 2}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5000), st.integers(0, 5000), st.integers(0, 5000)),
+                    min_size=1, max_size=12),
+           st.sampled_from(list(RUNS)), st.sampled_from([np.float64, np.float32]),
+           st.integers(0, 2**31 - 1))
+    def test_merged_run_equals_axis_by_axis(self, positions, axes, dtype, seed):
+        pos = np.array(positions, dtype=np.int64)
+        x = np.random.default_rng(seed).standard_normal((len(pos), 16)).astype(dtype)
+        merged = rope_rotation(pos, self.rope, axes)
+        assert len(merged.runs) == self.RUNS[axes]
+        staged = x
+        for axis in axes:
+            staged = apply_rope(staged, rope_rotation(pos, self.rope, (axis,)))
+        out = apply_rope(x, merged)
+        assert out.dtype == x.dtype
+        assert out.tobytes() == staged.tobytes()
+
+    def test_frame_rotation_is_cached_temporal_rotation(self):
+        rot = frame_rotation(3, 4, 5, self.rope)
+        direct = rope_rotation(temporal_positions(np.repeat(np.arange(3, 7), 5)), self.rope, (TEMPORAL,))
+        assert (rot.d, rot.tokens) == (direct.d, direct.tokens) == (16, 20)
+        assert [(first, rows.tobytes()) for first, rows in rot.runs] == \
+               [(first, rows.tobytes()) for first, rows in direct.runs]
+        x = np.random.default_rng(8).standard_normal((20, 16))
+        assert apply_rope(x, rot).tobytes() == apply_rope(x, direct).tobytes()
+        assert frame_rotation(3, 4, 5, self.rope) is rot
+        for _, rows in rot.runs:
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1.0
 
 
 def rope_direct(x: np.ndarray, pos: np.ndarray, rope: RopeParams, axes) -> np.ndarray:
@@ -259,7 +307,7 @@ class TestRopeTables:
                              ids=lambda a: "+".join(a))
     def test_matches_direct_formula(self, axes):
         x, pos = self._case()
-        np.testing.assert_allclose(apply_rope(x, pos, self.rope, axes=axes),
+        np.testing.assert_allclose(apply_rope(x, rope_rotation(pos, self.rope, axes)),
                                    rope_direct(x, pos, self.rope, axes), rtol=0, atol=1e-12)
 
     def test_growing_positions_match_direct_formula(self):
@@ -268,15 +316,15 @@ class TestRopeTables:
         x, _ = self._case(seed=1)
         for p in self.POSITIONS:
             pos = np.full((x.shape[0], 3), p, dtype=np.int64)
-            np.testing.assert_allclose(apply_rope(x, pos, self.rope),
+            np.testing.assert_allclose(apply_rope(x, rope_rotation(pos, self.rope)),
                                        rope_direct(x, pos, self.rope, ALL_AXES), rtol=0, atol=1e-12)
 
     def test_float32_keeps_dtype_and_tracks_float64(self):
         x, pos = self._case(seed=2)
         x32 = x.astype(np.float32)
-        out32 = apply_rope(x32, pos, self.rope)
+        out32 = apply_rope(x32, rope_rotation(pos, self.rope))
         assert out32.dtype == np.float32
-        out64 = apply_rope(x32.astype(np.float64), pos, self.rope)
+        out64 = apply_rope(x32.astype(np.float64), rope_rotation(pos, self.rope))
         assert np.abs(out32 - out64).max() < 1e-6
 
     def test_tables_are_read_only(self):
@@ -296,7 +344,7 @@ class TestRopeTables:
         computed exactly from the same table entry c + i*s; channels outside
         the selected groups are unchanged."""
         x, pos = self._case(seed=3)
-        out = apply_rope(x, pos, self.rope, axes=axes)
+        out = apply_rope(x, rope_rotation(pos, self.rope, axes))
         eps = Fraction(float(np.finfo(np.float64).eps))
         start = 0
         for column, (axis, width) in enumerate(zip(ALL_AXES, (self.rope.d_t, self.rope.d_h, self.rope.d_w))):
@@ -321,25 +369,26 @@ class TestRopeTables:
         else:
             x = np.asfortranarray(x)
         assert not x.flags.c_contiguous
-        out = apply_rope(x, pos, self.rope)
-        np.testing.assert_array_equal(out, apply_rope(np.ascontiguousarray(x), pos, self.rope))
+        out = apply_rope(x, rope_rotation(pos, self.rope))
+        np.testing.assert_array_equal(out, apply_rope(np.ascontiguousarray(x), rope_rotation(pos, self.rope)))
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.bool_, np.float16,
                                        np.complex128, np.object_])
     def test_non_float_tokens_raise(self, dtype):
         pos = np.zeros((2, 3), dtype=np.int64)
         with pytest.raises(ShapeError):
-            apply_rope(np.arange(32).reshape(2, 16).astype(dtype), pos, self.rope)
+            apply_rope(np.arange(32).reshape(2, 16).astype(dtype), rope_rotation(pos, self.rope))
 
     @pytest.mark.parametrize("bad", [
         np.array([[0, 1, -1]] * 2, dtype=np.int64),
         np.array([[-3, 0, 0]] * 2, dtype=np.int64),
         np.array([[0.5, 1.0, 2.0]] * 2),
         np.array([[1.0, 1.0, 2.0]] * 2),
-    ], ids=["negative-width", "negative-temporal", "fractional", "integral-float"])
+        np.array([[0, 1]] * 2, dtype=np.int64),
+    ], ids=["negative-width", "negative-temporal", "fractional", "integral-float", "two-columns"])
     def test_negative_or_non_integer_positions_raise(self, bad):
         with pytest.raises(ShapeError):
-            apply_rope(np.ones((2, 16)), bad, self.rope)
+            apply_rope(np.ones((2, 16)), rope_rotation(bad, self.rope))
 
 
 def test_grid_positions_row_major():
