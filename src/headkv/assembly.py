@@ -13,16 +13,7 @@ import numpy as np
 
 from .cache import FrameKV
 from .errors import IntegrityError, ShapeError
-from .tensor_ops import (
-    TEMPORAL,
-    RopeParams,
-    Rotation,
-    apply_rope,
-    frame_rotation,
-    rope_rotation,
-    softmax_rows,
-    temporal_positions,
-)
+from .tensor_ops import RopeParams, Rotation, apply_rope, frame_rotation, softmax_rows
 
 
 @dataclass
@@ -52,10 +43,6 @@ class AssembledSequence:
     @property
     def tokens_per_frame(self) -> int:
         return self.frames[0].tokens
-
-    @property
-    def token_count(self) -> int:
-        return sum(fr.tokens for fr in self.frames)
 
     def provenance(self) -> np.ndarray:
         return np.vstack([fr.provenance for fr in self.frames])
@@ -91,21 +78,23 @@ class EncodedSequence:
         return np.repeat(self.key_frame_indices, self.keys.shape[0] // len(self.key_frame_indices))
 
 
-def _encode(seq: AssembledSequence, key_idx: np.ndarray, query_idx: np.ndarray,
-            key_rotation: Rotation, query_rotation: Rotation) -> EncodedSequence:
+def _encode(seq: AssembledSequence, rope: RopeParams, key_idx: tuple[int, ...],
+            query_idx: tuple[int, ...]) -> EncodedSequence:
     """Rotate a transient flat copy of the keys; the cached frames themselves
-    stay spatial-only."""
+    stay spatial-only. Both rotations come from the `frame_rotation` cache."""
     if seq.temporal_encoded:
         raise IntegrityError(
             f"head ({seq.layer}, {seq.head}) keys already temporally encoded; double rotation refused"
         )
-    keys = apply_rope(np.vstack([fr.keys for fr in seq.frames]), key_rotation)
+    s = seq.tokens_per_frame
+    keys = apply_rope(np.vstack([fr.keys for fr in seq.frames]), frame_rotation(key_idx, s, rope))
     seq.temporal_encoded = True
     return EncodedSequence(
         layer=seq.layer, head=seq.head, keys=keys,
         values=np.vstack([fr.values for fr in seq.frames]),
-        key_frame_indices=key_idx, query_frame_indices=query_idx,
-        query_rotation=query_rotation,
+        key_frame_indices=np.array(key_idx, dtype=np.int64),
+        query_frame_indices=np.array(query_idx, dtype=np.int64),
+        query_rotation=frame_rotation(query_idx, s, rope),
     )
 
 
@@ -113,27 +102,22 @@ def encode_temporal(seq: AssembledSequence, rope: RopeParams,
                     key_frame_indices: Sequence[int],
                     query_frame_indices: Sequence[int]) -> EncodedSequence:
     """Temporal encoding at arbitrary per-frame indices (the window baselines
-    use global ones); both rotations are built on every call."""
+    use global ones)."""
     key_idx = np.asarray(key_frame_indices, dtype=np.int64)
     query_idx = np.asarray(query_frame_indices, dtype=np.int64)
     if key_idx.shape != (seq.frame_count,):
         raise ShapeError(f"need one temporal index per frame ({seq.frame_count}), got {key_idx.shape}")
     if query_idx.shape != (seq.f_current,):
         raise ShapeError(f"need one query index per current frame ({seq.f_current}), got {query_idx.shape}")
-    s = seq.tokens_per_frame
-    return _encode(seq, key_idx, query_idx,
-                   rope_rotation(temporal_positions(np.repeat(key_idx, s)), rope, (TEMPORAL,)),
-                   rope_rotation(temporal_positions(np.repeat(query_idx, s)), rope, (TEMPORAL,)))
+    return _encode(seq, rope, tuple(key_idx.tolist()), tuple(query_idx.tolist()))
 
 
 def reencode_temporal(seq: AssembledSequence, rope: RopeParams) -> EncodedSequence:
     """Contiguous per-head re-indexing: keys take frame indices 0..F-1 in
     assembly order, queries take F-f..F-1, so every relative temporal
-    distance is bounded by the head's own capacity. The rotations depend only
-    on (F, f, s), so they come from the `frame_rotation` cache."""
-    F, f, s = seq.frame_count, seq.f_current, seq.tokens_per_frame
-    return _encode(seq, np.arange(F, dtype=np.int64), np.arange(F - f, F, dtype=np.int64),
-                   frame_rotation(0, F, s, rope), frame_rotation(F - f, f, s, rope))
+    distance is bounded by the head's own capacity."""
+    F = seq.frame_count
+    return _encode(seq, rope, tuple(range(F)), tuple(range(F - seq.f_current, F)))
 
 
 def encode_queries(q_spatial: np.ndarray, enc: EncodedSequence) -> np.ndarray:

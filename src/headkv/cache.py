@@ -27,20 +27,17 @@ class FrameKV:
     frames it is the identity, built on first read.
     """
 
-    __slots__ = ("keys", "values", "spatial_positions", "global_frame_index", "is_summary",
-                 "_provenance", "_pooled")
+    __slots__ = ("keys", "values", "global_frame_index", "is_summary", "_provenance", "_pooled")
 
-    def __init__(self, keys: np.ndarray, values: np.ndarray, spatial_positions: np.ndarray,
-                 global_frame_index: int, is_summary: bool = False,
-                 provenance: np.ndarray | None = None):
+    def __init__(self, keys: np.ndarray, values: np.ndarray, global_frame_index: int,
+                 is_summary: bool = False, provenance: np.ndarray | None = None):
         n = keys.shape[0]
-        if values.shape[0] != n or spatial_positions.shape[0] != n:
-            raise ShapeError("FrameKV keys/values/spatial_positions row counts differ")
+        if values.shape[0] != n:
+            raise ShapeError("FrameKV keys/values row counts differ")
         if provenance is not None and provenance.shape[0] != n:
             raise ShapeError("FrameKV provenance row count differs from keys")
         self.keys = keys                              # (tokens, d)
         self.values = values                          # (tokens, d)
-        self.spatial_positions = spatial_positions    # (tokens, 2) int, (h, w)
         self.global_frame_index = global_frame_index
         self.is_summary = is_summary
         self._provenance = provenance                 # (tokens, 2) int, (frame, token)

@@ -200,12 +200,10 @@ class EpisodicMemory:
                 a, b = first.slots[lh], second.slots[lh]
                 cat_keys = cat_keys_by_head[lh]
                 cat_vals = np.vstack([a.values, b.values])
-                cat_pos = np.vstack([a.spatial_positions, b.spatial_positions])
                 cat_prov = np.vstack([a.provenance, b.provenance])
                 slots[lh] = FrameKV(
                     keys=cat_keys[order],
                     values=cat_vals[order],
-                    spatial_positions=cat_pos[order],
                     global_frame_index=-1,
                     is_summary=True,
                     provenance=cat_prov[order],

@@ -20,7 +20,7 @@ from .errors import ConfigError, ShapeError
 from .model import ModelConfig, ModelWeights, measurement_perturbation
 from .roles import HeadRole, HeadRoleMap
 from .rollout import LatentBlock, RolloutEngine, WindowStrategy, _expand_schedule
-from .tensor_ops import TEMPORAL, RopeParams, apply_rope, frame_positions, rope_rotation, softmax_rows
+from .tensor_ops import RopeParams, apply_rope, frame_rotation, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,8 @@ def _accumulate_block(sums: np.ndarray, archive: dict, block: LatentBlock,
     """Full-context attention map per head, reduced to bucket sums."""
     i = block.index
     f, s = config.f, config.s
-    q_rot = rope_rotation(frame_positions(f * (i - 1), f, s), rope, (TEMPORAL,))
-    key_rot = rope_rotation(frame_positions(0, f * i, s), rope, (TEMPORAL,))
+    q_rot = frame_rotation(tuple(range(f * (i - 1), f * i)), s, rope)
+    key_rot = frame_rotation(tuple(range(f * i)), s, rope)
     for rec in block.layer_records:
         for h in range(config.H):
             hist = archive[(rec.layer, h)]

@@ -289,7 +289,6 @@ class RolloutEngine:
         self.keep_records = keep_records
         self.record_retention = record_retention
         frame_grid = grid_positions(config.grid_h, config.grid_w)
-        self._spatial_pos2 = frame_grid[:, 1:].copy()              # (s, 2)
         # q and k of every head and block share the f*s grid positions
         self._spatial = rope_rotation(np.tile(frame_grid, (config.f, 1)), rope, SPATIAL_AXES)
 
@@ -323,7 +322,6 @@ class RolloutEngine:
                 current = [
                     FrameKV(keys=k[t * s:(t + 1) * s].copy(),
                             values=v[t * s:(t + 1) * s].copy(),
-                            spatial_positions=self._spatial_pos2,
                             global_frame_index=int(global_q_idx[t]))
                     for t in range(f)
                 ]

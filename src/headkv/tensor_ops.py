@@ -1,8 +1,8 @@
 """Minimal dense numerics: row softmax, scaled dot-product attention, and
 3-axis rotary position encoding with temporal/height/width channel groups.
-A rotation is built once per position set (`rope_rotation`, or the cached
-temporal-only `frame_rotation`) and applied to any number of token matrices
-with `apply_rope`.
+A rotation is built once per position set (`rope_rotation`; every temporal
+one through the cached `frame_rotation`) and applied to any number of token
+matrices with `apply_rope`.
 
 All functions are pure and operate on plain numpy arrays (rows = tokens,
 cols = channels). Double precision is the reference path; callers may pass
@@ -171,27 +171,16 @@ def apply_rope(tokens: np.ndarray, rotation: Rotation) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def frame_rotation(first_frame: int, n_frames: int, tokens_per_frame: int,
+@functools.lru_cache(maxsize=16)
+def frame_rotation(frame_indices: tuple[int, ...], tokens_per_frame: int,
                    params: RopeParams) -> Rotation:
-    """Temporal-only rotation of n_frames consecutive frames of
-    tokens_per_frame rows each, starting at frame index first_frame. Cached:
-    every caller shares the returned object, whose rows are read-only."""
-    return rope_rotation(frame_positions(first_frame, n_frames, tokens_per_frame), params, (TEMPORAL,))
-
-
-def temporal_positions(token_t: np.ndarray) -> np.ndarray:
-    """(tokens, 3) positions carrying only each token's temporal index."""
-    out = np.zeros((token_t.shape[0], 3), dtype=np.int64)
-    out[:, 0] = token_t
-    return out
-
-
-def frame_positions(first_frame: int, n_frames: int, tokens_per_frame: int) -> np.ndarray:
-    """(n_frames*tokens_per_frame, 3) positions of consecutive frames
-    carrying only the frame index, starting at first_frame."""
-    frames = np.arange(first_frame, first_frame + n_frames, dtype=np.int64)
-    return temporal_positions(np.repeat(frames, tokens_per_frame))
+    """Temporal-only rotation of frames at the given non-negative indices,
+    tokens_per_frame rows each: the one temporal rotation, for head-wise
+    re-indexing, window baselines and profiling alike. Cached by the index
+    tuple: every caller shares the returned object, whose rows are read-only."""
+    positions = np.zeros((len(frame_indices) * tokens_per_frame, 3), dtype=np.int64)
+    positions[:, 0] = np.repeat(np.asarray(frame_indices, dtype=np.int64), tokens_per_frame)
+    return rope_rotation(positions, params, (TEMPORAL,))
 
 
 def grid_positions(grid_h: int, grid_w: int, t: int = 0) -> np.ndarray:

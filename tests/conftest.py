@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from headkv.model import ModelConfig, init_model
@@ -43,12 +42,3 @@ def toy_role_map():
     return role_map_from_lists(TOY.L, TOY.H, anchor=heads[:6], local=heads[6:11],
                                alpha_anchor=0.25, tau_local=0.20)
 
-
-def random_frame_kv(rng: np.ndarray, s: int, d: int, frame_index: int, grid_w: int = 0):
-    """Small helper for synthetic FrameKV instances in unit tests."""
-    from headkv.cache import FrameKV
-
-    gw = grid_w or max(1, int(np.sqrt(s)))
-    pos = np.column_stack((np.arange(s) // gw, np.arange(s) % gw)).astype(np.int64)
-    return FrameKV(keys=rng.standard_normal((s, d)), values=rng.standard_normal((s, d)),
-                   spatial_positions=pos, global_frame_index=frame_index)

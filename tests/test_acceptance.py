@@ -116,12 +116,11 @@ def _random_packed_instance(rng):
     encs, queries = [], []
     ids = sorted({(int(rng.integers(n_layers)), int(rng.integers(n_heads)))
                   for _ in range(int(rng.integers(1, 7)))})
-    pos = np.column_stack((np.arange(s) // 2, np.arange(s) % 2)).astype(np.int64)
     for (l, h) in ids:
         n_history = int(rng.choice([0, 1, 4, 8]))  # mixed role capacities
         frames = [FrameKV(keys=rng.standard_normal((s, d)),
                           values=rng.standard_normal((s, d)),
-                          spatial_positions=pos, global_frame_index=idx)
+                          global_frame_index=idx)
                   for idx in range(n_history + f)]
         seq = assemble(l, h, frames[:n_history], frames[n_history:])
         encs.append(reencode_temporal(seq, rope))
@@ -224,12 +223,11 @@ def test_criterion_07_oracle_suites():
     with _Timer(60.0) as t:
         rng = np.random.default_rng(77)
         heads = [(0, 0), (0, 1), (1, 0)]
-        pos = np.zeros((4, 2), dtype=np.int64)
 
         def slots(idx):
             return {lh: FrameKV(keys=rng.standard_normal((4, 6)),
                                 values=rng.standard_normal((4, 6)),
-                                spatial_positions=pos, global_frame_index=idx)
+                                global_frame_index=idx)
                     for lh in heads}
 
         n_cases = 500
@@ -262,11 +260,9 @@ def test_criterion_07_oracle_suites():
             mem = EpisodicMemory(capacity=4, memory_heads=one_head, tokens_per_frame=s)
             a = {(0, 0): FrameKV(keys=rng.standard_normal((s, 6)),
                                  values=rng.standard_normal((s, 6)),
-                                 spatial_positions=np.zeros((s, 2), dtype=np.int64),
                                  global_frame_index=0)}
             b = {(0, 0): FrameKV(keys=rng.standard_normal((s, 6)),
                                  values=rng.standard_normal((s, 6)),
-                                 spatial_positions=np.zeros((s, 2), dtype=np.int64),
                                  global_frame_index=3)}
             pk = {(0, 0): rng.standard_normal(6)}
             mem.try_admit(a, 0, 1, 2.0, pk)

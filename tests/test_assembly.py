@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headkv.assembly import (
     assemble,
@@ -14,7 +16,7 @@ from headkv.model import ModelConfig, init_model
 from headkv.reference import attention_rows, rotate_temporal_rows
 from headkv.roles import role_map_from_lists
 from headkv.rollout import HeadWiseHyper, HeadWiseStrategy, generate_rollout
-from headkv.tensor_ops import RopeParams
+from headkv.tensor_ops import TEMPORAL, RopeParams, frame_rotation, rope_rotation
 
 D = 8
 ROPE8 = RopeParams.default_for(8)
@@ -22,9 +24,8 @@ ROPE8 = RopeParams.default_for(8)
 
 def frame(idx: int, s: int = 4, d: int = D, seed: int | None = None) -> FrameKV:
     rng = np.random.default_rng(idx if seed is None else seed)
-    pos = np.column_stack((np.arange(s) // 2, np.arange(s) % 2)).astype(np.int64)
     return FrameKV(keys=rng.standard_normal((s, d)), values=rng.standard_normal((s, d)),
-                   spatial_positions=pos, global_frame_index=idx)
+                   global_frame_index=idx)
 
 
 def assembled(layer=0, head=0, n_history=2, f=3, s=4):
@@ -46,10 +47,6 @@ class TestAssemble:
     def test_mixed_token_counts_raise(self):
         with pytest.raises(ShapeError):
             assemble(0, 0, [frame(0, s=2)], [frame(1), frame(2), frame(3)])
-
-    def test_token_count_sums_frames(self):
-        seq = assembled(n_history=3)
-        assert seq.token_count == 6 * 4
 
 
 class TestReencodeTemporal:
@@ -88,6 +85,42 @@ class TestReencodeTemporal:
         seq = assembled(n_history=2, f=3)
         with pytest.raises(ShapeError):
             encode_temporal(seq, ROPE8, [0, 1], [2, 3, 4])
+
+
+# sink-plus-recent index lists: a few leading frames, a gap, then a recent run
+# (repeats allowed), or arbitrary indices up to 5000
+sink_recent = st.builds(
+    lambda sink, start, n: sink + list(range(start, start + n)),
+    st.lists(st.integers(0, 5), max_size=3), st.integers(0, 4990), st.integers(1, 8))
+frame_indices = st.one_of(sink_recent, st.lists(st.integers(0, 5000), min_size=1, max_size=10))
+
+
+class TestEncodeTemporalAnyIndices:
+    @settings(max_examples=40, deadline=None)
+    @given(key_idx=frame_indices, n_query=st.integers(1, 3), s=st.integers(1, 4),
+           seed=st.integers(0, 2**31 - 1))
+    def test_rotated_keys_match_scalar_oracle(self, key_idx, n_query, s, seed):
+        n_query = min(n_query, len(key_idx))
+        rng = np.random.default_rng(seed)
+        frames = [frame(i, s=s, seed=int(rng.integers(1 << 30))) for i in range(len(key_idx))]
+        seq = assemble(0, 0, frames[:-n_query], frames[-n_query:])
+        enc = encode_temporal(seq, ROPE8, key_idx, key_idx[-n_query:])
+        raw = np.vstack([fr.keys for fr in frames])
+        expected = rotate_temporal_rows(raw, np.repeat(key_idx, s), ROPE8)
+        np.testing.assert_allclose(enc.keys, expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(enc.key_frame_indices, key_idx)
+
+    @settings(max_examples=40, deadline=None)
+    @given(idx=frame_indices, s=st.integers(1, 4))
+    def test_frame_rotation_is_rope_rotation_at_repeated_positions(self, idx, s):
+        rot = frame_rotation(tuple(idx), s, ROPE8)
+        pos = np.zeros((len(idx) * s, 3), dtype=np.int64)
+        pos[:, 0] = np.repeat(idx, s)
+        direct = rope_rotation(pos, ROPE8, (TEMPORAL,))
+        assert (rot.d, rot.tokens) == (direct.d, direct.tokens)
+        assert [(first, rows.tobytes()) for first, rows in rot.runs] == \
+               [(first, rows.tobytes()) for first, rows in direct.runs]
+        assert frame_rotation(tuple(idx), s, ROPE8) is rot
 
 
 def encoded_head(layer, head, n_history, f=3, s=4, seed=0):

@@ -13,9 +13,8 @@ F = 3
 
 def make_frame(idx: int, s: int = 2, d: int = 4) -> FrameKV:
     rng = np.random.default_rng(idx + 1000)
-    pos = np.column_stack((np.arange(s) // 2, np.arange(s) % 2)).astype(np.int64)
     return FrameKV(keys=rng.standard_normal((s, d)), values=rng.standard_normal((s, d)),
-                   spatial_positions=pos, global_frame_index=idx)
+                   global_frame_index=idx)
 
 
 def block_frames(i: int, f: int = F) -> list[FrameKV]:
@@ -35,8 +34,7 @@ class TestFrameKV:
 
     def test_row_count_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            FrameKV(keys=np.zeros((2, 4)), values=np.zeros((3, 4)),
-                    spatial_positions=np.zeros((2, 2), dtype=np.int64), global_frame_index=0)
+            FrameKV(keys=np.zeros((2, 4)), values=np.zeros((3, 4)), global_frame_index=0)
 
 
 class TestRollFirstBlock:

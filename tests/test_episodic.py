@@ -2,6 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from headkv.cache import FrameKV
 from headkv.episodic import EpisodicMemory
@@ -18,10 +21,7 @@ HEADS2 = [(0, 1), (1, 0)]
 
 
 def frame_from_keys(keys: np.ndarray, idx: int = 0) -> FrameKV:
-    s = keys.shape[0]
-    pos = np.column_stack((np.arange(s) // 2, np.arange(s) % 2)).astype(np.int64)
-    return FrameKV(keys=keys, values=keys * 0.5 + 1.0, spatial_positions=pos,
-                   global_frame_index=idx)
+    return FrameKV(keys=keys, values=keys * 0.5 + 1.0, global_frame_index=idx)
 
 
 def random_slots(rng, heads=HEADS2, s=S, d=D, idx=0):
@@ -377,3 +377,82 @@ class TestCachedPooledKeys:
             for row, (frame, token) in enumerate(fr.provenance):
                 assert fr.keys[row].tobytes() == archive.keys[lh][frame][token].tobytes()
                 assert fr.values[row].tobytes() == archive.values[lh][frame][token].tobytes()
+
+
+ALL_HEADS = [(l, h) for l in range(2) for h in range(3)]
+TAUS = st.sampled_from([-0.5, 0.0, 0.3, 0.9, 0.95, 2.0])
+
+
+class EpisodicAdmissionMachine(RuleBasedStateMachine):
+    """Long random admission schedules on 2-4 memory heads: every novelty
+    score, admit/reject, merged pair and merge victim is checked against the
+    exhaustive oracles, and the memory's structure after every step."""
+
+    @initialize(heads=st.lists(st.sampled_from(ALL_HEADS), min_size=2, max_size=4, unique=True),
+                capacity=st.integers(1, 5), seed=st.integers(0, 2**31 - 1))
+    def start(self, heads, capacity, seed):
+        self.heads = sorted(heads)
+        self.rng = np.random.default_rng(seed)
+        self.mem = EpisodicMemory(capacity=capacity, memory_heads=self.heads, tokens_per_frame=S)
+        self.prompt_keys = {lh: self.rng.standard_normal(D) for lh in self.heads}
+        self.block = 0
+
+    def _candidate(self, keys_of) -> dict:
+        return {lh: frame_from_keys(keys_of(lh), 3 * (self.block + 1)) for lh in self.heads}
+
+    @rule(tau=TAUS)
+    def admit_fresh(self, tau):
+        self._admit(self._candidate(lambda lh: self.rng.standard_normal((S, D))), tau)
+
+    @precondition(lambda self: self.mem.entries)
+    @rule(pick=st.integers(0, 7), noise=st.sampled_from([0.05, 0.3]), tau=TAUS)
+    def admit_near_copy(self, pick, noise, tau):
+        src = self.mem.entries[pick % len(self.mem.entries)]
+        self._admit(self._candidate(
+            lambda lh: src.slots[lh].keys + noise * self.rng.standard_normal((S, D))), tau)
+
+    def _admit(self, candidate, tau):
+        self.block += 1
+        before = list(self.mem.entries)
+        slots = [e.slots for e in before]
+        expected_delta = brute_force_novelty(candidate, slots)
+        decision = self.mem.try_admit(candidate, frame_index=3 * self.block, block_index=self.block,
+                                      tau_novel=tau, prompt_keys=self.prompt_keys)
+        assert decision.delta == pytest.approx(expected_delta, rel=0, abs=1e-12)
+        if abs(expected_delta - tau) < 1e-9:
+            return                              # too close to the threshold to call
+        assert decision.admitted == (expected_delta < tau)
+        if not decision.admitted:
+            assert [id(e) for e in self.mem.entries] == [id(e) for e in before]
+            return
+        grown = [e.frame_index for e in before] + [3 * self.block]
+        slots.append(candidate)
+        assert decision.compressed == (len(grown) > self.mem.capacity)
+        if not decision.compressed:
+            assert [e.frame_index for e in self.mem.entries] == grown
+            return
+        if not before[0].is_summary:
+            merged = brute_force_pair(slots)
+        else:
+            victim = brute_force_victim(slots) if len(slots) > 2 else 1
+            merged = (0, victim)
+        remaining = [idx for n, idx in enumerate(grown) if n not in merged]
+        assert [e.frame_index for e in self.mem.entries] == [-1] + remaining
+
+    @invariant()
+    def within_capacity(self):
+        assert len(self.mem.entries) <= self.mem.capacity
+
+    @invariant()
+    def summary_only_at_index_zero(self):
+        assert not any(e.is_summary for e in self.mem.entries[1:])
+        assert all((e.frame_index == -1) == e.is_summary for e in self.mem.entries)
+
+    @invariant()
+    def every_head_holds_the_same_sequence(self):
+        assert len({self.mem.slot_identity_sequence(*lh) for lh in self.heads}) == 1
+
+
+TestEpisodicAdmissionMachine = EpisodicAdmissionMachine.TestCase
+TestEpisodicAdmissionMachine.settings = settings(max_examples=60, stateful_step_count=30,
+                                                 deadline=None)

@@ -1,0 +1,31 @@
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def digests() -> str:
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "output_digests.py"), str(ROOT), "--grids", "toy"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
+def test_toy_digests_repeat_exactly():
+    first = digests()
+    lines = first.splitlines()
+    # seven strategies and the profile means, one sha256 each
+    assert len(lines) == 8
+    assert all(line.startswith("toy ") and len(line.rsplit(" ", 1)[1]) == 64 for line in lines)
+    assert len({line.rsplit(" ", 1)[1] for line in lines}) == 8
+    assert digests() == first
+
+
+def test_unknown_grid_rejected():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "output_digests.py"), str(ROOT), "--grids", "huge"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert "unknown grids: huge" in result.stderr

@@ -187,9 +187,7 @@ class TestBruteForceSelectors:
             slots = {}
             for lh in heads:
                 keys = rng.standard_normal((3, 6))
-                pos = np.zeros((3, 2), dtype=np.int64)
-                slots[lh] = FrameKV(keys=keys, values=keys, spatial_positions=pos,
-                                    global_frame_index=3 * idx)
+                slots[lh] = FrameKV(keys=keys, values=keys, global_frame_index=3 * idx)
             out.append(slots)
         return out
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from headkv import assembly, rollout, tensor_ops
+from headkv import rollout, tensor_ops
 from headkv.errors import ConfigError, SequencingError
 from headkv.model import ModelConfig, init_model
 from headkv.roles import role_map_from_lists
@@ -226,11 +226,12 @@ class TestCachedFramesOwnTheirRows:
 
 
 class TestRotationsBuiltOnce:
-    """Spatial rotations are built with the engine and head-wise temporal
-    rotations once per frame count, so a warm step builds none."""
+    """Spatial rotations are built with the engine and temporal rotations once
+    per frame-index tuple, shared by every head: a warm head-wise step builds
+    none, a warm window step one key and one query rotation."""
 
-    def test_warm_head_wise_steps_build_no_rotation(self, monkeypatch, toy_config, toy_weights,
-                                                    rope, toy_role_map):
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = []
         build = tensor_ops.rope_rotation
 
@@ -238,8 +239,14 @@ class TestRotationsBuiltOnce:
             calls.append(args)
             return build(*args, **kwargs)
 
-        for module in (tensor_ops, assembly, rollout):
+        # frame_rotation resolves tensor_ops.rope_rotation at call time
+        for module in (tensor_ops, rollout):
             monkeypatch.setattr(module, "rope_rotation", counted)
+        tensor_ops.frame_rotation.cache_clear()
+        return calls
+
+    def test_warm_head_wise_steps_build_no_rotation(self, calls, toy_config, toy_weights,
+                                                    rope, toy_role_map):
         strategy = HeadWiseStrategy(toy_config, toy_weights, toy_role_map, HeadWiseHyper(update_interval=1))
         engine = RolloutEngine(toy_weights, toy_config, rope, strategy)
         for i in range(1, 13):
@@ -251,6 +258,20 @@ class TestRotationsBuiltOnce:
             engine.commit(block, "p")
             assert block.frame_slots == 205    # steady state: 5 local, 6 anchor, 13 memory heads
         assert calls == []
+
+    @pytest.mark.parametrize("window, n_sink", [(8, 1), (None, 0)], ids=["sink_window", "unbounded"])
+    def test_warm_window_steps_build_two_rotations(self, calls, toy_config, toy_weights, rope,
+                                                   window, n_sink):
+        strategy = WindowStrategy(toy_config, window, n_sink=n_sink)
+        engine = RolloutEngine(toy_weights, toy_config, rope, strategy)
+        for i in range(1, 13):
+            engine.commit(engine.step(i, "p"), "p")
+        for i in range(13, 17):
+            calls.clear()
+            engine.commit(engine.step(i, "p"), "p")
+            # every head holds the same global indices: one key and one query
+            # rotation for all 24 heads
+            assert len(calls) == 2
 
 
 class TestEpisodicCadence:

@@ -21,7 +21,6 @@ from headkv.tensor_ops import (
     rope_rotation,
     rope_table,
     softmax_rows,
-    temporal_positions,
 )
 
 
@@ -255,14 +254,16 @@ class TestRotation:
         assert out.tobytes() == staged.tobytes()
 
     def test_frame_rotation_is_cached_temporal_rotation(self):
-        rot = frame_rotation(3, 4, 5, self.rope)
-        direct = rope_rotation(temporal_positions(np.repeat(np.arange(3, 7), 5)), self.rope, (TEMPORAL,))
+        rot = frame_rotation((3, 4, 5, 6), 5, self.rope)
+        pos = np.zeros((20, 3), dtype=np.int64)
+        pos[:, 0] = np.repeat(np.arange(3, 7), 5)
+        direct = rope_rotation(pos, self.rope, (TEMPORAL,))
         assert (rot.d, rot.tokens) == (direct.d, direct.tokens) == (16, 20)
         assert [(first, rows.tobytes()) for first, rows in rot.runs] == \
                [(first, rows.tobytes()) for first, rows in direct.runs]
         x = np.random.default_rng(8).standard_normal((20, 16))
         assert apply_rope(x, rot).tobytes() == apply_rope(x, direct).tobytes()
-        assert frame_rotation(3, 4, 5, self.rope) is rot
+        assert frame_rotation((3, 4, 5, 6), 5, self.rope) is rot
         for _, rows in rot.runs:
             assert not rows.flags.writeable
             with pytest.raises(ValueError):

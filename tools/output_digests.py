@@ -1,0 +1,106 @@
+"""Digests of what a checkout's rollouts and profiling produce, to check that
+a change leaves every output byte-identical.
+
+    python tools/output_digests.py CHECKOUT [--grids toy,scenic,mid]
+
+imports headkv from CHECKOUT/src and prints one line per (grid, strategy): a
+sha256 over every block's output latents, frame_slots, stored_scalars and
+admission decisions, in block order. One more line per grid digests the
+`profile_rollout` means. Two checkouts produce the same lines exactly when
+those outputs agree byte for byte:
+
+    diff <(python tools/output_digests.py OLD) <(python tools/output_digests.py NEW)
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+GRIDS = {
+    "toy": (dict(L=4, H=6, d=16, s=16, f=3, grid_h=4, grid_w=4), 24),
+    "scenic": (dict(L=4, H=6, d=16, s=16, f=3, grid_h=4, grid_w=4,
+                    scene_period=9, scene_jitter=0.02), 24),
+    "mid": (dict(L=4, H=8, d=32, s=64, f=3, grid_h=8, grid_w=8), 12),
+}
+
+# name -> strategy built from (headkv, model config, weights, role map)
+STRATEGIES = {
+    "unbounded": lambda hk, cfg, w, rm: hk.WindowStrategy(cfg, None),
+    "uniform_window(W=7)": lambda hk, cfg, w, rm: hk.WindowStrategy(cfg, 7),
+    "uniform_window(W=f)": lambda hk, cfg, w, rm: hk.WindowStrategy(cfg, cfg.f),
+    "sink_window(W=8, n_sink=1)": lambda hk, cfg, w, rm: hk.WindowStrategy(cfg, 8, n_sink=1),
+    "head_wise": lambda hk, cfg, w, rm: hk.HeadWiseStrategy(cfg, w, rm),
+    "head_wise(update_interval=1)": lambda hk, cfg, w, rm: hk.HeadWiseStrategy(
+        cfg, w, rm, hk.HeadWiseHyper(update_interval=1)),
+    "head_wise(all, latent)": lambda hk, cfg, w, rm: hk.HeadWiseStrategy(
+        cfg, w, rm, hk.HeadWiseHyper(candidate_mode="all", novelty_metric="latent")),
+}
+PROMPTS = ("a red kite over the dunes", "a lighthouse at night")
+
+
+def import_headkv(checkout: Path):
+    sys.path.insert(0, str(checkout / "src"))
+    import headkv
+
+    if Path(headkv.__file__).resolve().parent != (checkout / "src" / "headkv").resolve():
+        raise SystemExit(f"output_digests: headkv imported from {headkv.__file__}, not {checkout}")
+    return headkv
+
+
+def rollout_digest(hk, cfg, weights, rope, strategy, n_blocks: int) -> str:
+    """Step and commit n_blocks blocks, switching prompt halfway."""
+    engine = hk.RolloutEngine(weights, cfg, rope, strategy)
+    digest = hashlib.sha256()
+    for i in range(1, n_blocks + 1):
+        prompt = PROMPTS[2 * i > n_blocks]
+        block = engine.step(i, prompt)
+        decisions = engine.commit(block, prompt)
+        for frame in block.frames:
+            digest.update(np.ascontiguousarray(frame).tobytes())
+        digest.update(f"{block.frame_slots} {block.stored_scalars};".encode())
+        for d in decisions:
+            digest.update(f"{d.block_index} {d.delta!r} {d.admitted} {d.compressed};".encode())
+    return digest.hexdigest()
+
+
+def grid_digests(hk, grid: str) -> list[str]:
+    dims, n_blocks = GRIDS[grid]
+    cfg = hk.ModelConfig(seed=3, **dims)
+    weights = hk.init_model(cfg)
+    rope = hk.RopeParams.default_for(cfg.d)
+    heads = cfg.heads
+    n_anchor, n_local = round(0.25 * len(heads)), round(0.2 * len(heads))
+    role_map = hk.roles.role_map_from_lists(cfg.L, cfg.H, anchor=heads[:n_anchor],
+                                            local=heads[n_anchor:n_anchor + n_local])
+    lines = [f"{grid} {name} "
+             + rollout_digest(hk, cfg, weights, rope, make(hk, cfg, weights, role_map), n_blocks)
+             for name, make in STRATEGIES.items()]
+    report = hk.profile_rollout(weights, cfg, rope, sampled_blocks=[3, 8], repeats=2,
+                                prompts=list(PROMPTS))
+    lines.append(f"{grid} profile_rollout {hashlib.sha256(report.means.tobytes()).hexdigest()}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", type=Path, help="repository root whose src/ is digested")
+    parser.add_argument("--grids", default=",".join(GRIDS),
+                        help=f"comma-separated subset of {','.join(GRIDS)}")
+    args = parser.parse_args(argv)
+    grids = args.grids.split(",")
+    unknown = set(grids) - set(GRIDS)
+    if unknown:
+        parser.error(f"unknown grids: {', '.join(sorted(unknown))}")
+    hk = import_headkv(args.checkout)
+    for grid in grids:
+        for line in grid_digests(hk, grid):
+            print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()
