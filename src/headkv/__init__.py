@@ -39,7 +39,6 @@ from .rollout import (
     LatentBlock,
     RolloutEngine,
     WindowStrategy,
-    generate_rollout,
 )
 from .tensor_ops import (
     RopeParams,
@@ -87,7 +86,6 @@ __all__ = [
     "core_stability_ratio",
     "frame_rotation",
     "frame_slots",
-    "generate_rollout",
     "init_model",
     "pack",
     "packed_attention",

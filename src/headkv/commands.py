@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from .cache import budget_table, frame_slots
 from .config import ExperimentConfig
@@ -26,11 +28,13 @@ def _out_dir(cfg: ExperimentConfig, out: str | None) -> Path:
     return path
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+@contextmanager
+def _csv(path: Path, header: list[str]) -> Iterator:
+    """A csv writer on path with its header row written."""
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        yield writer
 
 
 def _fmt(x: float) -> str:
@@ -77,53 +81,42 @@ def cmd_profile(cfg: ExperimentConfig, out: str | None = None) -> dict[str, Path
             p = report.proportions(l, h)
             rows.append([l, h, _fmt(p.p_sink), _fmt(p.p_middle), _fmt(p.p_current),
                          role_map.role(l, h).value])
-    _write_csv(stats_path, ["layer", "head", "p_sink", "p_middle", "p_current", "role"], rows)
+    with _csv(stats_path, ["layer", "head", "p_sink", "p_middle", "p_current", "role"]) as writer:
+        writer.writerows(rows)
     return {"role_map": map_path, "head_stats": stats_path}
 
 
 def cmd_generate(cfg: ExperimentConfig, out: str | None = None) -> dict[str, Path]:
     """Run one rollout under the configured strategy: writes metrics.csv,
-    admissions.csv, and final_state.json."""
+    admissions.csv, and final_state.json. Rows are written as blocks finish;
+    with the oracle on, the recompute oracle steps in lock-step."""
     out_path = _out_dir(cfg, out)
     weights = init_model(cfg.model)
     strategy = build_strategy(cfg, weights)
     engine = RolloutEngine(weights, cfg.model, cfg.rope, strategy)
-    record = engine.run(cfg.n_blocks, cfg.prompt_schedule)
-
-    fidelities: list[float | None] = [None] * cfg.n_blocks
-    if cfg.oracle_enabled():
-        reference = ReferenceGenerator(weights, cfg.model, cfg.rope)
-        ref_blocks = reference.run(cfg.n_blocks, cfg.prompt_schedule)
-        for idx, (blk, ref) in enumerate(zip(record.blocks, ref_blocks)):
-            fidelities[idx] = token_cosine_fidelity(blk.frames, ref.frames)
+    reference = ReferenceGenerator(weights, cfg.model, cfg.rope) if cfg.oracle_enabled() else None
 
     metrics_path = out_path / "metrics.csv"
-    rows = []
-    for row, fid in zip(record.metrics, fidelities):
-        rows.append([
-            row.block_index,
-            _fmt(fid) if fid is not None else "",
-            row.stored_scalar_count,
-            row.frame_slots_live,
-            f"{row.wall_time_ms:.3f}",
-            f"{row.commit_ms:.3f}",
-            row.active_prompt,
-        ])
-    _write_csv(metrics_path,
-               ["block_index", "fidelity", "stored_scalar_count", "frame_slots_live",
-                "wall_time_ms", "commit_ms", "active_prompt"], rows)
-
     admissions_path = out_path / "admissions.csv"
-    _write_csv(admissions_path, ["block_index", "delta", "admitted", "compressed"],
-               [[d.block_index, _fmt(d.delta), str(d.admitted).lower(), str(d.compressed).lower()]
-                for d in record.admissions])
+    with (_csv(metrics_path, ["block_index", "fidelity", "stored_scalar_count", "frame_slots_live",
+                              "wall_time_ms", "commit_ms", "active_prompt"]) as metrics,
+          _csv(admissions_path, ["block_index", "delta", "admitted", "compressed"]) as admissions):
+        for block, decisions, row in engine.run(cfg.n_blocks, cfg.prompt_schedule):
+            fidelity = ""
+            if reference is not None:
+                ref = reference.step(block.index, row.active_prompt)
+                fidelity = _fmt(token_cosine_fidelity(block.frames, ref.frames))
+            metrics.writerow([block.index, fidelity, block.stored_scalars, block.frame_slots,
+                              f"{row.wall_time_ms:.3f}", f"{row.commit_ms:.3f}", row.active_prompt])
+            admissions.writerows([d.block_index, _fmt(d.delta), str(d.admitted).lower(),
+                                  str(d.compressed).lower()] for d in decisions)
 
     state_path = out_path / "final_state.json"
     state = {
-        "strategy": record.strategy,
+        "strategy": strategy.name,
         "n_blocks": cfg.n_blocks,
-        "frame_slots_live_last": record.metrics[-1].frame_slots_live,
-        "stored_scalar_count_last": record.metrics[-1].stored_scalar_count,
+        "frame_slots_live_last": block.frame_slots,
+        "stored_scalar_count_last": block.stored_scalars,
     }
     if isinstance(strategy, HeadWiseStrategy):
         state["episodic_entries"] = [
@@ -161,9 +154,9 @@ def cmd_budget(cfg: ExperimentConfig, out: str | None = None,
     budget = frame_slots(role_map, cfg.hyper.b_epi, cfg.hyper.b_fast, cfg.model.f)
     rows = budget_table(budget)
     path = _out_dir(cfg, out) / "budget.csv"
-    _write_csv(path, ["method", "cache_per_head", "frame_slots", "relative_budget"],
-               [[r["method"], r["cache_per_head"], r["frame_slots"], f"{r['relative_budget']:.1f}"]
-                for r in rows])
+    with _csv(path, ["method", "cache_per_head", "frame_slots", "relative_budget"]) as writer:
+        writer.writerows([r["method"], r["cache_per_head"], r["frame_slots"], f"{r['relative_budget']:.1f}"]
+                         for r in rows)
     return {"budget": path}
 
 
@@ -228,11 +221,8 @@ def cmd_stability(cfg: ExperimentConfig, out: str | None = None) -> dict[str, Pa
         paths[f"role_map_run{r}"] = p
 
     path = out_path / "stability.csv"
-    _write_csv(path, ["role", "s_c"], [
-        ["anchor", _fmt(report.s_anchor)],
-        ["local", _fmt(report.s_local)],
-        ["memory", _fmt(report.s_memory)],
-        ["average", _fmt(report.s_avg)],
-    ])
+    with _csv(path, ["role", "s_c"]) as writer:
+        writer.writerows([["anchor", _fmt(report.s_anchor)], ["local", _fmt(report.s_local)],
+                          ["memory", _fmt(report.s_memory)], ["average", _fmt(report.s_avg)]])
     paths["stability"] = path
     return paths

@@ -4,6 +4,8 @@ The CLI maps ConfigError to exit code 2 and SequencingError/IntegrityError
 (internal invariant violations) to exit code 3.
 """
 
+import sys
+
 
 class ShapeError(ValueError):
     """Operands have incompatible or malformed dimensions."""
@@ -29,7 +31,10 @@ def require_int(value, name: str) -> int:
 
 
 def require_number(value, name: str) -> float:
-    """A real input value; bools and strings are refused, not coerced."""
+    """A finite real input value; bools, strings, NaN and infinities (which
+    JSON parsing accepts) are refused, not coerced."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:     # NaN fails too
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return float(value)

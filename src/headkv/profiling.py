@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .model import ModelConfig, ModelWeights, measurement_perturbation
 from .roles import HeadRole, HeadRoleMap
-from .rollout import LatentBlock, RolloutEngine, WindowStrategy, _expand_schedule
+from .rollout import LatentBlock, RolloutEngine, WindowStrategy
 from .tensor_ops import RopeParams, apply_rope, frame_rotation, softmax_rows
 
 
@@ -106,9 +106,8 @@ def profile_rollout(weights: ModelWeights, config: ModelConfig, rope: RopeParams
         strategy = WindowStrategy(config, window=window, n_sink=n_sink)
         engine = RolloutEngine(weights, config, rope, strategy)
         archive: dict[tuple[int, int], list[np.ndarray]] = {lh: [] for lh in config.heads}
-        schedule = _expand_schedule([(prompt, 1)], n_blocks)
         for i in range(1, n_blocks + 1):
-            block = engine.step(i, schedule[i - 1])
+            block = engine.step(i, prompt)
             if i in sampled:
                 for r in range(repeats):
                     stream = perturb_offset + r
@@ -116,10 +115,10 @@ def profile_rollout(weights: ModelWeights, config: ModelConfig, rope: RopeParams
                         probe = block
                     else:
                         perturb = measurement_perturbation(config, i, stream, perturb_scale)
-                        probe = engine.step(i, schedule[i - 1], perturb=perturb)
+                        probe = engine.step(i, prompt, perturb=perturb)
                     _accumulate_block(sums, archive, probe, config, rope)
                 count += repeats
-            engine.commit(block, schedule[i - 1])
+            engine.commit(block, prompt)
             _archive_block(archive, block)
 
     means = sums / count

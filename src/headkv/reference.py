@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .cache import FrameKV
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, SequencingError, ShapeError
 from .model import ModelConfig, ModelWeights, block_input
-from .rollout import LatentBlock, RolloutRecord
+from .rollout import LatentBlock, _expand_schedule
 from .tensor_ops import SPATIAL_AXES, RopeParams, apply_rope, grid_positions, rope_rotation
 
 
@@ -75,11 +76,13 @@ class FrameArchive:
     values: dict[tuple[int, int], list[np.ndarray]] = field(default_factory=dict)
 
     @classmethod
-    def from_record(cls, record: RolloutRecord) -> "FrameArchive":
+    def from_blocks(cls, blocks: Iterable[LatentBlock]) -> "FrameArchive":
+        """Archive of every block's frames, in block order; the blocks must
+        carry their layer records, as the blocks `RolloutEngine.run` yields do."""
         arch = cls()
-        for block in record.blocks:
+        for block in blocks:
             if not block.layer_records:
-                raise ConfigError("rollout was run without keep_records; no archive available")
+                raise ConfigError(f"block {block.index} has no layer records; no archive available")
             for rec in block.layer_records:
                 for h, frames in enumerate(rec.frames):
                     lh = (rec.layer, h)
@@ -192,19 +195,19 @@ class ReferenceGenerator:
         self.rope = rope
         self._keys: dict[tuple[int, int], list[np.ndarray]] = {lh: [] for lh in config.heads}
         self._values: dict[tuple[int, int], list[np.ndarray]] = {lh: [] for lh in config.heads}
+        self._last_block = 0
         frame_grid = grid_positions(config.grid_h, config.grid_w)
         self._spatial = rope_rotation(np.tile(frame_grid, (config.f, 1)), rope, SPATIAL_AXES)
 
     def run(self, n_blocks: int, schedule: list[tuple[str, int]]) -> list[LatentBlock]:
-        from .rollout import _expand_schedule
+        return [self.step(i, prompt) for i, prompt in enumerate(_expand_schedule(schedule, n_blocks), 1)]
 
-        prompts = _expand_schedule(schedule, n_blocks)
-        blocks = []
-        for i in range(1, n_blocks + 1):
-            blocks.append(self._step(i, prompts[i - 1]))
-        return blocks
-
-    def _step(self, i: int, prompt: str) -> LatentBlock:
+    def step(self, i: int, prompt: str) -> LatentBlock:
+        """Block i against every frame generated so far; blocks must be
+        stepped in order from 1."""
+        if i != self._last_block + 1:
+            raise SequencingError(f"reference step for block {i} but it last stepped block {self._last_block}")
+        self._last_block = i
         cfg = self.config
         f, s = cfg.f, cfg.s
         hidden = block_input(self.weights, prompt, i)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import Iterator, Optional, Protocol
 
 import numpy as np
 
@@ -142,6 +142,8 @@ class HeadWiseHyper:
             raise ConfigError(f"tau_novel must be finite, got {self.tau_novel}")
         if self.candidate_mode not in ("latest", "all"):
             raise ConfigError(f"unknown candidate_mode {self.candidate_mode!r}")
+        if self.novelty_metric not in ("key_cosine", "latent"):
+            raise ConfigError(f"unknown novelty_metric {self.novelty_metric!r}")
 
 
 @dataclass
@@ -256,28 +258,16 @@ class HeadWiseStrategy:
 
 @dataclass
 class MetricsRow:
-    block_index: int
-    fidelity: Optional[float]
-    stored_scalar_count: int
-    frame_slots_live: int
+    """What a block's timing and prompt add to the block itself."""
+
     wall_time_ms: float                  # step()
     commit_ms: float                     # commit(): cache roll and episodic work
     active_prompt: str
 
 
-@dataclass
-class RolloutRecord:
-    strategy: str
-    blocks: list[LatentBlock]
-    metrics: list[MetricsRow]
-    admissions: list[AdmissionDecision]
-    retention: list[dict[tuple[int, int], RetentionSnapshot]] = field(default_factory=list)
-
-
 class RolloutEngine:
     def __init__(self, weights: ModelWeights, config: ModelConfig, rope: RopeParams,
-                 strategy: CacheStrategy, keep_records: bool = False,
-                 record_retention: bool = False):
+                 strategy: CacheStrategy, record_retention: bool = False):
         if rope.d != config.d:
             raise ConfigError(f"rope channel total {rope.d} != head dim {config.d}")
         if getattr(strategy, "config", config) != config:
@@ -286,7 +276,6 @@ class RolloutEngine:
         self.config = config
         self.rope = rope
         self.strategy = strategy
-        self.keep_records = keep_records
         self.record_retention = record_retention
         frame_grid = grid_positions(config.grid_h, config.grid_w)
         # q and k of every head and block share the f*s grid positions
@@ -362,32 +351,19 @@ class RolloutEngine:
         admission decision the roll made (none for the baselines)."""
         return self.strategy.roll(block, prompt)
 
-    def run(self, n_blocks: int, schedule: list[tuple[str, int]]) -> RolloutRecord:
-        """Full rollout. `schedule` is [(prompt, start_block), ...] with the
-        first entry starting at block 1."""
-        prompts = _expand_schedule(schedule, n_blocks)
-        record = RolloutRecord(strategy=self.strategy.name, blocks=[], metrics=[], admissions=[])
-        for i in range(1, n_blocks + 1):
-            prompt = prompts[i - 1]
+    def run(self, n_blocks: int, schedule: list[tuple[str, int]]
+            ) -> Iterator[tuple[LatentBlock, list[AdmissionDecision], MetricsRow]]:
+        """Full rollout, streamed: steps and commits each block, then yields
+        (block, its admission decisions, its metrics row) and keeps nothing.
+        `schedule` is [(prompt, start_block), ...] starting at block 1."""
+        for i, prompt in enumerate(_expand_schedule(schedule, n_blocks), 1):
             t0 = time.perf_counter()
             block = self.step(i, prompt)
             t1 = time.perf_counter()
-            record.admissions.extend(self.commit(block, prompt))
+            decisions = self.commit(block, prompt)
             t2 = time.perf_counter()
-            record.metrics.append(MetricsRow(
-                block_index=i, fidelity=None,
-                stored_scalar_count=block.stored_scalars,
-                frame_slots_live=block.frame_slots,
-                wall_time_ms=(t1 - t0) * 1000.0, commit_ms=(t2 - t1) * 1000.0,
-                active_prompt=prompt,
-            ))
-            if self.record_retention:
-                record.retention.append(block.retention)
-            if self.keep_records:
-                record.blocks.append(block)
-            else:
-                record.blocks.append(LatentBlock(index=i, frames=block.frames, layer_records=[]))
-        return record
+            yield block, decisions, MetricsRow(wall_time_ms=(t1 - t0) * 1000.0,
+                                               commit_ms=(t2 - t1) * 1000.0, active_prompt=prompt)
 
 
 def _expand_schedule(schedule: list[tuple[str, int]], n_blocks: int) -> list[str]:
@@ -396,25 +372,7 @@ def _expand_schedule(schedule: list[tuple[str, int]], n_blocks: int) -> list[str
     ordered = sorted(schedule, key=lambda ps: ps[1])
     if ordered[0][1] != 1:
         raise ConfigError("prompt schedule must start at block 1")
-    starts = [st for _, st in ordered]
-    if len(set(starts)) != len(starts):
+    if len({start for _, start in ordered}) != len(ordered):
         raise ConfigError("prompt schedule has duplicate start blocks")
-    prompts = []
-    for i in range(1, n_blocks + 1):
-        active = ordered[0][0]
-        for text, start in ordered:
-            if start <= i:
-                active = text
-        prompts.append(active)
-    return prompts
-
-
-def generate_rollout(weights: ModelWeights, config: ModelConfig, rope: RopeParams,
-                     strategy: CacheStrategy, schedule: list[tuple[str, int]],
-                     n_blocks: int, keep_records: bool = False,
-                     record_retention: bool = False) -> RolloutRecord:
-    if n_blocks < 1:
-        raise ConfigError("n_blocks must be >= 1")
-    engine = RolloutEngine(weights, config, rope, strategy,
-                           keep_records=keep_records, record_retention=record_retention)
-    return engine.run(n_blocks, schedule)
+    # block i runs the prompt with the latest start at or before i
+    return [next(text for text, start in reversed(ordered) if start <= i) for i in range(1, n_blocks + 1)]

@@ -34,7 +34,6 @@ from headkv.rollout import (
     HeadWiseStrategy,
     RolloutEngine,
     WindowStrategy,
-    generate_rollout,
 )
 from headkv.tensor_ops import RopeParams
 
@@ -150,13 +149,12 @@ def test_criterion_04_retention_correctness(tmp_path):
         role_map = toy_role_map(tmp_path)
         weights = init_model(TOY)
         strategy = HeadWiseStrategy(TOY, weights, role_map, HeadWiseHyper())
-        record = generate_rollout(weights, TOY, ROPE, strategy, SCHED, 64,
-                                  keep_records=True, record_retention=True)
-        archive = FrameArchive.from_record(record)
+        engine = RolloutEngine(weights, TOY, ROPE, strategy, record_retention=True)
+        blocks = [block for block, _, _ in engine.run(64, SCHED)]
+        archive = FrameArchive.from_blocks(blocks)
         checked = 0
-        for step_idx, snap_map in enumerate(record.retention):
-            block = record.blocks[step_idx]
-            for (l, h), snap in snap_map.items():
+        for block in blocks:
+            for (l, h), snap in block.retention.items():
                 q_sp = block.layer_records[l].q_spatial[h]
                 ref = masked_attention_reference(
                     archive, l, h, snap.provenance, snap.key_token_temporal,
@@ -172,20 +170,20 @@ def test_criterion_05_rope_boundedness(tmp_path):
         role_map = toy_role_map(tmp_path)
         weights = init_model(TOY)
         strategy = HeadWiseStrategy(TOY, weights, role_map, HeadWiseHyper())
-        record = generate_rollout(weights, TOY, ROPE, strategy, SCHED, 256,
-                                  record_retention=True)
+        engine = RolloutEngine(weights, TOY, ROPE, strategy, record_retention=True)
         caps = {HeadRole.LOCAL: 3, HeadRole.ANCHOR: 6, HeadRole.MEMORY: 10}
         seen_max = {role: 0 for role in caps}
-        for step_idx, snap_map in enumerate(record.retention):
-            for (l, h), snap in snap_map.items():
+        # each block's retention is checked as the block arrives
+        for block, _, _ in engine.run(256, SCHED):
+            for (l, h), snap in block.retention.items():
                 role = role_map.role(l, h)
                 dist = int(snap.query_frame_indices.max() - snap.key_token_temporal.min())
-                assert dist <= caps[role], f"block {step_idx + 1} {role} distance {dist}"
+                assert dist <= caps[role], f"block {block.index} {role} distance {dist}"
                 seen_max[role] = max(seen_max[role], dist)
         assert seen_max == caps
         for role, cap in caps.items():
             last = max(int(snap.query_frame_indices.max() - snap.key_token_temporal.min())
-                       for (l, h), snap in record.retention[-1].items()
+                       for (l, h), snap in block.retention.items()
                        if role_map.role(l, h) is role)
             assert last == cap
     _report(5, "temporal re-encoding boundedness (256 blocks)", t)
@@ -282,9 +280,9 @@ def test_criterion_07_oracle_suites():
 def test_criterion_08_unbounded_cache_consistency():
     with _Timer(30.0) as t:
         weights = init_model(TOY)
-        run = generate_rollout(weights, TOY, ROPE, WindowStrategy(TOY, window=None), SCHED, 16)
+        run = RolloutEngine(weights, TOY, ROPE, WindowStrategy(TOY, window=None)).run(16, SCHED)
         ref = ReferenceGenerator(weights, TOY, ROPE).run(16, SCHED)
-        for blk, rblk in zip(run.blocks, ref):
+        for (blk, _, _), rblk in zip(run, ref):
             assert np.abs(blk.hidden() - rblk.hidden()).max() < 1e-10
     _report(8, "unbounded-cache consistency (16 blocks)", t)
 

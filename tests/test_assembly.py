@@ -15,7 +15,7 @@ from headkv.errors import IntegrityError, ShapeError
 from headkv.model import ModelConfig, init_model
 from headkv.reference import attention_rows, rotate_temporal_rows
 from headkv.roles import role_map_from_lists
-from headkv.rollout import HeadWiseHyper, HeadWiseStrategy, generate_rollout
+from headkv.rollout import HeadWiseHyper, HeadWiseStrategy, RolloutEngine
 from headkv.tensor_ops import TEMPORAL, RopeParams, frame_rotation, rope_rotation
 
 D = 8
@@ -225,34 +225,34 @@ def retention_run():
     heads = cfg.heads
     role_map = role_map_from_lists(cfg.L, cfg.H, anchor=heads[:1], local=heads[1:2])
     strategy = HeadWiseStrategy(cfg, weights, role_map, HeadWiseHyper())
-    record = generate_rollout(weights, cfg, RopeParams.default_for(8), strategy,
-                              [("sweep", 1)], 500, record_retention=True)
-    return cfg, role_map, record
+    engine = RolloutEngine(weights, cfg, RopeParams.default_for(8), strategy, record_retention=True)
+    retention = [block.retention for block, _, _ in engine.run(500, [("sweep", 1)])]
+    return cfg, role_map, retention
 
 
 class TestRolloutFrameCounts:
     """Steady-state assembled lengths per role on a live rollout."""
 
     def test_memory_head_first_block_f_frames(self, retention_run):
-        cfg, role_map, record = retention_run
-        snap = record.retention[0][(1, 2)]  # a memory head at block 1
+        cfg, role_map, retention = retention_run
+        snap = retention[0][(1, 2)]  # a memory head at block 1
         assert snap.key_token_temporal.max() == cfg.f - 1
 
     def test_local_head_capacity_independent_of_block(self, retention_run):
-        cfg, role_map, record = retention_run
+        cfg, role_map, retention = retention_run
         from headkv.roles import HeadRole
 
         local_head = role_map.heads_of(HeadRole.LOCAL)[0]
-        for step in record.retention[5:]:
+        for step in retention[5:]:
             snap = step[local_head]
             # F = f + 1 regardless of how far the rollout has run
             assert snap.key_token_temporal.max() == cfg.f
             assert len(np.unique(snap.key_token_temporal)) == cfg.f + 1
 
     def test_long_rollout_temporal_indices_bounded(self, retention_run):
-        cfg, role_map, record = retention_run
+        cfg, role_map, retention = retention_run
         caps = {"local": cfg.f + 1, "anchor": 2 * cfg.f + 1, "memory": 5 + 3 + cfg.f}
-        for step in record.retention:
+        for step in retention:
             for (l, h), snap in step.items():
                 cap = caps[role_map.role(l, h).value]
                 assert snap.key_token_temporal.max() < cap

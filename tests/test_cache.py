@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from headkv.cache import FrameKV, FrameWindow, budget_table, frame_slots, roll_after_block
 from headkv.errors import ConfigError, SequencingError, ShapeError
@@ -115,6 +116,63 @@ class TestFrameWindowProperty:
             FrameWindow(-1, 1)
         with pytest.raises(ConfigError):
             FrameWindow(0, -1)
+
+
+class FrameWindowMachine(RuleBasedStateMachine):
+    """Random roll sequences, in order and out of order, on the five window
+    policies the strategies use, checked after every rule against a plain
+    list that appends each block and pops from position n_sink."""
+
+    @initialize(policy=st.sampled_from(["local", "anchor", "fast", "window", "unbounded"]),
+                f=st.integers(1, 4), b_fast=st.integers(1, 5), n_sink=st.integers(0, 3),
+                extra=st.integers(0, 6))
+    def start(self, policy, f, b_fast, n_sink, extra):
+        # window W = f + extra, so W - f frames are kept besides the current block
+        self.n_sink, self.keep = {"local": (0, 1), "anchor": (f, 1), "fast": (0, b_fast),
+                                  "window": (n_sink, extra), "unbounded": (0, None)}[policy]
+        self.f = f
+        self.cache = FrameWindow(self.n_sink, self.keep)
+        self.model: list[FrameKV] = []
+        self.seen: list[FrameKV] = []
+        self.block = 0
+
+    @rule()
+    def roll_next(self):
+        self.block += 1
+        frames = block_frames(self.block, self.f)
+        self.seen += frames
+        self.model += frames
+        expected = []
+        while self.keep is not None and len(self.model) > self.n_sink + self.keep:
+            expected.append(self.model.pop(self.n_sink))
+        dropped = self.cache.roll(self.block, frames)
+        assert [id(fr) for fr in dropped] == [id(fr) for fr in expected]
+        if self.keep is None:
+            assert dropped == []
+
+    @rule(offset=st.sampled_from([-2, -1, 0, 2, 3]))
+    def roll_out_of_order(self, offset):
+        # offset <= 0 repeats an earlier block index, offset >= 2 skips one
+        index = self.block + offset
+        before = [id(fr) for fr in self.cache.history()]
+        with pytest.raises(SequencingError):
+            self.cache.roll(index, block_frames(max(index, 1), self.f))
+        assert self.cache.last_block == self.block
+        assert [id(fr) for fr in self.cache.history()] == before
+
+    @invariant()
+    def history_matches_the_model(self):
+        assert [id(fr) for fr in self.cache.history()] == [id(fr) for fr in self.model]
+
+    @invariant()
+    def history_is_first_sinks_plus_last_keep(self):
+        seen = indices(self.seen)
+        stop = self.n_sink if self.keep is None else max(self.n_sink, len(seen) - self.keep)
+        assert indices(self.cache.history()) == seen[:self.n_sink] + seen[stop:]
+
+
+TestFrameWindowMachine = FrameWindowMachine.TestCase
+TestFrameWindowMachine.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
 
 
 class TestRetainedFrames:

@@ -280,6 +280,28 @@ class TestCli:
         assert proc.returncode == 2
         assert "duplicate role entry" in proc.stderr
 
+    @pytest.mark.parametrize("raw", [
+        {"model": {"scene_jitter": float("nan")}},
+        {"hyperparameters": {"alpha_anchor": float("nan")}},
+        {"hyperparameters": {"rope": {"base": float("inf")}}},
+        {"profiling": {"perturb_scale": float("nan"), "repeats": 2}},
+    ], ids=repr)
+    def test_non_finite_profile_config_exit_2(self, tmp_path, raw):
+        """These used to exit 0 writing nan proportions, or crash with a
+        traceback (exit 1) for alpha_anchor."""
+        cfg = self.write_cfg(tmp_path, {**raw, "n_blocks": 4, "output_dir": str(tmp_path / "out")})
+        proc = self.run_cli("profile", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert "must be finite" in proc.stderr
+        assert not (tmp_path / "out/head_stats.csv").exists()
+
+    def test_unknown_novelty_metric_exit_2(self, tmp_path):
+        cfg = self.write_cfg(tmp_path, {"hyperparameters": {"novelty_metric": "latnet"},
+                                        "output_dir": str(tmp_path / "out")})
+        proc = self.run_cli("budget", "--config", str(cfg), "--counts", "72,90,198")
+        assert proc.returncode == 2
+        assert "novelty_metric" in proc.stderr
+
     def test_section_not_an_object_exit_2(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {"model": 5, "output_dir": str(tmp_path / "out")})
         proc = self.run_cli("generate", "--config", str(cfg))
@@ -370,10 +392,35 @@ class TestConfigLoading:
         {"prompt_schedule": [[5, 1]]},
         {"stability": {"prompt_pool": [5]}},
         {"output_dir": 5},
+        {"hyperparameters": {"novelty_metric": "latnet"}},
+        {"hyperparameters": {"candidate_mode": "newest"}},
     ], ids=repr)
     def test_malformed_values_rejected_not_coerced(self, raw):
         with pytest.raises(ConfigError):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+    @pytest.mark.parametrize("path", [
+        ("model", "scene_jitter"),
+        ("model", "prompt_strength"),
+        ("hyperparameters", "alpha_anchor"),
+        ("hyperparameters", "tau_local"),
+        ("hyperparameters", "tau_novel"),
+        ("hyperparameters", "rope", "base"),
+        ("profiling", "perturb_scale"),
+    ], ids=".".join)
+    def test_real_values_must_be_finite(self, tmp_path, path, value):
+        """json.loads accepts NaN, Infinity and -Infinity; each real-valued
+        field refuses them."""
+        raw = {}
+        section = raw
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = value
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="must be finite"):
+            load_config(p)
 
     def test_rope_split_must_match_model(self):
         with pytest.raises(ConfigError):
@@ -406,6 +453,10 @@ class TestConfigLoading:
         {"alpha_anchor": "0.2"},
         {"tau_local": False},
         {"tau_local": "0.2"},
+        {"alpha_anchor": float("nan")},
+        {"alpha_anchor": float("inf")},
+        {"tau_local": float("nan")},
+        {"tau_local": float("-inf")},
     ], ids=repr)
     def test_malformed_role_map_rejected_not_coerced(self, tmp_path, changes):
         text = self.role_map_json(**changes)

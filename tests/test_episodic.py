@@ -336,14 +336,14 @@ class TestCachedPooledKeys:
     @pytest.fixture(scope="class")
     def churned(self, toy_config, toy_weights, rope, toy_role_map):
         from headkv.reference import FrameArchive
-        from headkv.rollout import HeadWiseHyper, HeadWiseStrategy, generate_rollout
+        from headkv.rollout import HeadWiseHyper, HeadWiseStrategy, RolloutEngine
 
         strategy = HeadWiseStrategy(toy_config, toy_weights, toy_role_map,
                                     HeadWiseHyper(update_interval=1))
-        record = generate_rollout(toy_weights, toy_config, rope, strategy,
-                                  [("churn prompt", 1)], 16, keep_records=True)
-        assert sum(d.compressed for d in record.admissions) >= 5
-        return strategy.episodic, record, FrameArchive.from_record(record)
+        steps = list(RolloutEngine(toy_weights, toy_config, rope, strategy).run(16, [("churn prompt", 1)]))
+        blocks = [block for block, _, _ in steps]
+        assert sum(d.compressed for _, decisions, _ in steps for d in decisions) >= 5
+        return strategy.episodic, blocks, FrameArchive.from_blocks(blocks)
 
     def test_cached_pooled_key_equals_fresh_mean(self, churned):
         mem, _, _ = churned
@@ -355,8 +355,8 @@ class TestCachedPooledKeys:
                 assert norm == float(np.linalg.norm(fr.keys.mean(axis=0)))
 
     def test_novelty_matches_brute_force(self, churned):
-        mem, record, _ = churned
-        last = record.blocks[-1].layer_records
+        mem, blocks, _ = churned
+        last = blocks[-1].layer_records
         cand = {(l, h): last[l].frames[h][0] for (l, h) in mem.memory_heads}
         # scored twice: the second call reads the candidate's cached pooled keys
         for _ in range(2):

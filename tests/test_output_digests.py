@@ -15,10 +15,11 @@ def digests() -> str:
 def test_toy_digests_repeat_exactly():
     first = digests()
     lines = first.splitlines()
-    # seven strategies and the profile means, one sha256 each
-    assert len(lines) == 8
+    # seven strategies, the profile means and cmd_generate's outputs, one sha256 each
+    assert len(lines) == 9
     assert all(line.startswith("toy ") and len(line.rsplit(" ", 1)[1]) == 64 for line in lines)
-    assert len({line.rsplit(" ", 1)[1] for line in lines}) == 8
+    assert len({line.rsplit(" ", 1)[1] for line in lines}) == 9
+    assert lines[-1].startswith("toy cmd_generate(head_wise, oracle) ")
     assert digests() == first
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from headkv.errors import SequencingError
 from headkv.model import ModelConfig, init_model
 from headkv.reference import (
     FrameArchive,
@@ -21,12 +22,18 @@ from headkv.roles import HeadRole, role_map_from_lists
 from headkv.rollout import (
     HeadWiseHyper,
     HeadWiseStrategy,
+    RolloutEngine,
     WindowStrategy,
-    generate_rollout,
 )
 from headkv.tensor_ops import RopeParams
 
 SCHED = [("oracle prompt", 1)]
+
+
+def run_blocks(weights, cfg, rope, strategy, n_blocks, record_retention=False):
+    """Every block a rollout yields, layer records and retention included."""
+    engine = RolloutEngine(weights, cfg, rope, strategy, record_retention=record_retention)
+    return [block for block, _, _ in engine.run(n_blocks, SCHED)]
 
 
 def small_setup(seed=2):
@@ -65,36 +72,45 @@ class TestRotateTemporalRows:
 class TestFullAttentionReference:
     def test_block_one_equals_engine(self):
         cfg, weights, rope = small_setup()
-        engine_run = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 1)
+        engine_run = run_blocks(weights, cfg, rope, WindowStrategy(cfg, window=None), 1)
         ref_run = ReferenceGenerator(weights, cfg, rope).run(1, SCHED)
-        np.testing.assert_allclose(engine_run.blocks[0].hidden(), ref_run[0].hidden(), atol=1e-12)
+        np.testing.assert_allclose(engine_run[0].hidden(), ref_run[0].hidden(), atol=1e-12)
+
+    def test_steps_must_run_in_order(self):
+        cfg, weights, rope = small_setup()
+        ref = ReferenceGenerator(weights, cfg, rope)
+        with pytest.raises(SequencingError):
+            ref.step(2, "p")
+        ref.step(1, "p")
+        with pytest.raises(SequencingError):
+            ref.step(1, "p")
 
     def test_window_covering_history_equals_reference(self):
         cfg, weights, rope = small_setup()
         n = 4
         window = cfg.f * n  # never evicts anything over n blocks
-        run = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=window), SCHED, n)
+        run = run_blocks(weights, cfg, rope, WindowStrategy(cfg, window=window), n)
         ref = ReferenceGenerator(weights, cfg, rope).run(n, SCHED)
-        for blk, rblk in zip(run.blocks, ref):
+        for blk, rblk in zip(run, ref):
             np.testing.assert_allclose(blk.hidden(), rblk.hidden(), atol=1e-10)
 
     def test_unbounded_engine_matches_over_ten_blocks(self):
         cfg, weights, rope = small_setup()
-        run = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 10)
+        run = run_blocks(weights, cfg, rope, WindowStrategy(cfg, window=None), 10)
         ref = ReferenceGenerator(weights, cfg, rope).run(10, SCHED)
-        for blk, rblk in zip(run.blocks, ref):
+        for blk, rblk in zip(run, ref):
             np.testing.assert_allclose(blk.hidden(), rblk.hidden(), atol=1e-10)
 
     def test_fidelity_in_range_and_recomputable(self):
         cfg, weights, rope = small_setup()
         rm = role_map_from_lists(cfg.L, cfg.H, anchor=cfg.heads[:1], local=cfg.heads[1:2])
         strategy = HeadWiseStrategy(cfg, weights, rm, HeadWiseHyper())
-        run = generate_rollout(weights, cfg, rope, strategy, SCHED, 10)
+        run = run_blocks(weights, cfg, rope, strategy, 10)
         ref = ReferenceGenerator(weights, cfg, rope).run(10, SCHED)
-        fid = token_cosine_fidelity(run.blocks[-1].frames, ref[-1].frames)
+        fid = token_cosine_fidelity(run[-1].frames, ref[-1].frames)
         assert -1.0 <= fid <= 1.0
         # second implementation: plain scalar accumulation per token
-        a = np.vstack(run.blocks[-1].frames)
+        a = np.vstack(run[-1].frames)
         b = np.vstack(ref[-1].frames)
         cosines = []
         for r in range(a.shape[0]):
@@ -110,21 +126,19 @@ def head_wise_run():
     cfg, weights, rope = small_setup()
     rm = role_map_from_lists(cfg.L, cfg.H, anchor=cfg.heads[:1], local=cfg.heads[1:2])
     strategy = HeadWiseStrategy(cfg, weights, rm, HeadWiseHyper())
-    record = generate_rollout(weights, cfg, rope, strategy, SCHED, 8,
-                              keep_records=True, record_retention=True)
-    return cfg, rope, rm, record
+    blocks = run_blocks(weights, cfg, rope, strategy, 8, record_retention=True)
+    return cfg, rope, rm, blocks
 
 
 class TestMaskedAttentionReference:
 
     def test_mask_everything_equals_full_reference(self):
         cfg, weights, rope = small_setup()
-        run = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 3,
-                               keep_records=True, record_retention=True)
-        archive = FrameArchive.from_record(run)
+        run = run_blocks(weights, cfg, rope, WindowStrategy(cfg, window=None), 3, record_retention=True)
+        archive = FrameArchive.from_blocks(run)
         i = 3
-        block = run.blocks[i - 1]
-        snap = run.retention[i - 1][(1, 1)]
+        block = run[i - 1]
+        snap = block.retention[(1, 1)]
         q_sp = block.layer_records[1].q_spatial[1]
         got = masked_attention_reference(archive, 1, 1, snap.provenance,
                                          snap.key_token_temporal, q_sp,
@@ -138,10 +152,10 @@ class TestMaskedAttentionReference:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_mask_current_only_equals_within_block(self, head_wise_run):
-        cfg, rope, rm, record = head_wise_run
-        block = record.blocks[0]
-        archive = FrameArchive.from_record(record)
-        snap = record.retention[0][(0, 2)]
+        cfg, rope, rm, blocks = head_wise_run
+        block = blocks[0]
+        archive = FrameArchive.from_blocks(blocks)
+        snap = block.retention[(0, 2)]
         q_sp = block.layer_records[0].q_spatial[2]
         got = masked_attention_reference(archive, 0, 2, snap.provenance,
                                          snap.key_token_temporal, q_sp,
@@ -153,12 +167,12 @@ class TestMaskedAttentionReference:
         np.testing.assert_allclose(got, attention_rows(q_enc, k_enc, vals), atol=1e-12)
 
     def test_live_local_head_snapshot_matches_fast_path(self, head_wise_run):
-        cfg, rope, rm, record = head_wise_run
+        cfg, rope, rm, blocks = head_wise_run
         local_head = rm.heads_of(HeadRole.LOCAL)[0]
-        archive = FrameArchive.from_record(record)
+        archive = FrameArchive.from_blocks(blocks)
         i = 7
-        block = record.blocks[i - 1]
-        snap = record.retention[i - 1][local_head]
+        block = blocks[i - 1]
+        snap = block.retention[local_head]
         q_sp = block.layer_records[local_head[0]].q_spatial[local_head[1]]
         ref = masked_attention_reference(archive, *local_head, snap.provenance,
                                          snap.key_token_temporal, q_sp,
@@ -166,11 +180,10 @@ class TestMaskedAttentionReference:
         np.testing.assert_allclose(ref, snap.output, atol=1e-10)
 
     def test_every_head_every_block(self, head_wise_run):
-        cfg, rope, rm, record = head_wise_run
-        archive = FrameArchive.from_record(record)
-        for step_idx, snap_map in enumerate(record.retention):
-            block = record.blocks[step_idx]
-            for (l, h), snap in snap_map.items():
+        cfg, rope, rm, blocks = head_wise_run
+        archive = FrameArchive.from_blocks(blocks)
+        for block in blocks:
+            for (l, h), snap in block.retention.items():
                 q_sp = block.layer_records[l].q_spatial[h]
                 ref = masked_attention_reference(archive, l, h, snap.provenance,
                                                  snap.key_token_temporal, q_sp,

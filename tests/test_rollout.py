@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from headkv import rollout, tensor_ops
+from headkv.commands import cmd_generate
+from headkv.config import config_from_dict
 from headkv.errors import ConfigError, SequencingError
 from headkv.model import ModelConfig, init_model
 from headkv.roles import role_map_from_lists
@@ -12,11 +14,19 @@ from headkv.rollout import (
     HeadWiseStrategy,
     RolloutEngine,
     WindowStrategy,
-    generate_rollout,
 )
 from headkv.tensor_ops import RopeParams
 
 SCHED = [("rollout prompt", 1)]
+
+
+def run(weights, cfg, rope, strategy, schedule, n_blocks):
+    """Every (block, decisions, row) a rollout yields, in block order."""
+    return list(RolloutEngine(weights, cfg, rope, strategy).run(n_blocks, schedule))
+
+
+def admissions(steps):
+    return [d for _, decisions, _ in steps for d in decisions]
 
 
 def small_setup(seed=1, **kwargs):
@@ -33,46 +43,45 @@ def hand_map(cfg, n_anchor=1, n_local=1):
 class TestDeterminism:
     def test_identical_runs_bit_identical(self):
         cfg, weights, rope = small_setup()
-        a = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 5)
-        b = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 5)
-        for ba, bb in zip(a.blocks, b.blocks):
+        a = run(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 5)
+        b = run(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 5)
+        for (ba, _, _), (bb, _, _) in zip(a, b):
             np.testing.assert_array_equal(ba.hidden(), bb.hidden())
 
     def test_head_wise_runs_bit_identical(self):
         cfg, weights, rope = small_setup()
         rm = hand_map(cfg)
-        a = generate_rollout(weights, cfg, rope, HeadWiseStrategy(cfg, weights, rm), SCHED, 12)
-        b = generate_rollout(weights, cfg, rope, HeadWiseStrategy(cfg, weights, rm), SCHED, 12)
-        for ba, bb in zip(a.blocks, b.blocks):
+        a = run(weights, cfg, rope, HeadWiseStrategy(cfg, weights, rm), SCHED, 12)
+        b = run(weights, cfg, rope, HeadWiseStrategy(cfg, weights, rm), SCHED, 12)
+        for (ba, _, _), (bb, _, _) in zip(a, b):
             np.testing.assert_array_equal(ba.hidden(), bb.hidden())
-        assert [d.delta for d in a.admissions] == [d.delta for d in b.admissions]
+        assert [d.delta for d in admissions(a)] == [d.delta for d in admissions(b)]
 
     def test_block_one_identical_across_strategies(self):
         cfg, weights, rope = small_setup()
         rm = hand_map(cfg)
         runs = [
-            generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 1),
-            generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=6), SCHED, 1),
-            generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=6, n_sink=1), SCHED, 1),
-            generate_rollout(weights, cfg, rope, HeadWiseStrategy(cfg, weights, rm), SCHED, 1),
+            run(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 1),
+            run(weights, cfg, rope, WindowStrategy(cfg, window=6), SCHED, 1),
+            run(weights, cfg, rope, WindowStrategy(cfg, window=6, n_sink=1), SCHED, 1),
+            run(weights, cfg, rope, HeadWiseStrategy(cfg, weights, rm), SCHED, 1),
         ]
-        base = runs[0].blocks[0].hidden()
-        for run in runs[1:]:
-            np.testing.assert_array_equal(run.blocks[0].hidden(), base)
+        base = runs[0][0][0].hidden()
+        for steps in runs[1:]:
+            np.testing.assert_array_equal(steps[0][0].hidden(), base)
 
 
 class TestContextLengths:
     def test_unbounded_context_grows_linearly(self):
         cfg, weights, rope = small_setup()
         n_heads = cfg.L * cfg.H
-        record = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 6)
-        for row in record.metrics:
-            assert row.frame_slots_live == n_heads * cfg.f * row.block_index
+        for block, _, _ in run(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 6):
+            assert block.frame_slots == n_heads * cfg.f * block.index
 
     def test_uniform_window_saturates(self):
         cfg, weights, rope = small_setup()
-        record = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=6), SCHED, 8)
-        slots = [m.frame_slots_live for m in record.metrics]
+        slots = [block.frame_slots
+                 for block, _, _ in run(weights, cfg, rope, WindowStrategy(cfg, window=6), SCHED, 8)]
         n_heads = cfg.L * cfg.H
         assert slots[0] == n_heads * 3
         assert slots[1] == n_heads * 6
@@ -80,22 +89,20 @@ class TestContextLengths:
 
     def test_sink_window_saturates_at_sink_plus_window(self):
         cfg, weights, rope = small_setup()
-        record = generate_rollout(weights, cfg, rope,
-                                  WindowStrategy(cfg, window=6, n_sink=2), SCHED, 10)
+        steps = run(weights, cfg, rope, WindowStrategy(cfg, window=6, n_sink=2), SCHED, 10)
         n_heads = cfg.L * cfg.H
-        assert record.metrics[-1].frame_slots_live == n_heads * 8
+        assert steps[-1][0].frame_slots == n_heads * 8
 
     def test_head_wise_steady_state(self, toy_config, toy_weights, rope, toy_role_map):
         strategy = HeadWiseStrategy(toy_config, toy_weights, toy_role_map, HeadWiseHyper())
-        record = generate_rollout(toy_weights, toy_config, rope, strategy, SCHED, 24)
+        steps = run(toy_weights, toy_config, rope, strategy, SCHED, 24)
         # 5 local * 4 + 6 anchor * 7 + 13 memory * 11 once the episodic tier is full
-        assert record.metrics[-1].frame_slots_live == 205
+        assert steps[-1][0].frame_slots == 205
 
     def test_scalar_count_tracks_frame_slots(self):
         cfg, weights, rope = small_setup()
-        record = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 5)
-        for row in record.metrics:
-            assert row.stored_scalar_count == row.frame_slots_live * cfg.s * cfg.d * 2
+        for block, _, _ in run(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 5):
+            assert block.stored_scalars == block.frame_slots * cfg.s * cfg.d * 2
 
     @pytest.mark.parametrize("make", [
         lambda cfg, weights, rm: WindowStrategy(cfg, window=None),
@@ -119,20 +126,20 @@ class TestContextLengths:
 class TestScheduleHandling:
     def test_single_block_rollout(self):
         cfg, weights, rope = small_setup()
-        record = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 1)
-        assert len(record.blocks) == 1
-        assert record.metrics[0].active_prompt == "rollout prompt"
+        steps = run(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 1)
+        assert len(steps) == 1
+        assert steps[0][2].active_prompt == "rollout prompt"
 
     def test_prompt_switch_applied(self):
         cfg, weights, rope = small_setup()
         sched = [("first", 1), ("second", 4)]
-        record = generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), sched, 6)
-        assert [m.active_prompt for m in record.metrics] == ["first"] * 3 + ["second"] * 3
+        steps = run(weights, cfg, rope, WindowStrategy(cfg, window=None), sched, 6)
+        assert [row.active_prompt for _, _, row in steps] == ["first"] * 3 + ["second"] * 3
 
     def test_schedule_must_start_at_one(self):
         cfg, weights, rope = small_setup()
         with pytest.raises(ConfigError):
-            generate_rollout(weights, cfg, rope, WindowStrategy(cfg, window=None), [("x", 2)], 4)
+            run(weights, cfg, rope, WindowStrategy(cfg, window=None), [("x", 2)], 4)
 
     def test_mismatched_config_rejected(self):
         cfg, weights, rope = small_setup()
@@ -150,6 +157,11 @@ class TestScheduleHandling:
         with pytest.raises(SequencingError):
             engine.commit(engine.step(1, "p"), "p")
 
+    @pytest.mark.parametrize("mode", [{"candidate_mode": "newest"}, {"novelty_metric": "latnet"}], ids=repr)
+    def test_unknown_hyper_mode_rejected(self, mode):
+        with pytest.raises(ConfigError):
+            HeadWiseHyper(**mode)
+
     def test_role_map_grid_checked(self):
         cfg, weights, rope = small_setup()
         wrong = role_map_from_lists(1, 3, anchor=[(0, 0)], local=[])
@@ -162,9 +174,8 @@ class TestLongRolloutStability:
         cfg, weights, rope = small_setup(scene_period=9, scene_jitter=0.02)
         rm = hand_map(cfg)
         strategy = HeadWiseStrategy(cfg, weights, rm, HeadWiseHyper())
-        record = generate_rollout(weights, cfg, rope, strategy, SCHED, 300)
         worst = 0.0
-        for block in record.blocks:
+        for block, _, _ in RolloutEngine(weights, cfg, rope, strategy).run(300, SCHED):
             hid = block.hidden()
             assert np.isfinite(hid).all()
             worst = max(worst, float(np.abs(hid).max()))
@@ -173,17 +184,15 @@ class TestLongRolloutStability:
 
 class TestMemoryStaysFlat:
     """Peak memory of a bounded strategy does not grow with the rollout: the
-    cached rope tables and pooled keys must stay bounded too."""
+    cached rope tables and pooled keys must stay bounded too, and neither
+    `run()` nor `cmd_generate` may keep anything per block."""
 
     @staticmethod
-    def peak_bytes(make_strategy, n_blocks):
-        cfg = ModelConfig(L=2, H=4, d=16, s=16, f=3, grid_h=4, grid_w=4, seed=5)
-        weights, rope = init_model(cfg), RopeParams.default_for(16)
-        engine = RolloutEngine(weights, cfg, rope, make_strategy(cfg, weights))
+    def peak_bytes(rollout, n_blocks):
+        """Traced peak while rollout(n_blocks) runs."""
         tracemalloc.start()
         try:
-            for i in range(1, n_blocks + 1):
-                engine.commit(engine.step(i, "p"), "p")
+            rollout(n_blocks)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -193,8 +202,37 @@ class TestMemoryStaysFlat:
         lambda cfg, w: WindowStrategy(cfg, 8, n_sink=1),
     ], ids=["head_wise", "sink_window"])
     def test_peak_at_4n_blocks_within_1_5x_of_n(self, make_strategy):
+        cfg = ModelConfig(L=2, H=4, d=16, s=16, f=3, grid_h=4, grid_w=4, seed=5)
+        weights, rope = init_model(cfg), RopeParams.default_for(16)
+
+        def step_and_commit(n_blocks):
+            engine = RolloutEngine(weights, cfg, rope, make_strategy(cfg, weights))
+            for i in range(1, n_blocks + 1):
+                engine.commit(engine.step(i, "p"), "p")
+
         n = 40
-        assert self.peak_bytes(make_strategy, 4 * n) <= 1.5 * self.peak_bytes(make_strategy, n)
+        assert self.peak_bytes(step_and_commit, 4 * n) <= 1.5 * self.peak_bytes(step_and_commit, n)
+
+    @pytest.mark.parametrize("make_strategy", [
+        lambda cfg, w, rm: HeadWiseStrategy(cfg, w, rm, HeadWiseHyper(update_interval=1)),
+        lambda cfg, w, rm: WindowStrategy(cfg, 8, n_sink=1),
+    ], ids=["head_wise", "sink_window"])
+    def test_run_on_toy_grid(self, make_strategy, toy_config, toy_weights, rope, toy_role_map):
+        def consume_run(n_blocks):
+            strategy = make_strategy(toy_config, toy_weights, toy_role_map)
+            for _ in RolloutEngine(toy_weights, toy_config, rope, strategy).run(n_blocks, SCHED):
+                pass
+
+        assert self.peak_bytes(consume_run, 160) <= 1.5 * self.peak_bytes(consume_run, 40)
+
+    def test_cmd_generate_without_oracle(self, tmp_path):
+        def generate(n_blocks):
+            cfg = config_from_dict({"model": {"seed": 0}, "n_blocks": n_blocks,
+                                    "strategy": {"type": "sink_window", "W": 8, "n_sink": 1}})
+            cfg.with_oracle = False
+            cmd_generate(cfg, str(tmp_path / str(n_blocks)))
+
+        assert self.peak_bytes(generate, 160) <= 1.5 * self.peak_bytes(generate, 40)
 
 
 class TestCachedFramesOwnTheirRows:
@@ -279,14 +317,14 @@ class TestEpisodicCadence:
         cfg, weights, rope = small_setup(scene_period=1)
         rm = hand_map(cfg)
         strategy = HeadWiseStrategy(cfg, weights, rm, HeadWiseHyper(update_interval=3))
-        record = generate_rollout(weights, cfg, rope, strategy, SCHED, 18)
-        assert [d.block_index for d in record.admissions] == [3, 6, 9, 12, 15, 18]
+        steps = run(weights, cfg, rope, strategy, SCHED, 18)
+        assert [d.block_index for d in admissions(steps)] == [3, 6, 9, 12, 15, 18]
 
     def test_candidate_is_exited_blocks_first_frame(self):
         cfg, weights, rope = small_setup(scene_period=1)
         rm = hand_map(cfg)
         strategy = HeadWiseStrategy(cfg, weights, rm, HeadWiseHyper(update_interval=1))
-        generate_rollout(weights, cfg, rope, strategy, SCHED, 6)
+        run(weights, cfg, rope, strategy, SCHED, 6)
         # with B_fast=3=f, the block exiting at roll i is block i-1
         frames = [e.frame_index for e in strategy.episodic.entries if not e.is_summary]
         assert frames == [0, 3, 6, 9, 12]
@@ -295,13 +333,13 @@ class TestEpisodicCadence:
         cfg, weights, rope = small_setup(scene_period=1)
         rm = hand_map(cfg)
         latest = HeadWiseStrategy(cfg, weights, rm, HeadWiseHyper(update_interval=2, candidate_mode="latest"))
-        latest_record = generate_rollout(weights, cfg, rope, latest, SCHED, 9)
+        latest_steps = run(weights, cfg, rope, latest, SCHED, 9)
         all_mode = HeadWiseStrategy(cfg, weights, rm, HeadWiseHyper(update_interval=2, candidate_mode="all"))
-        all_record = generate_rollout(weights, cfg, rope, all_mode, SCHED, 9)
+        all_steps = run(weights, cfg, rope, all_mode, SCHED, 9)
         # blocks 1..8 leave fast memory at rolls 2..9; "all" evaluates each
         # exited block at the next update, "latest" only the newest
-        assert [d.block_index for d in latest_record.admissions] == [2, 4, 6, 8]
-        assert [d.block_index for d in all_record.admissions] == [2, 4, 4, 6, 6, 8, 8]
+        assert [d.block_index for d in admissions(latest_steps)] == [2, 4, 6, 8]
+        assert [d.block_index for d in admissions(all_steps)] == [2, 4, 4, 6, 6, 8, 8]
 
 
 class TestLatentNovelty:
@@ -309,17 +347,17 @@ class TestLatentNovelty:
         cfg, weights, rope = small_setup(scene_period=4, scene_jitter=0.02)
         hyper = HeadWiseHyper(update_interval=2, candidate_mode="all", novelty_metric=metric)
         strategy = HeadWiseStrategy(cfg, weights, hand_map(cfg), hyper)
-        return cfg, hyper, strategy, generate_rollout(weights, cfg, rope, strategy, SCHED, 100)
+        return cfg, hyper, strategy, admissions(run(weights, cfg, rope, strategy, SCHED, 100))
 
     def test_latent_archive_stays_bounded(self):
         cfg, hyper, strategy, _ = self.rollout("latent")
         assert len(strategy._latents) <= hyper.b_fast + cfg.f
 
     def test_admissions_score_frame_latents(self):
-        *_, record = self.rollout("latent")
-        *_, key_record = self.rollout("key_cosine")
-        deltas = [d.delta for d in record.admissions]
+        *_, decisions = self.rollout("latent")
+        *_, key_decisions = self.rollout("key_cosine")
+        deltas = [d.delta for d in decisions]
         # only the first admission meets an empty memory
         assert deltas[0] == -1.0
         assert all(-1.0 < d <= 1.0 for d in deltas[1:])
-        assert deltas != [d.delta for d in key_record.admissions]
+        assert deltas != [d.delta for d in key_decisions]

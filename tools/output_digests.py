@@ -5,9 +5,11 @@ a change leaves every output byte-identical.
 
 imports headkv from CHECKOUT/src and prints one line per (grid, strategy): a
 sha256 over every block's output latents, frame_slots, stored_scalars and
-admission decisions, in block order. One more line per grid digests the
-`profile_rollout` means. Two checkouts produce the same lines exactly when
-those outputs agree byte for byte:
+admission decisions, in block order. Two more lines per grid digest the
+`profile_rollout` means and what `headkv generate` writes for head-wise with
+the oracle on: metrics.csv without its two timing columns, admissions.csv and
+final_state.json. Two checkouts produce the same lines exactly when those
+outputs agree byte for byte:
 
     diff <(python tools/output_digests.py OLD) <(python tools/output_digests.py NEW)
 """
@@ -15,8 +17,10 @@ those outputs agree byte for byte:
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +50,8 @@ PROMPTS = ("a red kite over the dunes", "a lighthouse at night")
 def import_headkv(checkout: Path):
     sys.path.insert(0, str(checkout / "src"))
     import headkv
+    import headkv.commands
+    import headkv.config
 
     if Path(headkv.__file__).resolve().parent != (checkout / "src" / "headkv").resolve():
         raise SystemExit(f"output_digests: headkv imported from {headkv.__file__}, not {checkout}")
@@ -68,6 +74,29 @@ def rollout_digest(hk, cfg, weights, rope, strategy, n_blocks: int) -> str:
     return digest.hexdigest()
 
 
+def generate_digest(hk, dims: dict, role_map, n_blocks: int) -> str:
+    """sha256 over cmd_generate's deterministic outputs: head-wise, oracle on,
+    the prompt switching halfway as in rollout_digest."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        map_path = Path(tmp) / "role_map.json"
+        role_map.save(map_path)
+        cfg = hk.config.config_from_dict({
+            "model": dict(dims, seed=3), "strategy": {"type": "head_wise"},
+            "head_role_map": str(map_path), "n_blocks": n_blocks,
+            "prompt_schedule": [[PROMPTS[0], 1], [PROMPTS[1], n_blocks // 2 + 1]],
+        })
+        cfg.with_oracle = True
+        paths = hk.commands.cmd_generate(cfg, str(Path(tmp) / "out"))
+        with paths["metrics"].open(encoding="utf-8", newline="") as fh:
+            for row in csv.DictReader(fh):
+                del row["wall_time_ms"], row["commit_ms"]
+                digest.update(repr(row).encode())
+        digest.update(paths["admissions"].read_bytes())
+        digest.update(paths["final_state"].read_bytes())
+    return digest.hexdigest()
+
+
 def grid_digests(hk, grid: str) -> list[str]:
     dims, n_blocks = GRIDS[grid]
     cfg = hk.ModelConfig(seed=3, **dims)
@@ -83,6 +112,7 @@ def grid_digests(hk, grid: str) -> list[str]:
     report = hk.profile_rollout(weights, cfg, rope, sampled_blocks=[3, 8], repeats=2,
                                 prompts=list(PROMPTS))
     lines.append(f"{grid} profile_rollout {hashlib.sha256(report.means.tobytes()).hexdigest()}")
+    lines.append(f"{grid} cmd_generate(head_wise, oracle) {generate_digest(hk, dims, role_map, n_blocks)}")
     return lines
 
 
