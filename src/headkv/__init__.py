@@ -44,7 +44,6 @@ from .tensor_ops import (
     RopeParams,
     Rotation,
     apply_rope,
-    attention,
     frame_rotation,
     rope_rotation,
     softmax_rows,
@@ -80,7 +79,6 @@ __all__ = [
     "WindowStrategy",
     "apply_rope",
     "assemble",
-    "attention",
     "bucket_proportions",
     "classify_heads",
     "core_stability_ratio",

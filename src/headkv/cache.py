@@ -154,9 +154,12 @@ def frame_slots(role_map: HeadRoleMap, b_epi: int, b_fast: int, f: int) -> Cache
     )
 
 
-def budget_table(budget: CacheBudget, baselines: tuple[int, ...] = (21, 16, 8, 12)) -> list[dict]:
-    """Rows for the budget CSV: the head-wise scheme plus uniform baselines,
-    relative budgets normalized to the head-wise total."""
+UNIFORM_BASELINES = (21, 16, 8, 12)     # the paper's budget-table window sizes
+
+
+def budget_table(budget: CacheBudget) -> list[dict]:
+    """Rows for the budget CSV: the head-wise scheme plus the uniform
+    baselines, relative budgets normalized to the head-wise total."""
     total_heads = budget.n_local + budget.n_anchor + budget.n_memory
     head_wise = budget.total
     rows = [{
@@ -165,7 +168,7 @@ def budget_table(budget: CacheBudget, baselines: tuple[int, ...] = (21, 16, 8, 1
         "frame_slots": head_wise,
         "relative_budget": 100.0,
     }]
-    for w in baselines:
+    for w in UNIFORM_BASELINES:
         slots = total_heads * w
         rows.append({
             "method": f"uniform_{w}",

@@ -12,13 +12,13 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
-from .cache import budget_table, frame_slots
+from .cache import CacheBudget, budget_table
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .model import init_model
 from .profiling import classify_heads, core_stability_ratio, profile_rollout
 from .reference import ReferenceGenerator, token_cosine_fidelity
-from .roles import HeadRoleMap, role_map_from_lists
+from .roles import HeadRole, HeadRoleMap, role_map_from_lists
 from .rollout import HeadWiseStrategy, RolloutEngine, WindowStrategy
 
 
@@ -117,12 +117,8 @@ def cmd_generate(cfg: ExperimentConfig, out: str | None = None) -> dict[str, Pat
         "n_blocks": cfg.n_blocks,
         "frame_slots_live_last": block.frame_slots,
         "stored_scalar_count_last": block.stored_scalars,
+        **strategy.state(),
     }
-    if isinstance(strategy, HeadWiseStrategy):
-        state["episodic_entries"] = [
-            {"frame_index": e.frame_index, "is_summary": e.is_summary}
-            for e in strategy.episodic.entries
-        ]
     state_path.write_text(json.dumps(state, indent=2) + "\n", encoding="utf-8")
     return {"metrics": metrics_path, "admissions": admissions_path, "final_state": state_path}
 
@@ -133,25 +129,16 @@ def cmd_budget(cfg: ExperimentConfig, out: str | None = None,
 
     Role counts come from the configured role map, or from explicit
     (local, anchor, memory) counts."""
-    if counts is not None:
-        if len(counts) != 3 or min(counts) < 0 or sum(counts) < 1:
-            raise ConfigError(
-                f"role counts must be three non-negative local,anchor,memory counts with a positive total, got {counts}"
-            )
-        n_local, n_anchor, n_memory = counts
-        layers, heads = 1, n_local + n_anchor + n_memory
-        all_heads = [(0, h) for h in range(heads)]
-        role_map = role_map_from_lists(
-            layers, heads,
-            anchor=all_heads[n_local:n_local + n_anchor],
-            local=all_heads[:n_local],
+    if counts is None:
+        if cfg.head_role_map is None:
+            raise ConfigError("budget needs a head_role_map path or explicit role counts")
+        by_role = HeadRoleMap.load(cfg.head_role_map).counts()
+        counts = (by_role[HeadRole.LOCAL], by_role[HeadRole.ANCHOR], by_role[HeadRole.MEMORY])
+    elif len(counts) != 3 or min(counts) < 0 or sum(counts) < 1:
+        raise ConfigError(
+            f"role counts must be three non-negative local,anchor,memory counts with a positive total, got {counts}"
         )
-    elif cfg.head_role_map is not None:
-        role_map = HeadRoleMap.load(cfg.head_role_map)
-    else:
-        raise ConfigError("budget needs a head_role_map path or explicit role counts")
-
-    budget = frame_slots(role_map, cfg.hyper.b_epi, cfg.hyper.b_fast, cfg.model.f)
+    budget = CacheBudget(*counts, f=cfg.model.f, b_epi=cfg.hyper.b_epi, b_fast=cfg.hyper.b_fast)
     rows = budget_table(budget)
     path = _out_dir(cfg, out) / "budget.csv"
     with _csv(path, ["method", "cache_per_head", "frame_slots", "relative_budget"]) as writer:

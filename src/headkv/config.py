@@ -56,6 +56,9 @@ class StabilitySpec:
             raise ConfigError(f"unknown stability.axis {self.axis!r}")
 
 
+ORACLE_AUTO_LIMIT = 64                   # longest run that gets the recompute oracle by default
+
+
 @dataclass
 class ExperimentConfig:
     model: ModelConfig
@@ -70,13 +73,12 @@ class ExperimentConfig:
     head_role_map: Optional[str] = None
     profiling: ProfilingSpec = field(default_factory=ProfilingSpec)
     stability: StabilitySpec = field(default_factory=StabilitySpec)
-    with_oracle: Optional[bool] = None   # None: on iff n_blocks <= oracle_auto_limit
-    oracle_auto_limit: int = 64
+    with_oracle: Optional[bool] = None   # None: on iff n_blocks <= ORACLE_AUTO_LIMIT
 
     def oracle_enabled(self) -> bool:
         if self.with_oracle is not None:
             return self.with_oracle
-        return self.n_blocks <= self.oracle_auto_limit
+        return self.n_blocks <= ORACLE_AUTO_LIMIT
 
 
 _TOY_MODEL = {"L": 4, "H": 6, "d": 16, "s": 16, "f": 3, "grid_h": 4, "grid_w": 4, "seed": 0}

@@ -99,12 +99,7 @@ class EpisodicMemory:
             return -1.0
         if self.novelty_metric == "latent":
             return self._novelty_latent(latent)
-        best = -np.inf
-        for entry in self.entries:
-            sims = [_cosine(candidate[lh].pooled_key, entry.slots[lh].pooled_key)
-                    for lh in self.memory_heads]
-            best = max(best, sum(sims) / len(sims))
-        return float(best)
+        return max(self._similarity(candidate, entry.slots) for entry in self.entries)
 
     def _novelty_latent(self, latent: Optional[np.ndarray]) -> float:
         if latent is None:
@@ -117,8 +112,9 @@ class EpisodicMemory:
             best = max(best, _cosine(pooled_c, _with_norm(entry.latent.mean(axis=0))))
         return float(best) if best > -np.inf else -1.0
 
-    def _pair_similarity(self, a: EpisodicEntry, b: EpisodicEntry) -> float:
-        sims = [_cosine(a.slots[lh].pooled_key, b.slots[lh].pooled_key) for lh in self.memory_heads]
+    def _similarity(self, a: Slots, b: Slots) -> float:
+        """Mean over memory heads of the cosine between mean-pooled keys."""
+        sims = [_cosine(a[lh].pooled_key, b[lh].pooled_key) for lh in self.memory_heads]
         return sum(sims) / len(sims)
 
     def find_redundant_pair(self) -> tuple[int, int]:
@@ -133,7 +129,7 @@ class EpisodicMemory:
         best_sim = -np.inf
         for i in range(n):
             for j in range(i + 1, n):
-                sim = self._pair_similarity(self.entries[i], self.entries[j])
+                sim = self._similarity(self.entries[i].slots, self.entries[j].slots)
                 if sim > best_sim:
                     best_sim, best_pair = sim, (i, j)
         return best_pair
@@ -149,7 +145,7 @@ class EpisodicMemory:
             raise ConfigError("merge-victim selection needs >= 2 non-summary entries")
         # adjacent[i - 1] is the similarity of entries i and i + 1, so entry
         # idx's neighbor similarities are adjacent[idx - 2] and adjacent[idx - 1]
-        adjacent = [self._pair_similarity(self.entries[i], self.entries[i + 1]) for i in range(1, n - 1)]
+        adjacent = [self._similarity(self.entries[i].slots, self.entries[i + 1].slots) for i in range(1, n - 1)]
         best_idx = 1
         best_score = -np.inf
         for idx in range(1, n):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .model import ModelConfig, ModelWeights, measurement_perturbation
-from .roles import HeadRole, HeadRoleMap
+from .roles import HeadRole, HeadRoleMap, role_map_from_lists
 from .rollout import LatentBlock, RolloutEngine, WindowStrategy
 from .tensor_ops import RopeParams, apply_rope, frame_rotation, softmax_rows
 
@@ -177,19 +177,9 @@ def classify_heads(report: ProfileReport, alpha_anchor: float, tau_local: float,
     anchors = set(by_sink[:n_anchor])
     rest = [lh for lh in all_heads if lh not in anchors]
     by_current = sorted(rest, key=lambda lh: (-report.means[lh[0], lh[1], 2], lh))
-    locals_ = set(by_current[:n_local])
-
-    roles = {}
-    for lh in all_heads:
-        if lh in anchors:
-            roles[lh] = HeadRole.ANCHOR
-        elif lh in locals_:
-            roles[lh] = HeadRole.LOCAL
-        else:
-            roles[lh] = HeadRole.MEMORY
-    return HeadRoleMap(layers=report.layers, heads=report.heads,
-                       alpha_anchor=alpha_anchor, tau_local=tau_local,
-                       roles=roles, provenance=provenance)
+    return role_map_from_lists(report.layers, report.heads, anchor=by_sink[:n_anchor],
+                               local=by_current[:n_local], alpha_anchor=alpha_anchor,
+                               tau_local=tau_local, provenance=provenance)
 
 
 @dataclass(frozen=True)

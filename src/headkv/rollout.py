@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Protocol
+from typing import Iterator, Protocol
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .assembly import (
     reencode_temporal,
 )
 from .cache import FrameKV, FrameWindow, roll_after_block
-from .episodic import AdmissionDecision, EpisodicMemory, Slots
+from .episodic import AdmissionDecision, EpisodicEntry, EpisodicMemory
 from .errors import ConfigError
 from .model import ModelConfig, ModelWeights, block_input
 from .roles import HeadRole, HeadRoleMap
@@ -74,14 +74,20 @@ class RetentionSnapshot:
 
 
 class CacheStrategy(Protocol):
+    """What the engine and the commands need of a cache policy: the model
+    config it was built for, each head's retained frames, their temporal
+    encoding, the roll past a finished block, and its own final state."""
+
     name: str
+    config: ModelConfig
 
     def history_frames(self, layer: int, head: int) -> list[FrameKV]: ...
 
-    def encode(self, seq: AssembledSequence, rope: RopeParams,
-               query_frame_indices: np.ndarray) -> EncodedSequence: ...
+    def encode(self, seq: AssembledSequence, rope: RopeParams) -> EncodedSequence: ...
 
     def roll(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]: ...
+
+    def state(self) -> dict: ...
 
 
 class WindowStrategy:
@@ -114,16 +120,21 @@ class WindowStrategy:
         return self.windows[(layer, head)].history()
 
     @staticmethod
-    def encode(seq: AssembledSequence, rope: RopeParams,
-               query_frame_indices: np.ndarray) -> EncodedSequence:
-        key_idx = np.array([fr.global_frame_index for fr in seq.frames], dtype=np.int64)
-        return encode_temporal(seq, rope, key_idx, query_frame_indices)
+    def encode(seq: AssembledSequence, rope: RopeParams) -> EncodedSequence:
+        # the current block's frames carry their global indices, so the
+        # queries take the last f_current key indices
+        key_idx = [fr.global_frame_index for fr in seq.frames]
+        return encode_temporal(seq, rope, key_idx, key_idx[-seq.f_current:])
 
     def roll(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]:
         for rec in block.layer_records:
             for h, frames in enumerate(rec.frames):
                 self.windows[(rec.layer, h)].roll(block.index, frames)
         return []
+
+    @staticmethod
+    def state() -> dict:
+        return {}
 
 
 @dataclass
@@ -146,13 +157,6 @@ class HeadWiseHyper:
             raise ConfigError(f"unknown novelty_metric {self.novelty_metric!r}")
 
 
-@dataclass
-class _Candidate:
-    frame_index: int
-    slots: Slots
-    latent: Optional[np.ndarray]
-
-
 class HeadWiseStrategy:
     """Role-tailored caches: local pruning, anchor retention, and a
     hierarchical fast + episodic memory for memory heads, with contiguous
@@ -168,7 +172,6 @@ class HeadWiseStrategy:
             )
         self.config = config
         self.weights = weights
-        self.role_map = role_map
         self.hyper = hyper or HeadWiseHyper()
         memory_heads = role_map.heads_of(HeadRole.MEMORY)
         if not memory_heads:
@@ -183,11 +186,9 @@ class HeadWiseStrategy:
         sizes = {HeadRole.LOCAL: (0, 1), HeadRole.ANCHOR: (config.f, 1),
                  HeadRole.MEMORY: (0, self.hyper.b_fast)}
         self.windows = {(l, h): FrameWindow(*sizes[role_map.role(l, h)]) for (l, h) in config.heads}
-        self._pending: list[_Candidate] = []
-        self._prompt_keys: Slots = {}
-        self._active_prompt: Optional[str] = None
-        # latents of the frames in fast memory, kept only for the latent
-        # novelty metric
+        self._pending: list[EpisodicEntry] = []
+        # latents of the block-first frames in fast memory, the only
+        # candidates, kept only for the latent novelty metric
         self._latents: dict[int, np.ndarray] = {}
 
     def history_frames(self, layer: int, head: int) -> list[FrameKV]:
@@ -196,26 +197,15 @@ class HeadWiseStrategy:
             return self.episodic.slot_frames(layer, head) + frames
         return frames
 
-    def encode(self, seq: AssembledSequence, rope: RopeParams,
-               query_frame_indices: np.ndarray) -> EncodedSequence:
+    @staticmethod
+    def encode(seq: AssembledSequence, rope: RopeParams) -> EncodedSequence:
         # contiguous per-head indices replace the global ones
         return reencode_temporal(seq, rope)
 
-    def _refresh_prompt_keys(self, prompt: str) -> None:
-        if prompt == self._active_prompt:
-            return
-        self._prompt_keys = {
-            (l, h): self.weights.prompt_key_vector(prompt, l, h)
-            for (l, h) in self.episodic.memory_heads
-        }
-        self._active_prompt = prompt
-
     def roll(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]:
-        self._refresh_prompt_keys(prompt)
         f = self.config.f
         if self.hyper.novelty_metric == "latent":
-            for k, frame in enumerate(block.frames):
-                self._latents[f * (block.index - 1) + k] = frame
+            self._latents[f * (block.index - 1)] = block.frames[0]
         evicted_by_slot: dict[tuple[int, int], list[FrameKV]] = {}
         for rec in block.layer_records:
             for h, frames in enumerate(rec.frames):
@@ -224,16 +214,15 @@ class HeadWiseStrategy:
                 if evicted and lh in self._memory_heads:
                     evicted_by_slot[lh] = evicted
 
-        # Every memory head evicts the same frames. A frame's latent is needed
-        # only while it is in fast memory; candidacy fires when a block's
-        # first frame leaves it.
+        # Every memory head evicts the same frames; candidacy fires when a
+        # block's first frame leaves fast memory.
         if evicted_by_slot:
             for k, fr in enumerate(next(iter(evicted_by_slot.values()))):
-                latent = self._latents.pop(fr.global_frame_index, None)
                 if fr.global_frame_index % f:
                     continue
-                cand = _Candidate(frame_index=fr.global_frame_index, latent=latent,
-                                  slots={lh: evicted[k] for lh, evicted in evicted_by_slot.items()})
+                cand = EpisodicEntry(frame_index=fr.global_frame_index, is_summary=False,
+                                     slots={lh: evicted[k] for lh, evicted in evicted_by_slot.items()},
+                                     latent=self._latents.pop(fr.global_frame_index, None))
                 if self.hyper.candidate_mode == "latest":
                     self._pending = [cand]
                 else:
@@ -241,19 +230,25 @@ class HeadWiseStrategy:
 
         if block.index % self.hyper.update_interval or not self._pending:
             return []
+        prompt_keys = {(l, h): self.weights.prompt_key_vector(prompt, l, h)
+                       for (l, h) in self.episodic.memory_heads}
         decisions = [
             self.episodic.try_admit(
                 candidate=cand.slots,
                 frame_index=cand.frame_index,
                 block_index=block.index,
                 tau_novel=self.hyper.tau_novel,
-                prompt_keys=self._prompt_keys,
+                prompt_keys=prompt_keys,
                 latent=cand.latent,
             )
             for cand in self._pending
         ]
         self._pending = []
         return decisions
+
+    def state(self) -> dict:
+        return {"episodic_entries": [{"frame_index": e.frame_index, "is_summary": e.is_summary}
+                                     for e in self.episodic.entries]}
 
 
 @dataclass
@@ -270,7 +265,7 @@ class RolloutEngine:
                  strategy: CacheStrategy, record_retention: bool = False):
         if rope.d != config.d:
             raise ConfigError(f"rope channel total {rope.d} != head dim {config.d}")
-        if getattr(strategy, "config", config) != config:
+        if strategy.config != config:
             raise ConfigError("cache strategy was built for a different model config")
         self.weights = weights
         self.config = config
@@ -288,7 +283,6 @@ class RolloutEngine:
         f, s = cfg.f, cfg.s
         hidden = block_input(self.weights, prompt, i, perturb=perturb)
         base_frame = f * (i - 1)
-        global_q_idx = np.arange(base_frame, base_frame + f, dtype=np.int64)
         records: list[LayerRecord] = []
         step_slots = 0
         step_scalars = 0
@@ -311,12 +305,12 @@ class RolloutEngine:
                 current = [
                     FrameKV(keys=k[t * s:(t + 1) * s].copy(),
                             values=v[t * s:(t + 1) * s].copy(),
-                            global_frame_index=int(global_q_idx[t]))
+                            global_frame_index=base_frame + t)
                     for t in range(f)
                 ]
                 history = self.strategy.history_frames(l, h)
                 seq = assemble(l, h, history, current)
-                enc = self.strategy.encode(seq, self.rope, global_q_idx)
+                enc = self.strategy.encode(seq, self.rope)
                 q_enc = encode_queries(q, enc)
                 q_sp.append(q)
                 frames_per_head.append(current)

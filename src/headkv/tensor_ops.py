@@ -1,8 +1,8 @@
-"""Minimal dense numerics: row softmax, scaled dot-product attention, and
-3-axis rotary position encoding with temporal/height/width channel groups.
-A rotation is built once per position set (`rope_rotation`; every temporal
-one through the cached `frame_rotation`) and applied to any number of token
-matrices with `apply_rope`.
+"""Minimal dense numerics: row softmax and 3-axis rotary position encoding
+with temporal/height/width channel groups. A rotation is built once per
+position set (`rope_rotation`; every temporal one through the cached
+`frame_rotation`) and applied to any number of token matrices with
+`apply_rope`.
 
 All functions are pure and operate on plain numpy arrays (rows = tokens,
 cols = channels). Double precision is the reference path; callers may pass
@@ -12,7 +12,6 @@ float32 arrays for the relaxed-tolerance fast path.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,21 +67,6 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     np.exp(out, out=out)
     out /= out.sum(axis=1, keepdims=True)
     return out
-
-
-def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """softmax(q k^T / sqrt(d)) v. Bidirectional, no mask."""
-    q = np.asarray(q)
-    k = np.asarray(k)
-    v = np.asarray(v)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError("attention expects 2-D q, k, v")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"q cols {q.shape[1]} != k cols {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"k rows {k.shape[0]} != v rows {v.shape[0]}")
-    scores = q @ k.T / math.sqrt(k.shape[1])
-    return softmax_rows(scores) @ v
 
 
 @functools.lru_cache(maxsize=32)

@@ -17,6 +17,7 @@ from headkv.reference import attention_rows, rotate_temporal_rows
 from headkv.roles import role_map_from_lists
 from headkv.rollout import HeadWiseHyper, HeadWiseStrategy, RolloutEngine
 from headkv.tensor_ops import TEMPORAL, RopeParams, frame_rotation, rope_rotation
+from helpers import attention
 
 D = 8
 ROPE8 = RopeParams.default_for(8)
@@ -176,8 +177,6 @@ class TestPackedAttention:
         enc, q = encoded_head(0, 0, n_history=2, seed=3)
         buf = pack([enc], [q])
         out = packed_attention(buf)[0]
-        from headkv.tensor_ops import attention
-
         np.testing.assert_allclose(out, attention(q, enc.keys, enc.values), atol=0)
 
     def test_mixed_lengths_match_per_head_oracle(self):

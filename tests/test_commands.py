@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from headkv import commands
 from headkv.commands import cmd_budget, cmd_generate, cmd_profile, cmd_stability
 from headkv.config import config_from_dict, load_config
 from headkv.errors import ConfigError
@@ -105,8 +106,9 @@ class TestCmdGenerate:
         assert abs(float(rows[0]["fidelity"]) - 1.0) < 1e-9
 
     def test_oracle_skipped_past_limit(self, tmp_path):
-        cfg = self.generate_cfg(tmp_path, {"type": "uniform_window", "W": 4}, n_blocks=5)
-        cfg.oracle_auto_limit = 3
+        # the oracle runs by default up to 64 blocks
+        assert self.generate_cfg(tmp_path, {"type": "uniform_window", "W": 4}, n_blocks=64).oracle_enabled()
+        cfg = self.generate_cfg(tmp_path, {"type": "uniform_window", "W": 4}, n_blocks=65)
         paths = cmd_generate(cfg)
         rows = list(csv.DictReader(paths["metrics"].open()))
         assert all(row["fidelity"] == "" for row in rows)
@@ -157,6 +159,42 @@ class TestCmdGenerate:
         state = json.loads(paths["final_state"].read_text())
         assert state["strategy"] == "head_wise"
         assert len(state["episodic_entries"]) <= 5
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every strategy cmd_generate builds, in build order."""
+        built = []
+        original = commands.build_strategy
+
+        def build(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(commands, "build_strategy", build)
+        return built
+
+    @pytest.mark.parametrize("strategy", [
+        {"type": "unbounded"},
+        {"type": "uniform_window", "W": 4},
+        {"type": "sink_window", "W": 6, "n_sink": 1},
+    ], ids=["unbounded", "uniform_window", "sink_window"])
+    def test_window_final_state_holds_the_base_keys(self, tmp_path, built, strategy):
+        cfg = self.generate_cfg(tmp_path, strategy, n_blocks=4)
+        cfg.with_oracle = False
+        state = json.loads(cmd_generate(cfg)["final_state"].read_text())
+        assert built[0].state() == {}
+        assert list(state) == ["strategy", "n_blocks", "frame_slots_live_last", "stored_scalar_count_last"]
+
+    def test_head_wise_final_state_adds_episodic_entries(self, tmp_path, built, toy_role_map):
+        toy_role_map.save(tmp_path / "role_map.json")
+        cfg = self.generate_cfg(tmp_path, {"type": "head_wise"}, n_blocks=12,
+                                role_map=tmp_path / "role_map.json")
+        cfg.with_oracle = False
+        state = json.loads(cmd_generate(cfg)["final_state"].read_text())
+        assert list(state) == ["strategy", "n_blocks", "frame_slots_live_last", "stored_scalar_count_last",
+                               "episodic_entries"]
+        assert state["episodic_entries"]
+        assert state["episodic_entries"] == built[0].state()["episodic_entries"]
 
     def test_budget_ratio_between_strategies(self, tmp_path):
         """stored_scalar_count ratio tracks the frame-slot ratio at steady state."""

@@ -5,22 +5,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def digests() -> str:
-    return subprocess.run(
+def start_digests() -> subprocess.Popen:
+    return subprocess.Popen(
         [sys.executable, str(ROOT / "tools" / "output_digests.py"), str(ROOT), "--grids", "toy"],
-        capture_output=True, text=True, check=True,
-    ).stdout
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def finish(proc: subprocess.Popen) -> str:
+    out, err = proc.communicate()
+    assert proc.returncode == 0, err
+    return out
 
 
 def test_toy_digests_repeat_exactly():
-    first = digests()
+    # two independent runs, started together so they overlap
+    first, second = [finish(proc) for proc in [start_digests(), start_digests()]]
     lines = first.splitlines()
     # seven strategies, the profile means and cmd_generate's outputs, one sha256 each
     assert len(lines) == 9
     assert all(line.startswith("toy ") and len(line.rsplit(" ", 1)[1]) == 64 for line in lines)
     assert len({line.rsplit(" ", 1)[1] for line in lines}) == 9
     assert lines[-1].startswith("toy cmd_generate(head_wise, oracle) ")
-    assert digests() == first
+    assert second == first
 
 
 def test_unknown_grid_rejected():

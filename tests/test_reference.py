@@ -26,6 +26,7 @@ from headkv.rollout import (
     WindowStrategy,
 )
 from headkv.tensor_ops import RopeParams
+from helpers import attention
 
 SCHED = [("oracle prompt", 1)]
 
@@ -43,8 +44,6 @@ def small_setup(seed=2):
 
 class TestAttentionRows:
     def test_matches_fast_path(self):
-        from headkv.tensor_ops import attention
-
         rng = np.random.default_rng(0)
         q, k, v = rng.standard_normal((5, 8)), rng.standard_normal((9, 8)), rng.standard_normal((9, 8))
         np.testing.assert_allclose(attention_rows(q, k, v), attention(q, k, v), atol=1e-12)

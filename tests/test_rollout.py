@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from headkv import rollout, tensor_ops
+from headkv.assembly import assemble
 from headkv.commands import cmd_generate
 from headkv.config import config_from_dict
 from headkv.errors import ConfigError, SequencingError
@@ -310,6 +311,19 @@ class TestRotationsBuiltOnce:
             # every head holds the same global indices: one key and one query
             # rotation for all 24 heads
             assert len(calls) == 2
+
+
+class TestWindowEncode:
+    def test_sink_window_queries_take_the_current_frames_indices(self):
+        cfg, weights, rope = small_setup()
+        strategy = WindowStrategy(cfg, window=6, n_sink=1)
+        engine = RolloutEngine(weights, cfg, rope, strategy)
+        for i in range(1, 4):
+            engine.commit(engine.step(i, "p"), "p")
+        current = engine.step(4, "p").layer_records[0].frames[0]
+        enc = strategy.encode(assemble(0, 0, strategy.history_frames(0, 0), current), rope)
+        assert enc.key_frame_indices.tolist() == [0, 6, 7, 8, 9, 10, 11]
+        assert enc.query_frame_indices.tolist() == [9, 10, 11]
 
 
 class TestEpisodicCadence:

@@ -15,13 +15,13 @@ from headkv.tensor_ops import (
     WIDTH,
     RopeParams,
     apply_rope,
-    attention,
     frame_rotation,
     grid_positions,
     rope_rotation,
     rope_table,
     softmax_rows,
 )
+from helpers import attention
 
 
 class TestSoftmaxRows:
