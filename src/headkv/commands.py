@@ -16,7 +16,7 @@ from .cache import CacheBudget, budget_table
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .model import init_model
-from .profiling import classify_heads, core_stability_ratio, profile_rollout
+from .profiling import ProfileReport, classify_heads, core_stability_ratio, profile_rollout
 from .reference import ReferenceGenerator, token_cosine_fidelity
 from .roles import HeadRole, HeadRoleMap, role_map_from_lists
 from .rollout import HeadWiseStrategy, RolloutEngine, WindowStrategy
@@ -55,21 +55,23 @@ def build_strategy(cfg: ExperimentConfig, weights):
     return HeadWiseStrategy(cfg.model, weights, role_map, cfg.hyper)
 
 
+def _profile(cfg: ExperimentConfig, weights, prompts: list[str], blocks: list[int],
+             offset: int = 0) -> tuple[ProfileReport, HeadRoleMap]:
+    """profile_rollout under cfg.profiling from perturbation stream offset,
+    and the role map classify_heads draws from it at cfg's thresholds."""
+    spec = cfg.profiling
+    report = profile_rollout(weights, cfg.model, cfg.rope, sampled_blocks=blocks,
+                             repeats=spec.repeats, prompts=prompts, window=spec.window,
+                             n_sink=spec.n_sink, perturb_scale=spec.perturb_scale,
+                             perturb_offset=offset)
+    return report, classify_heads(report, cfg.alpha_anchor, cfg.tau_local)
+
+
 def cmd_profile(cfg: ExperimentConfig, out: str | None = None) -> dict[str, Path]:
     """Profile head roles: writes role_map.json and head_stats.csv."""
     out_path = _out_dir(cfg, out)
-    weights = init_model(cfg.model)
-    prompts = [text for text, _ in cfg.prompt_schedule]
-    report = profile_rollout(
-        weights, cfg.model, cfg.rope,
-        sampled_blocks=list(cfg.profiling.sampled_blocks),
-        repeats=cfg.profiling.repeats, prompts=prompts,
-        window=cfg.profiling.window, n_sink=cfg.profiling.n_sink,
-        perturb_scale=cfg.profiling.perturb_scale,
-    )
-    provenance = (f"seed={cfg.model.seed} blocks={list(cfg.profiling.sampled_blocks)} "
-                  f"repeats={cfg.profiling.repeats} prompts={len(prompts)}")
-    role_map = classify_heads(report, cfg.alpha_anchor, cfg.tau_local, provenance=provenance)
+    report, role_map = _profile(cfg, init_model(cfg.model), [text for text, _ in cfg.prompt_schedule],
+                                list(cfg.profiling.sampled_blocks))
 
     map_path = out_path / "role_map.json"
     role_map.save(map_path)
@@ -161,8 +163,7 @@ def _stability_runs(cfg: ExperimentConfig) -> list[HeadRoleMap]:
         for r in range(spec.runs):
             anchors = all_heads[r * n_anchor:(r + 1) * n_anchor]
             maps.append(role_map_from_lists(cfg.model.L, cfg.model.H, anchor=anchors, local=[],
-                                            alpha_anchor=cfg.alpha_anchor, tau_local=cfg.tau_local,
-                                            provenance=f"inject_disjoint_anchor run {r}"))
+                                            alpha_anchor=cfg.alpha_anchor, tau_local=cfg.tau_local))
         return maps
 
     for r in range(spec.runs):
@@ -183,14 +184,7 @@ def _stability_runs(cfg: ExperimentConfig) -> list[HeadRoleMap]:
             blocks = list(sets[r])
         else:  # repeats: disjoint measurement perturbation streams per run
             offset = r * cfg.profiling.repeats
-        report = profile_rollout(
-            weights, cfg.model, cfg.rope, sampled_blocks=blocks,
-            repeats=cfg.profiling.repeats, prompts=prompts,
-            window=cfg.profiling.window, n_sink=cfg.profiling.n_sink,
-            perturb_scale=cfg.profiling.perturb_scale, perturb_offset=offset,
-        )
-        maps.append(classify_heads(report, cfg.alpha_anchor, cfg.tau_local,
-                                   provenance=f"{spec.axis} run {r}"))
+        maps.append(_profile(cfg, weights, prompts, blocks, offset)[1])
     return maps
 
 

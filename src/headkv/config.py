@@ -1,20 +1,23 @@
 """Experiment configuration: JSON schema, defaults, and validation.
 
 Top-level keys: model, strategy, head_role_map, hyperparameters,
-prompt_schedule, n_blocks, output_dir, profiling, stability. Model keys use
-the dimension names L/H/d/s/f/grid_h/grid_w/seed; strategy is one of
-unbounded | uniform_window | sink_window | head_wise with W / n_sink where
-applicable. Unknown keys are rejected so typos fail loudly.
+prompt_schedule, n_blocks, output_dir, profiling, stability. Each object
+section is the schema of one dataclass: model is ModelConfig, strategy
+StrategySpec, hyperparameters HeadWiseHyper (with B_epi / B_fast for b_epi /
+b_fast) plus alpha_anchor, tau_local and rope (RopeParams), profiling
+ProfilingSpec, stability StabilitySpec. A section's keys are its fields, an
+absent key keeps the field default, and each value must have the field's
+type. Unknown keys are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional, get_args, get_type_hints
 
-from .errors import ConfigError, require_int as _int, require_number as _float
+from .errors import ConfigError, ShapeError, require_int as _int, require_number as _float
 from .model import ModelConfig
 from .rollout import HeadWiseHyper
 from .tensor_ops import RopeParams
@@ -24,7 +27,7 @@ _STRATEGIES = ("unbounded", "uniform_window", "sink_window", "head_wise")
 
 @dataclass(frozen=True)
 class StrategySpec:
-    type: str
+    type: str = "unbounded"
     W: int = 8
     n_sink: int = 1
 
@@ -81,18 +84,16 @@ class ExperimentConfig:
         return self.n_blocks <= ORACLE_AUTO_LIMIT
 
 
-_TOY_MODEL = {"L": 4, "H": 6, "d": 16, "s": 16, "f": 3, "grid_h": 4, "grid_w": 4, "seed": 0}
+_TOP_KEYS = ("model", "strategy", "head_role_map", "hyperparameters", "prompt_schedule",
+             "n_blocks", "output_dir", "profiling", "stability")
+_TOY_MODEL = {"L": 4, "H": 6, "d": 16, "s": 16, "f": 3, "grid_h": 4, "grid_w": 4}
+_JSON_KEYS = {"b_epi": "B_epi", "b_fast": "B_fast"}    # field name -> JSON key, where they differ
 
 
-def _take(d: dict, allowed: dict[str, Any], section: str) -> dict:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{section} must be a JSON object, got {d!r}")
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
-    out = dict(allowed)
-    out.update(d)
-    return out
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
 
 
 def _list(value, name: str) -> list:
@@ -107,47 +108,50 @@ def _text(value, name: str) -> str:
     return value
 
 
+def _typed(value, tp, name: str):
+    """value checked against a field type: int, float, str or tuple[T, ...]."""
+    if tp is int:
+        return _int(value, name)
+    if tp is float:
+        return _float(value, name)
+    if tp is str:
+        return _text(value, name)
+    item = get_args(tp)[0]
+    return tuple(_typed(v, item, name) for v in _list(value, name))
+
+
+def _section(cls, raw, name: str, **given):
+    """cls built from the JSON object raw, whose keys are cls's field names.
+    An absent key keeps its value in given, else the field default."""
+    hints = get_type_hints(cls)
+    by_key = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
+    unknown = set(_object(raw, name)) - set(by_key)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        given[by_key[key]] = _typed(value, hints[by_key[key]], f"{name}.{key}")
+    try:
+        return cls(**given)
+    except (ShapeError, ConfigError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    top_defaults = {
-        "model": {}, "strategy": {"type": "unbounded"}, "hyperparameters": {},
-        "prompt_schedule": [["a quiet harbor at dawn", 1]], "n_blocks": 8,
-        "output_dir": "out", "head_role_map": None, "profiling": {}, "stability": {},
-    }
-    raw = _take(raw, top_defaults, "top-level")
+    unknown = set(_object(raw, "top-level")) - set(_TOP_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+    model = _section(ModelConfig, raw.get("model", {}), "model", **_TOY_MODEL)
 
-    m = _take(raw["model"], {**_TOY_MODEL, "scene_period": 1, "scene_jitter": 0.05,
-                             "prompt_strength": 0.05}, "model")
-    model = ModelConfig(**{
-        k: _float(v, f"model.{k}") if k in ("scene_jitter", "prompt_strength") else _int(v, f"model.{k}")
-        for k, v in m.items()
-    })
-
-    hp_defaults = {
-        "alpha_anchor": 0.25, "tau_local": 0.20, "B_epi": 5, "B_fast": 3,
-        "tau_novel": 0.95, "update_interval": 3, "candidate_mode": "latest",
-        "novelty_metric": "key_cosine", "rope": {},
-    }
-    hp = _take(raw["hyperparameters"], hp_defaults, "hyperparameters")
-    rope_defaults = {"d_t": model.d // 2, "d_h": model.d // 4, "d_w": model.d // 4,
-                     "base": 10000.0}
-    rp = _take(hp["rope"], rope_defaults, "rope")
-    rope = RopeParams(d_t=_int(rp["d_t"], "rope.d_t"), d_h=_int(rp["d_h"], "rope.d_h"),
-                      d_w=_int(rp["d_w"], "rope.d_w"), base=_float(rp["base"], "rope.base"))
+    hp = dict(_object(raw.get("hyperparameters", {}), "hyperparameters"))
+    alpha_anchor = _float(hp.pop("alpha_anchor", 0.25), "hyperparameters.alpha_anchor")
+    tau_local = _float(hp.pop("tau_local", 0.20), "hyperparameters.tau_local")
+    rope = _section(RopeParams, hp.pop("rope", {}), "hyperparameters.rope",
+                    d_t=model.d // 2, d_h=model.d // 4, d_w=model.d // 4)
     if rope.d != model.d:
         raise ConfigError(f"rope split totals {rope.d} channels but model.d = {model.d}")
-    hyper = HeadWiseHyper(
-        b_epi=_int(hp["B_epi"], "B_epi"), b_fast=_int(hp["B_fast"], "B_fast"),
-        tau_novel=_float(hp["tau_novel"], "tau_novel"),
-        update_interval=_int(hp["update_interval"], "update_interval"),
-        candidate_mode=hp["candidate_mode"],
-        novelty_metric=hp["novelty_metric"],
-    )
+    hyper = _section(HeadWiseHyper, hp, "hyperparameters")
 
-    st = _take(raw["strategy"], {"type": "unbounded", "W": 8, "n_sink": 1}, "strategy")
-    strategy = StrategySpec(type=st["type"], W=_int(st["W"], "strategy.W"),
-                            n_sink=_int(st["n_sink"], "strategy.n_sink"))
-
-    schedule_raw = raw["prompt_schedule"]
+    schedule_raw = raw.get("prompt_schedule", [["a quiet harbor at dawn", 1]])
     if not isinstance(schedule_raw, list) or not schedule_raw:
         raise ConfigError("prompt_schedule must be a non-empty list of [prompt, start_block]")
     schedule = []
@@ -157,38 +161,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         schedule.append((_text(entry[0], "prompt_schedule prompt"),
                          _int(entry[1], "prompt_schedule start block")))
 
-    pf = _take(raw["profiling"], {"sampled_blocks": [3, 8, 13], "repeats": 1,
-                                  "window": 8, "n_sink": 1, "perturb_scale": 0.05},
-               "profiling")
-    profiling = ProfilingSpec(
-        sampled_blocks=tuple(_int(b, "profiling.sampled_blocks")
-                             for b in _list(pf["sampled_blocks"], "profiling.sampled_blocks")),
-        repeats=_int(pf["repeats"], "profiling.repeats"), window=_int(pf["window"], "profiling.window"),
-        n_sink=_int(pf["n_sink"], "profiling.n_sink"), perturb_scale=_float(pf["perturb_scale"], "profiling.perturb_scale"),
-    )
-
-    sb = _take(raw["stability"], {"runs": 4, "axis": "prompts", "prompt_pool": [],
-                                  "block_sets": []}, "stability")
-    stability = StabilitySpec(
-        runs=_int(sb["runs"], "stability.runs"), axis=sb["axis"],
-        prompt_pool=tuple(_text(p, "stability.prompt_pool")
-                          for p in _list(sb["prompt_pool"], "stability.prompt_pool")),
-        block_sets=tuple(tuple(_int(b, "stability.block_sets") for b in _list(bs, "stability.block_sets"))
-                         for bs in _list(sb["block_sets"], "stability.block_sets")),
-    )
-
-    n_blocks = _int(raw["n_blocks"], "n_blocks")
+    n_blocks = _int(raw.get("n_blocks", 8), "n_blocks")
     if n_blocks < 1:
         raise ConfigError("n_blocks must be >= 1")
+    head_role_map = raw.get("head_role_map")
 
     return ExperimentConfig(
-        model=model, strategy=strategy, hyper=hyper, rope=rope,
-        alpha_anchor=_float(hp["alpha_anchor"], "alpha_anchor"),
-        tau_local=_float(hp["tau_local"], "tau_local"),
+        model=model, strategy=_section(StrategySpec, raw.get("strategy", {}), "strategy"),
+        hyper=hyper, rope=rope, alpha_anchor=alpha_anchor, tau_local=tau_local,
         prompt_schedule=schedule, n_blocks=n_blocks,
-        output_dir=_text(raw["output_dir"], "output_dir"),
-        head_role_map=None if raw["head_role_map"] is None else _text(raw["head_role_map"], "head_role_map"),
-        profiling=profiling, stability=stability,
+        output_dir=_text(raw.get("output_dir", "out"), "output_dir"),
+        head_role_map=None if head_role_map is None else _text(head_role_map, "head_role_map"),
+        profiling=_section(ProfilingSpec, raw.get("profiling", {}), "profiling"),
+        stability=_section(StabilitySpec, raw.get("stability", {}), "stability"),
     )
 
 
@@ -200,8 +185,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
     # head_role_map and output_dir are both resolved against the working
     # directory, like any CLI path argument
     return config_from_dict(raw)

@@ -156,8 +156,7 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def classify_heads(report: ProfileReport, alpha_anchor: float, tau_local: float,
-                   provenance: str = "") -> HeadRoleMap:
+def classify_heads(report: ProfileReport, alpha_anchor: float, tau_local: float) -> HeadRoleMap:
     """Quota-based role assignment: the round(alpha*L*H) heads with highest
     sink mass become anchors; among the rest, the round(tau*L*H) with highest
     current mass become local; the remainder are memory. Ties break to the
@@ -179,7 +178,7 @@ def classify_heads(report: ProfileReport, alpha_anchor: float, tau_local: float,
     by_current = sorted(rest, key=lambda lh: (-report.means[lh[0], lh[1], 2], lh))
     return role_map_from_lists(report.layers, report.heads, anchor=by_sink[:n_anchor],
                                local=by_current[:n_local], alpha_anchor=alpha_anchor,
-                               tau_local=tau_local, provenance=provenance)
+                               tau_local=tau_local)
 
 
 @dataclass(frozen=True)

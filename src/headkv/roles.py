@@ -25,7 +25,6 @@ class HeadRoleMap:
     alpha_anchor: float
     tau_local: float
     roles: dict[tuple[int, int], HeadRole]
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         expected = {(l, h) for l in range(self.layers) for h in range(self.heads)}
@@ -61,7 +60,7 @@ class HeadRoleMap:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
     @classmethod
-    def from_json(cls, text: str, provenance: str = "") -> "HeadRoleMap":
+    def from_json(cls, text: str) -> "HeadRoleMap":
         try:
             payload = json.loads(text)
             alpha = require_number(payload["alpha_anchor"], "alpha_anchor")
@@ -78,15 +77,14 @@ class HeadRoleMap:
             raise ConfigError("role map JSON has no role entries")
         layers = max(l for l, _ in roles) + 1
         heads = max(h for _, h in roles) + 1
-        return cls(layers=layers, heads=heads, alpha_anchor=alpha, tau_local=tau,
-                   roles=roles, provenance=provenance)
+        return cls(layers=layers, heads=heads, alpha_anchor=alpha, tau_local=tau, roles=roles)
 
     @classmethod
     def load(cls, path: str | Path) -> "HeadRoleMap":
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"role map file not found: {p}")
-        return cls.from_json(p.read_text(encoding="utf-8"), provenance=str(p))
+        return cls.from_json(p.read_text(encoding="utf-8"))
 
 
 def role_map_from_lists(
@@ -96,7 +94,6 @@ def role_map_from_lists(
     local: list[tuple[int, int]],
     alpha_anchor: float = 0.0,
     tau_local: float = 0.0,
-    provenance: str = "",
 ) -> HeadRoleMap:
     """Build a map from explicit anchor/local head lists; the rest are memory."""
     roles: dict[tuple[int, int], HeadRole] = {}
@@ -116,4 +113,4 @@ def role_map_from_lists(
             else:
                 roles[(l, h)] = HeadRole.MEMORY
     return HeadRoleMap(layers=layers, heads=heads, alpha_anchor=alpha_anchor,
-                       tau_local=tau_local, roles=roles, provenance=provenance)
+                       tau_local=tau_local, roles=roles)

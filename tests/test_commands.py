@@ -9,12 +9,16 @@ import pytest
 
 from headkv import commands
 from headkv.commands import cmd_budget, cmd_generate, cmd_profile, cmd_stability
-from headkv.config import config_from_dict, load_config
+from headkv.config import ProfilingSpec, StabilitySpec, StrategySpec, config_from_dict, load_config
 from headkv.errors import ConfigError
+from headkv.model import ModelConfig
 from headkv.profiling import core_stability_ratio
 from headkv.roles import HeadRole, HeadRoleMap, role_map_from_lists
+from headkv.rollout import HeadWiseHyper
+from headkv.tensor_ops import RopeParams
 
 GOLDEN = Path(__file__).parent / "golden"
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 TOY_MODEL = {"L": 4, "H": 6, "d": 16, "s": 16, "f": 3, "grid_h": 4, "grid_w": 4, "seed": 0}
 
@@ -346,6 +350,16 @@ class TestCli:
         assert proc.returncode == 2
         assert "model must be a JSON object" in proc.stderr
 
+    def test_bad_rope_split_exit_2(self, tmp_path):
+        """A split the rotary tables cannot take used to end generate with a
+        ShapeError traceback and exit 1."""
+        cfg = self.write_cfg(tmp_path, {"model": {"d": 6}, "n_blocks": 2,
+                                        "output_dir": str(tmp_path / "out")})
+        proc = self.run_cli("generate", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_config_exit_2(self, tmp_path):
         proc = self.run_cli("generate", "--config", str(tmp_path / "nope.json"))
         assert proc.returncode == 2
@@ -391,10 +405,20 @@ class TestCli:
 
 
 class TestConfigLoading:
-    def test_unknown_keys_rejected(self, tmp_path):
+    @pytest.mark.parametrize("raw", [
+        {"modle": {}},
+        {"model": {"seeds": 1}},
+        {"strategy": {"type": "sink_window", "w": 8}},
+        {"hyperparameters": {"b_epi": 5}},
+        {"hyperparameters": {"tau_novelty": 0.9}},
+        {"hyperparameters": {"rope": {"d_x": 4}}},
+        {"profiling": {"repeat": 2}},
+        {"stability": {"axes": "blocks"}},
+    ], ids=repr)
+    def test_unknown_keys_rejected(self, tmp_path, raw):
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"modle": {}}))
-        with pytest.raises(ConfigError):
+        p.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="unknown .* keys"):
             load_config(p)
 
     def test_defaults_mirror_reference_settings(self):
@@ -404,6 +428,18 @@ class TestConfigLoading:
         assert cfg.hyper.tau_novel == 0.95
         assert cfg.hyper.update_interval == 3
         assert cfg.model.f == 3
+        assert cfg.hyper == HeadWiseHyper()
+        assert cfg.profiling == ProfilingSpec()
+        assert cfg.stability == StabilitySpec()
+        assert cfg.strategy == StrategySpec()
+        assert cfg.rope == RopeParams.default_for(16)
+        assert cfg.model == ModelConfig(L=4, H=6, d=16, s=16, f=3, grid_h=4, grid_w=4)
+        assert (cfg.alpha_anchor, cfg.tau_local, cfg.n_blocks, cfg.output_dir) == (0.25, 0.20, 8, "out")
+        assert cfg.head_role_map is None
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        assert load_config(path).output_dir == json.loads(path.read_text())["output_dir"]
 
     @pytest.mark.parametrize("raw", [
         {"n_blocks": 1.7},
@@ -432,6 +468,9 @@ class TestConfigLoading:
         {"output_dir": 5},
         {"hyperparameters": {"novelty_metric": "latnet"}},
         {"hyperparameters": {"candidate_mode": "newest"}},
+        {"hyperparameters": {"rope": {"base": 0.5}}},
+        {"hyperparameters": {"rope": {"d_t": -2, "d_h": 10, "d_w": 8}}},
+        {"model": {"d": 6}},
     ], ids=repr)
     def test_malformed_values_rejected_not_coerced(self, raw):
         with pytest.raises(ConfigError):

@@ -5,11 +5,13 @@ a change leaves every output byte-identical.
 
 imports headkv from CHECKOUT/src and prints one line per (grid, strategy): a
 sha256 over every block's output latents, frame_slots, stored_scalars and
-admission decisions, in block order. Two more lines per grid digest the
-`profile_rollout` means and what `headkv generate` writes for head-wise with
-the oracle on: metrics.csv without its two timing columns, admissions.csv and
-final_state.json. Two checkouts produce the same lines exactly when those
-outputs agree byte for byte:
+admission decisions, in block order. Three more lines per grid digest the
+`profile_rollout` means; what `headkv generate` writes for head-wise with
+the oracle on (metrics.csv without its two timing columns, admissions.csv and
+final_state.json); and every file that `headkv profile`, `budget` (on the
+profiled role map) and `stability` write for the default config on that grid.
+Two checkouts produce the same lines exactly when those outputs agree byte
+for byte:
 
     diff <(python tools/output_digests.py OLD) <(python tools/output_digests.py NEW)
 """
@@ -97,6 +99,21 @@ def generate_digest(hk, dims: dict, role_map, n_blocks: int) -> str:
     return digest.hexdigest()
 
 
+def commands_digest(hk, dims: dict) -> str:
+    """sha256 over every file cmd_profile, cmd_budget and cmd_stability write
+    for the default config on the grid, budget counting the profiled map."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = hk.config.config_from_dict({"model": dict(dims, seed=3), "output_dir": tmp})
+        paths = hk.commands.cmd_profile(cfg)
+        cfg.head_role_map = str(paths["role_map"])
+        paths.update(hk.commands.cmd_budget(cfg))
+        paths.update(hk.commands.cmd_stability(cfg))
+        for name, path in paths.items():
+            digest.update(name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def grid_digests(hk, grid: str) -> list[str]:
     dims, n_blocks = GRIDS[grid]
     cfg = hk.ModelConfig(seed=3, **dims)
@@ -113,6 +130,7 @@ def grid_digests(hk, grid: str) -> list[str]:
                                 prompts=list(PROMPTS))
     lines.append(f"{grid} profile_rollout {hashlib.sha256(report.means.tobytes()).hexdigest()}")
     lines.append(f"{grid} cmd_generate(head_wise, oracle) {generate_digest(hk, dims, role_map, n_blocks)}")
+    lines.append(f"{grid} commands(profile, budget, stability) {commands_digest(hk, dims)}")
     return lines
 
 
