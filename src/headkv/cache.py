@@ -1,5 +1,5 @@
-"""Per-head frame windows, which hold every head's retained frames under
-each cache policy, plus the frame-slot budget accountant.
+"""Frame windows, which hold the frames a cache policy retains, plus the
+frame-slot budget accountant.
 
 Frame indexing is 0-based and global: block i (1-based) covers frames
 f*(i-1) .. f*i-1. Cached keys always carry spatial-only rotary encoding;
@@ -74,10 +74,12 @@ def _check_roll_order(last_block: int, block_index: int) -> None:
 
 
 class FrameWindow:
-    """One head's retained frames: the first n_sink frames it saw plus its last
-    `keep` frames, or every frame when keep is None (the sink-plus-recent
-    cache of StreamingLLM). Local heads are FrameWindow(0, 1), anchor heads
-    FrameWindow(f, 1), a memory head's fast tier FrameWindow(0, B_fast)."""
+    """The frames one cache policy retains: the first n_sink frames it saw
+    plus its last `keep` frames, or every frame when keep is None (the
+    sink-plus-recent cache of StreamingLLM). It never looks inside a frame;
+    the strategies store each as one (layer, head) -> FrameKV map over the
+    policy's heads. Local heads share FrameWindow(0, 1), anchor heads
+    FrameWindow(f, 1), memory heads' fast tier FrameWindow(0, B_fast)."""
 
     __slots__ = ("n_sink", "keep", "frames", "last_block")
 
@@ -86,10 +88,10 @@ class FrameWindow:
             raise ConfigError(f"FrameWindow needs n_sink, keep >= 0, got {n_sink}, {keep}")
         self.n_sink = n_sink
         self.keep = keep
-        self.frames: list[FrameKV] = []
+        self.frames: list = []
         self.last_block = 0
 
-    def roll(self, block_index: int, frames: list[FrameKV]) -> list[FrameKV]:
+    def roll(self, block_index: int, frames: list) -> list:
         """Append a finished block's frames; returns the frames dropped, oldest first."""
         _check_roll_order(self.last_block, block_index)
         self.last_block = block_index
@@ -102,13 +104,13 @@ class FrameWindow:
         del self.frames[self.n_sink:stop]
         return evicted
 
-    def history(self) -> list[FrameKV]:
+    def history(self) -> list:
         return list(self.frames)
 
 
-def roll_after_block(cache: FrameWindow, block_index: int, frames: list[FrameKV]) -> list[FrameKV]:
-    """Advance one head's window past a finished block. Returns the frames it
-    dropped; the caller decides episodic candidacy."""
+def roll_after_block(cache: FrameWindow, block_index: int, frames: list) -> list:
+    """Advance a window past a finished block. Returns the frames it dropped;
+    the caller decides episodic candidacy."""
     return cache.roll(block_index, frames)
 
 

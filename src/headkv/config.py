@@ -34,6 +34,8 @@ class StrategySpec:
     def __post_init__(self) -> None:
         if self.type not in _STRATEGIES:
             raise ConfigError(f"strategy.type must be one of {_STRATEGIES}, got {self.type!r}")
+        if self.W < 1 or self.n_sink < 0:
+            raise ConfigError(f"strategy needs W >= 1 and n_sink >= 0, got W={self.W}, n_sink={self.n_sink}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,15 @@ class ProfilingSpec:
     window: int = 8
     n_sink: int = 1
     perturb_scale: float = 0.05
+
+    def __post_init__(self) -> None:
+        # window >= model.f is checked where the window is built: a generate
+        # config whose f exceeds the default window is still valid
+        if self.window < 1 or self.n_sink < 0 or self.repeats < 1:
+            raise ConfigError(f"profiling needs window >= 1, n_sink >= 0 and repeats >= 1, got "
+                              f"{self.window}, {self.n_sink}, {self.repeats}")
+        if not self.sampled_blocks or min(self.sampled_blocks) < 3:
+            raise ConfigError(f"profiling needs at least one sampled block, each >= 3, got {list(self.sampled_blocks)}")
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,7 @@ class EpisodicMemory:
     # -- compression ------------------------------------------------------
 
     def compress_into_summary(self, first: EpisodicEntry, second: EpisodicEntry,
-                              prompt_keys: Slots | dict[tuple[int, int], np.ndarray]) -> EpisodicEntry:
+                              prompt_keys: dict[tuple[int, int], np.ndarray]) -> EpisodicEntry:
         """Merge two entries into one summary of exactly s tokens per slot.
 
         Per layer, the 2s concatenated tokens are ranked by the memory-head
@@ -206,7 +206,7 @@ class EpisodicMemory:
                 )
         return EpisodicEntry(frame_index=-1, is_summary=True, slots=slots)
 
-    def _compress_overflow(self, prompt_keys: Slots) -> None:
+    def _compress_overflow(self, prompt_keys: dict[tuple[int, int], np.ndarray]) -> None:
         if not self.summary_present:
             i, j = self.find_redundant_pair()
             summary = self.compress_into_summary(self.entries[i], self.entries[j], prompt_keys)
@@ -223,7 +223,7 @@ class EpisodicMemory:
     # -- admission --------------------------------------------------------
 
     def try_admit(self, candidate: Slots, frame_index: int, block_index: int,
-                  tau_novel: float, prompt_keys: Slots,
+                  tau_novel: float, prompt_keys: dict[tuple[int, int], np.ndarray],
                   latent: Optional[np.ndarray] = None) -> AdmissionDecision:
         """One admission transaction: score, reject or append, and compress in
         the same transaction if the append overflows capacity."""

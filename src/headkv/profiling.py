@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cache import FrameWindow
 from .errors import ConfigError, ShapeError
 from .model import ModelConfig, ModelWeights, measurement_perturbation
 from .roles import HeadRole, HeadRoleMap, role_map_from_lists
@@ -60,15 +61,11 @@ def bucket_proportions(a: np.ndarray, s: int, i: int, f: int = 3) -> BucketPropo
 
 @dataclass
 class ProfileReport:
-    """Mean bucket proportions per (layer, head) with the sample counts that
-    produced them."""
+    """Mean bucket proportions per (layer, head)."""
 
     layers: int
     heads: int
     means: np.ndarray            # (L, H, 3): sink, middle, current
-    n_blocks: int
-    n_repeats: int
-    n_prompts: int
 
     def proportions(self, layer: int, head: int) -> BucketProportions:
         p = self.means[layer, head]
@@ -105,7 +102,7 @@ def profile_rollout(weights: ModelWeights, config: ModelConfig, rope: RopeParams
     for prompt in prompts:
         strategy = WindowStrategy(config, window=window, n_sink=n_sink)
         engine = RolloutEngine(weights, config, rope, strategy)
-        archive: dict[tuple[int, int], list[np.ndarray]] = {lh: [] for lh in config.heads}
+        archive = FrameWindow(0, None)       # every committed frame's keys
         for i in range(1, n_blocks + 1):
             block = engine.step(i, prompt)
             if i in sampled:
@@ -116,40 +113,36 @@ def profile_rollout(weights: ModelWeights, config: ModelConfig, rope: RopeParams
                     else:
                         perturb = measurement_perturbation(config, i, stream, perturb_scale)
                         probe = engine.step(i, prompt, perturb=perturb)
-                    _accumulate_block(sums, archive, probe, config, rope)
+                    _accumulate_block(sums, archive.frames + _keys(probe), probe, config, rope)
                 count += repeats
             engine.commit(block, prompt)
-            _archive_block(archive, block)
+            archive.roll(i, _keys(block))
 
-    means = sums / count
-    return ProfileReport(layers=config.L, heads=config.H, means=means,
-                         n_blocks=len(sampled), n_repeats=repeats, n_prompts=len(prompts))
+    return ProfileReport(layers=config.L, heads=config.H, means=sums / count)
 
 
-def _archive_block(archive: dict, block: LatentBlock) -> None:
-    for rec in block.layer_records:
-        for h, frames in enumerate(rec.frames):
-            archive[(rec.layer, h)].extend(fr.keys for fr in frames)
+def _keys(block: LatentBlock) -> list[dict]:
+    """The block's frame maps cut down to each head's keys: the archive never
+    reads values, and holding them would keep every frame's values alive."""
+    return [{lh: fr.keys for lh, fr in frame.items()} for frame in block.kv]
 
 
-def _accumulate_block(sums: np.ndarray, archive: dict, block: LatentBlock,
+def _accumulate_block(sums: np.ndarray, frames: list[dict], block: LatentBlock,
                       config: ModelConfig, rope: RopeParams) -> None:
-    """Full-context attention map per head, reduced to bucket sums."""
+    """Full-context attention map per head over the key maps of every frame
+    up to and including the block's own, reduced to bucket sums."""
     i = block.index
     f, s = config.f, config.s
     q_rot = frame_rotation(tuple(range(f * (i - 1), f * i)), s, rope)
     key_rot = frame_rotation(tuple(range(f * i)), s, rope)
-    for rec in block.layer_records:
-        for h in range(config.H):
-            hist = archive[(rec.layer, h)]
-            cur = [fr.keys for fr in rec.frames[h]]
-            k_enc = apply_rope(np.vstack(hist + cur), key_rot)
-            q_enc = apply_rope(rec.q_spatial[h], q_rot)
-            a = softmax_rows(q_enc @ k_enc.T / math.sqrt(config.d))
-            p = bucket_proportions(a, s, i, f=f)
-            sums[rec.layer, h, 0] += p.p_sink
-            sums[rec.layer, h, 1] += p.p_middle
-            sums[rec.layer, h, 2] += p.p_current
+    for (l, h), q in block.q_spatial.items():
+        k_enc = apply_rope(np.vstack([frame[(l, h)] for frame in frames]), key_rot)
+        q_enc = apply_rope(q, q_rot)
+        a = softmax_rows(q_enc @ k_enc.T / math.sqrt(config.d))
+        p = bucket_proportions(a, s, i, f=f)
+        sums[l, h, 0] += p.p_sink
+        sums[l, h, 1] += p.p_middle
+        sums[l, h, 2] += p.p_current
 
 
 def round_half_up(x: float) -> int:

@@ -78,16 +78,15 @@ class FrameArchive:
     @classmethod
     def from_blocks(cls, blocks: Iterable[LatentBlock]) -> "FrameArchive":
         """Archive of every block's frames, in block order; the blocks must
-        carry their layer records, as the blocks `RolloutEngine.run` yields do."""
+        carry their keys and values, as the blocks `RolloutEngine.run` yields do."""
         arch = cls()
         for block in blocks:
-            if not block.layer_records:
-                raise ConfigError(f"block {block.index} has no layer records; no archive available")
-            for rec in block.layer_records:
-                for h, frames in enumerate(rec.frames):
-                    lh = (rec.layer, h)
-                    arch.keys.setdefault(lh, []).extend(fr.keys for fr in frames)
-                    arch.values.setdefault(lh, []).extend(fr.values for fr in frames)
+            if not block.kv:
+                raise ConfigError(f"block {block.index} has no keys and values; no archive available")
+            for frame in block.kv:
+                for lh, fr in frame.items():
+                    arch.keys.setdefault(lh, []).append(fr.keys)
+                    arch.values.setdefault(lh, []).append(fr.values)
         return arch
 
 
@@ -232,7 +231,7 @@ class ReferenceGenerator:
                 delta += out @ self.weights.wo[l, h]
             hidden = hidden + delta
         frames = [hidden[t * s:(t + 1) * s].copy() for t in range(f)]
-        return LatentBlock(index=i, frames=frames, layer_records=[])
+        return LatentBlock(index=i, frames=frames)
 
 
 def token_cosine_fidelity(frames: list[np.ndarray], reference: list[np.ndarray]) -> float:

@@ -28,7 +28,7 @@ from .assembly import (
     reencode_temporal,
 )
 from .cache import FrameKV, FrameWindow, roll_after_block
-from .episodic import AdmissionDecision, EpisodicEntry, EpisodicMemory
+from .episodic import AdmissionDecision, EpisodicEntry, EpisodicMemory, Slots
 from .errors import ConfigError
 from .model import ModelConfig, ModelWeights, block_input
 from .roles import HeadRole, HeadRoleMap
@@ -36,25 +36,18 @@ from .tensor_ops import SPATIAL_AXES, RopeParams, apply_rope, grid_positions, ro
 
 
 @dataclass
-class LayerRecord:
-    """One layer's per-head projections for a finished block: spatially
-    encoded queries and the f per-head FrameKV destined for the caches."""
-
-    layer: int
-    q_spatial: list[np.ndarray]          # per head, (f*s, d)
-    frames: list[list[FrameKV]]          # per head, f frames
-
-
-@dataclass
 class LatentBlock:
-    """One generated block: f frames of final latents, the per-layer Q/K/V
-    records retained for cache writes and profiling, and what the step
-    attended: frames and key/value scalars summed over heads, plus per-head
-    retention evidence when the engine records it."""
+    """One generated block: f frames of final latents; its keys and values,
+    one (layer, head) -> FrameKV map per frame, which the caches roll in as
+    they are; every head's spatially encoded queries, for profiling; and what
+    the step attended: frames and key/value scalars summed over heads, plus
+    per-head retention evidence when the engine records it. The recompute
+    oracle's blocks carry latents only."""
 
     index: int
     frames: list[np.ndarray]             # f arrays of (s, d_model)
-    layer_records: list[LayerRecord]
+    kv: list[Slots] = field(default_factory=list)
+    q_spatial: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)   # (f*s, d) each
     frame_slots: int = 0
     stored_scalars: int = 0
     retention: dict[tuple[int, int], RetentionSnapshot] = field(default_factory=dict)
@@ -112,12 +105,12 @@ class WindowStrategy:
             self.name = f"sink_window(W={window}, n_sink={n_sink})"
         else:
             self.name = f"uniform_window(W={window})"
-        # the current block takes f of the window's slots
-        keep = None if window is None else window - config.f
-        self.windows = {lh: FrameWindow(n_sink, keep) for lh in config.heads}
+        # the current block takes f of the window's slots; every head holds
+        # the same frames, so one window of frame maps serves them all
+        self.window = FrameWindow(n_sink, None if window is None else window - config.f)
 
     def history_frames(self, layer: int, head: int) -> list[FrameKV]:
-        return self.windows[(layer, head)].history()
+        return [frame[(layer, head)] for frame in self.window.frames]
 
     @staticmethod
     def encode(seq: AssembledSequence, rope: RopeParams) -> EncodedSequence:
@@ -127,9 +120,7 @@ class WindowStrategy:
         return encode_temporal(seq, rope, key_idx, key_idx[-seq.f_current:])
 
     def roll(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]:
-        for rec in block.layer_records:
-            for h, frames in enumerate(rec.frames):
-                self.windows[(rec.layer, h)].roll(block.index, frames)
+        self.window.roll(block.index, block.kv)
         return []
 
     @staticmethod
@@ -160,7 +151,8 @@ class HeadWiseHyper:
 class HeadWiseStrategy:
     """Role-tailored caches: local pruning, anchor retention, and a
     hierarchical fast + episodic memory for memory heads, with contiguous
-    per-head temporal re-indexing at assembly time."""
+    per-head temporal re-indexing at assembly time. Each role has one window,
+    whose frame maps hold that role's heads only."""
 
     name = "head_wise"
 
@@ -182,18 +174,20 @@ class HeadWiseStrategy:
             tokens_per_frame=config.s,
             novelty_metric=self.hyper.novelty_metric,
         )
-        self._memory_heads = set(memory_heads)
+        self.role_map = role_map
         sizes = {HeadRole.LOCAL: (0, 1), HeadRole.ANCHOR: (config.f, 1),
                  HeadRole.MEMORY: (0, self.hyper.b_fast)}
-        self.windows = {(l, h): FrameWindow(*sizes[role_map.role(l, h)]) for (l, h) in config.heads}
+        self.windows = {role: FrameWindow(*size) for role, size in sizes.items()}
+        self._heads = {role: role_map.heads_of(role) for role in sizes}
         self._pending: list[EpisodicEntry] = []
         # latents of the block-first frames in fast memory, the only
         # candidates, kept only for the latent novelty metric
         self._latents: dict[int, np.ndarray] = {}
 
     def history_frames(self, layer: int, head: int) -> list[FrameKV]:
-        frames = self.windows[(layer, head)].history()
-        if (layer, head) in self._memory_heads:
+        role = self.role_map.role(layer, head)
+        frames = [frame[(layer, head)] for frame in self.windows[role].frames]
+        if role is HeadRole.MEMORY:
             return self.episodic.slot_frames(layer, head) + frames
         return frames
 
@@ -206,27 +200,24 @@ class HeadWiseStrategy:
         f = self.config.f
         if self.hyper.novelty_metric == "latent":
             self._latents[f * (block.index - 1)] = block.frames[0]
-        evicted_by_slot: dict[tuple[int, int], list[FrameKV]] = {}
-        for rec in block.layer_records:
-            for h, frames in enumerate(rec.frames):
-                lh = (rec.layer, h)
-                evicted = roll_after_block(self.windows[lh], block.index, frames)
-                if evicted and lh in self._memory_heads:
-                    evicted_by_slot[lh] = evicted
+        # each window keeps its own role's heads, so an anchor's sink frames
+        # keep no other head's keys and values alive
+        evicted = {role: roll_after_block(window, block.index,
+                                          [{lh: frame[lh] for lh in self._heads[role]} for frame in block.kv])
+                   for role, window in self.windows.items()}
 
-        # Every memory head evicts the same frames; candidacy fires when a
-        # block's first frame leaves fast memory.
-        if evicted_by_slot:
-            for k, fr in enumerate(next(iter(evicted_by_slot.values()))):
-                if fr.global_frame_index % f:
-                    continue
-                cand = EpisodicEntry(frame_index=fr.global_frame_index, is_summary=False,
-                                     slots={lh: evicted[k] for lh, evicted in evicted_by_slot.items()},
-                                     latent=self._latents.pop(fr.global_frame_index, None))
-                if self.hyper.candidate_mode == "latest":
-                    self._pending = [cand]
-                else:
-                    self._pending.append(cand)
+        # a frame map leaving fast memory is a candidate's slots; candidacy
+        # fires when a block's first frame leaves
+        for slots in evicted[HeadRole.MEMORY]:
+            index = slots[self.episodic.memory_heads[0]].global_frame_index
+            if index % f:
+                continue
+            cand = EpisodicEntry(frame_index=index, is_summary=False, slots=slots,
+                                 latent=self._latents.pop(index, None))
+            if self.hyper.candidate_mode == "latest":
+                self._pending = [cand]
+            else:
+                self._pending.append(cand)
 
         if block.index % self.hyper.update_interval or not self._pending:
             return []
@@ -283,14 +274,13 @@ class RolloutEngine:
         f, s = cfg.f, cfg.s
         hidden = block_input(self.weights, prompt, i, perturb=perturb)
         base_frame = f * (i - 1)
-        records: list[LayerRecord] = []
+        kv: list[Slots] = [{} for _ in range(f)]
+        q_spatial: dict[tuple[int, int], np.ndarray] = {}
         step_slots = 0
         step_scalars = 0
         retention: dict[tuple[int, int], RetentionSnapshot] = {}
 
         for l in range(cfg.L):
-            q_sp: list[np.ndarray] = []
-            frames_per_head: list[list[FrameKV]] = []
             encoded = []
             queries = []
             seqs: list[AssembledSequence] = []
@@ -312,8 +302,9 @@ class RolloutEngine:
                 seq = assemble(l, h, history, current)
                 enc = self.strategy.encode(seq, self.rope)
                 q_enc = encode_queries(q, enc)
-                q_sp.append(q)
-                frames_per_head.append(current)
+                q_spatial[(l, h)] = q
+                for frame, fr in zip(kv, current):
+                    frame[(l, h)] = fr
                 encoded.append(enc)
                 queries.append(q_enc)
                 seqs.append(seq)
@@ -326,7 +317,6 @@ class RolloutEngine:
             for h in range(cfg.H):
                 delta += outputs[h] @ self.weights.wo[l, h]
             hidden = hidden + delta
-            records.append(LayerRecord(layer=l, q_spatial=q_sp, frames=frames_per_head))
             if self.record_retention:
                 for h in range(cfg.H):
                     retention[(l, h)] = RetentionSnapshot(
@@ -337,7 +327,7 @@ class RolloutEngine:
                     )
 
         frames = [hidden[t * s:(t + 1) * s].copy() for t in range(f)]
-        return LatentBlock(index=i, frames=frames, layer_records=records, frame_slots=step_slots,
+        return LatentBlock(index=i, frames=frames, kv=kv, q_spatial=q_spatial, frame_slots=step_slots,
                            stored_scalars=step_scalars, retention=retention)
 
     def commit(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]:

@@ -167,12 +167,12 @@ def frame_rotation(frame_indices: tuple[int, ...], tokens_per_frame: int,
     return rope_rotation(positions, params, (TEMPORAL,))
 
 
-def grid_positions(grid_h: int, grid_w: int, t: int = 0) -> np.ndarray:
-    """(s, 3) positions for one frame's tokens in row-major grid order."""
+def grid_positions(grid_h: int, grid_w: int) -> np.ndarray:
+    """(s, 3) positions for one frame's tokens in row-major grid order, at
+    temporal position 0."""
     hh, ww = np.meshgrid(np.arange(grid_h), np.arange(grid_w), indexing="ij")
     s = grid_h * grid_w
-    out = np.empty((s, 3), dtype=np.int64)
-    out[:, 0] = t
+    out = np.zeros((s, 3), dtype=np.int64)
     out[:, 1] = hh.reshape(-1)
     out[:, 2] = ww.reshape(-1)
     return out

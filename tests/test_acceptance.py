@@ -96,8 +96,7 @@ def test_criterion_02_classification_counts():
         for layers, heads in ((30, 12), (36, 10), (12, 30)):
             raw = rng.random((layers, heads, 3))
             report = ProfileReport(layers=layers, heads=heads,
-                                   means=raw / raw.sum(axis=2, keepdims=True),
-                                   n_blocks=1, n_repeats=1, n_prompts=1)
+                                   means=raw / raw.sum(axis=2, keepdims=True))
             counts = classify_heads(report, 0.25, 0.20).counts()
             assert counts[HeadRole.ANCHOR] == 90
             assert counts[HeadRole.LOCAL] == 72
@@ -155,7 +154,7 @@ def test_criterion_04_retention_correctness(tmp_path):
         checked = 0
         for block in blocks:
             for (l, h), snap in block.retention.items():
-                q_sp = block.layer_records[l].q_spatial[h]
+                q_sp = block.q_spatial[(l, h)]
                 ref = masked_attention_reference(
                     archive, l, h, snap.provenance, snap.key_token_temporal,
                     q_sp, snap.query_frame_indices, TOY.s, ROPE)

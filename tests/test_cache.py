@@ -219,7 +219,7 @@ class TestRetainedFrames:
         """The head-wise strategy gives each role the window whose steady
         state is that role's closed-form budget."""
         strategy = HeadWiseStrategy(toy_config, toy_weights, toy_role_map, HeadWiseHyper())
-        cache = strategy.windows[toy_role_map.heads_of(role)[0]]
+        cache = strategy.windows[role]
         counts = []
         for i in range(1, 13):
             counts.append(len(cache.history() + block_frames(i)))

@@ -360,6 +360,20 @@ class TestCli:
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", [["profile"], ["generate"], ["budget", "--counts", "1,1,1"],
+                                         ["stability"]], ids=lambda c: c[0])
+    @pytest.mark.parametrize("section", [{"profiling": {"window": 0}}, {"profiling": {"n_sink": -1}},
+                                         {"strategy": {"type": "uniform_window", "W": 0}}], ids=repr)
+    def test_out_of_range_spec_exit_2_under_every_command(self, tmp_path, command, section):
+        """These used to load, then fail or pass depending on whether the
+        command built the section's window."""
+        cfg = self.write_cfg(tmp_path, {**section, "n_blocks": 2, "output_dir": str(tmp_path / "out")})
+        proc = self.run_cli(command[0], "--config", str(cfg), *command[1:])
+        assert proc.returncode == 2
+        assert "configuration error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         proc = self.run_cli("generate", "--config", str(tmp_path / "nope.json"))
         assert proc.returncode == 2
@@ -471,6 +485,13 @@ class TestConfigLoading:
         {"hyperparameters": {"rope": {"base": 0.5}}},
         {"hyperparameters": {"rope": {"d_t": -2, "d_h": 10, "d_w": 8}}},
         {"model": {"d": 6}},
+        {"profiling": {"window": 0}},
+        {"profiling": {"n_sink": -1}},
+        {"profiling": {"repeats": 0}},
+        {"profiling": {"sampled_blocks": []}},
+        {"profiling": {"sampled_blocks": [2, 8]}},
+        {"strategy": {"type": "uniform_window", "W": 0}},
+        {"strategy": {"type": "sink_window", "n_sink": -1}},
     ], ids=repr)
     def test_malformed_values_rejected_not_coerced(self, raw):
         with pytest.raises(ConfigError):

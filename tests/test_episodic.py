@@ -356,8 +356,7 @@ class TestCachedPooledKeys:
 
     def test_novelty_matches_brute_force(self, churned):
         mem, blocks, _ = churned
-        last = blocks[-1].layer_records
-        cand = {(l, h): last[l].frames[h][0] for (l, h) in mem.memory_heads}
+        cand = {lh: blocks[-1].kv[0][lh] for lh in mem.memory_heads}
         # scored twice: the second call reads the candidate's cached pooled keys
         for _ in range(2):
             expected = brute_force_novelty(cand, [e.slots for e in mem.entries])

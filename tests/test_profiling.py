@@ -82,8 +82,7 @@ def synthetic_report(layers, heads, seed=0):
     rng = np.random.default_rng(seed)
     raw = rng.random((layers, heads, 3))
     means = raw / raw.sum(axis=2, keepdims=True)
-    return ProfileReport(layers=layers, heads=heads, means=means,
-                         n_blocks=1, n_repeats=1, n_prompts=1)
+    return ProfileReport(layers=layers, heads=heads, means=means)
 
 
 class TestClassifyHeads:
@@ -97,7 +96,7 @@ class TestClassifyHeads:
 
     def test_identical_stats_tie_break_lexicographic(self):
         means = np.full((4, 6, 3), 1.0 / 3.0)
-        report = ProfileReport(layers=4, heads=6, means=means, n_blocks=1, n_repeats=1, n_prompts=1)
+        report = ProfileReport(layers=4, heads=6, means=means)
         role_map = classify_heads(report, 0.25, 0.20)
         all_heads = [(l, h) for l in range(4) for h in range(6)]
         assert role_map.heads_of(HeadRole.ANCHOR) == all_heads[:6]
@@ -110,7 +109,7 @@ class TestClassifyHeads:
         current = [0.05, 0.1, 0.2, 0.8, 0.7, 0.6, 0.3, 0.2, 0.2, 0.1, 0.1, 0.1]
         for h in range(12):
             means[0, h] = [sink[h], 1.0 - sink[h] - current[h], current[h]]
-        report = ProfileReport(layers=1, heads=12, means=means, n_blocks=1, n_repeats=1, n_prompts=1)
+        report = ProfileReport(layers=1, heads=12, means=means)
         role_map = classify_heads(report, 0.25, 0.25)
         assert role_map.heads_of(HeadRole.ANCHOR) == [(0, 0), (0, 1), (0, 2)]
         assert role_map.heads_of(HeadRole.LOCAL) == [(0, 3), (0, 4), (0, 5)]
@@ -258,18 +257,17 @@ def measure_block_direct(weights, config, rope, prompt, block_idx):
             f, s = config.f, config.s
             q_t = np.repeat(np.arange(f * (i - 1), f * i, dtype=np.int64), s)
             key_t = np.repeat(np.arange(f * i, dtype=np.int64), s)
-            for rec in block.layer_records:
-                for h in range(config.H):
-                    ks = archive[(rec.layer, h)] + [fr.keys for fr in rec.frames[h]]
-                    k_enc = rotate_temporal_rows(np.vstack(ks), key_t, rope)
-                    q_enc = rotate_temporal_rows(rec.q_spatial[h], q_t, rope)
-                    scores = q_enc @ k_enc.T / math.sqrt(config.d)
-                    shifted = scores - scores.max(axis=1, keepdims=True)
-                    e = np.exp(shifted)
-                    a = e / e.sum(axis=1, keepdims=True)
-                    means[rec.layer, h] = bucket_double_loop(a, s, i, f=f)
+            for (l, h), q in block.q_spatial.items():
+                ks = archive[(l, h)] + [frame[(l, h)].keys for frame in block.kv]
+                k_enc = rotate_temporal_rows(np.vstack(ks), key_t, rope)
+                q_enc = rotate_temporal_rows(q, q_t, rope)
+                scores = q_enc @ k_enc.T / math.sqrt(config.d)
+                shifted = scores - scores.max(axis=1, keepdims=True)
+                e = np.exp(shifted)
+                a = e / e.sum(axis=1, keepdims=True)
+                means[l, h] = bucket_double_loop(a, s, i, f=f)
         engine.commit(block, prompt)
-        for rec in block.layer_records:
-            for h in range(config.H):
-                archive[(rec.layer, h)].extend(fr.keys for fr in rec.frames[h])
+        for frame in block.kv:
+            for lh, fr in frame.items():
+                archive[lh].append(fr.keys)
     return means

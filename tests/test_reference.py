@@ -138,7 +138,7 @@ class TestMaskedAttentionReference:
         i = 3
         block = run[i - 1]
         snap = block.retention[(1, 1)]
-        q_sp = block.layer_records[1].q_spatial[1]
+        q_sp = block.q_spatial[(1, 1)]
         got = masked_attention_reference(archive, 1, 1, snap.provenance,
                                          snap.key_token_temporal, q_sp,
                                          snap.query_frame_indices, cfg.s, rope)
@@ -155,12 +155,12 @@ class TestMaskedAttentionReference:
         block = blocks[0]
         archive = FrameArchive.from_blocks(blocks)
         snap = block.retention[(0, 2)]
-        q_sp = block.layer_records[0].q_spatial[2]
+        q_sp = block.q_spatial[(0, 2)]
         got = masked_attention_reference(archive, 0, 2, snap.provenance,
                                          snap.key_token_temporal, q_sp,
                                          snap.query_frame_indices, cfg.s, rope)
-        keys = np.vstack([fr.keys for fr in block.layer_records[0].frames[2]])
-        vals = np.vstack([fr.values for fr in block.layer_records[0].frames[2]])
+        keys = np.vstack([frame[(0, 2)].keys for frame in block.kv])
+        vals = np.vstack([frame[(0, 2)].values for frame in block.kv])
         k_enc = rotate_temporal_rows(keys, np.repeat(np.arange(cfg.f), cfg.s), rope)
         q_enc = rotate_temporal_rows(q_sp, np.repeat(np.arange(cfg.f), cfg.s), rope)
         np.testing.assert_allclose(got, attention_rows(q_enc, k_enc, vals), atol=1e-12)
@@ -172,7 +172,7 @@ class TestMaskedAttentionReference:
         i = 7
         block = blocks[i - 1]
         snap = block.retention[local_head]
-        q_sp = block.layer_records[local_head[0]].q_spatial[local_head[1]]
+        q_sp = block.q_spatial[local_head]
         ref = masked_attention_reference(archive, *local_head, snap.provenance,
                                          snap.key_token_temporal, q_sp,
                                          snap.query_frame_indices, cfg.s, rope)
@@ -183,7 +183,7 @@ class TestMaskedAttentionReference:
         archive = FrameArchive.from_blocks(blocks)
         for block in blocks:
             for (l, h), snap in block.retention.items():
-                q_sp = block.layer_records[l].q_spatial[h]
+                q_sp = block.q_spatial[(l, h)]
                 ref = masked_attention_reference(archive, l, h, snap.provenance,
                                                  snap.key_token_temporal, q_sp,
                                                  snap.query_frame_indices, cfg.s, rope)

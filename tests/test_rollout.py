@@ -3,13 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from headkv import rollout, tensor_ops
+from headkv import cache, rollout, tensor_ops
 from headkv.assembly import assemble
 from headkv.commands import cmd_generate
 from headkv.config import config_from_dict
 from headkv.errors import ConfigError, SequencingError
 from headkv.model import ModelConfig, init_model
-from headkv.roles import role_map_from_lists
+from headkv.roles import HeadRole, role_map_from_lists
 from headkv.rollout import (
     HeadWiseHyper,
     HeadWiseStrategy,
@@ -39,6 +39,14 @@ def hand_map(cfg, n_anchor=1, n_local=1):
     heads = cfg.heads
     return role_map_from_lists(cfg.L, cfg.H, anchor=heads[:n_anchor],
                                local=heads[n_anchor:n_anchor + n_local])
+
+
+def mixed_map(cfg):
+    """Head (l, h) takes role (l + h) % 3: all three roles in every layer, no
+    role's heads contiguous."""
+    heads = cfg.heads
+    return role_map_from_lists(cfg.L, cfg.H, anchor=[lh for lh in heads if sum(lh) % 3 == 0],
+                               local=[lh for lh in heads if sum(lh) % 3 == 1])
 
 
 class TestDeterminism:
@@ -313,6 +321,47 @@ class TestRotationsBuiltOnce:
             assert len(calls) == 2
 
 
+class TestOneWindowPerPolicy:
+    """A frame is one (layer, head) -> FrameKV map: a commit rolls one window
+    per cache policy, and each head-wise role window holds that role's heads."""
+
+    @pytest.mark.parametrize("make_strategy, rolls", [
+        (lambda cfg, w: WindowStrategy(cfg, None), 1),
+        (lambda cfg, w: WindowStrategy(cfg, 6), 1),
+        (lambda cfg, w: WindowStrategy(cfg, 8, n_sink=1), 1),
+        (lambda cfg, w: HeadWiseStrategy(cfg, w, mixed_map(cfg), HeadWiseHyper(update_interval=1)), 3),
+    ], ids=["unbounded", "uniform_window", "sink_window", "head_wise"])
+    def test_window_rolls_per_commit(self, monkeypatch, make_strategy, rolls):
+        cfg, weights, rope = small_setup()
+        calls = []
+        roll = cache.FrameWindow.roll
+
+        def counted(window, block_index, frames):
+            calls.append(block_index)
+            return roll(window, block_index, frames)
+
+        monkeypatch.setattr(cache.FrameWindow, "roll", counted)
+        engine = RolloutEngine(weights, cfg, rope, make_strategy(cfg, weights))
+        for i in range(1, 7):
+            block = engine.step(i, "p")
+            calls.clear()
+            engine.commit(block, "p")
+            assert calls == [i] * rolls
+
+    def test_role_windows_hold_exactly_their_heads(self):
+        cfg, weights, rope = small_setup(scene_period=1)
+        role_map = mixed_map(cfg)
+        strategy = HeadWiseStrategy(cfg, weights, role_map, HeadWiseHyper(update_interval=1))
+        steps = run(weights, cfg, rope, strategy, SCHED, 12)
+        assert any(d.admitted for d in admissions(steps))
+        for role in HeadRole:
+            frames = strategy.windows[role].frames
+            assert frames
+            assert all(sorted(frame) == role_map.heads_of(role) for frame in frames)
+        memory = role_map.heads_of(HeadRole.MEMORY)
+        assert all(sorted(e.slots) == memory for e in strategy.episodic.entries)
+
+
 class TestWindowEncode:
     def test_sink_window_queries_take_the_current_frames_indices(self):
         cfg, weights, rope = small_setup()
@@ -320,7 +369,7 @@ class TestWindowEncode:
         engine = RolloutEngine(weights, cfg, rope, strategy)
         for i in range(1, 4):
             engine.commit(engine.step(i, "p"), "p")
-        current = engine.step(4, "p").layer_records[0].frames[0]
+        current = [frame[(0, 0)] for frame in engine.step(4, "p").kv]
         enc = strategy.encode(assemble(0, 0, strategy.history_frames(0, 0), current), rope)
         assert enc.key_frame_indices.tolist() == [0, 6, 7, 8, 9, 10, 11]
         assert enc.query_frame_indices.tolist() == [9, 10, 11]

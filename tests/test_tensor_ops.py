@@ -393,8 +393,8 @@ class TestRopeTables:
 
 
 def test_grid_positions_row_major():
-    pos = grid_positions(2, 3, t=4)
+    pos = grid_positions(2, 3)
     assert pos.shape == (6, 3)
-    assert (pos[:, 0] == 4).all()
+    assert (pos[:, 0] == 0).all()
     np.testing.assert_array_equal(pos[:, 1], [0, 0, 0, 1, 1, 1])
     np.testing.assert_array_equal(pos[:, 2], [0, 1, 2, 0, 1, 2])

@@ -5,7 +5,9 @@ a change leaves every output byte-identical.
 
 imports headkv from CHECKOUT/src and prints one line per (grid, strategy): a
 sha256 over every block's output latents, frame_slots, stored_scalars and
-admission decisions, in block order. Three more lines per grid digest the
+admission decisions, in block order. Head-wise runs on a role map whose
+anchor and local heads lead the head order, and once more on a map that puts
+all three roles in every layer. Three more lines per grid digest the
 `profile_rollout` means; what `headkv generate` writes for head-wise with
 the oracle on (metrics.csv without its two timing columns, admissions.csv and
 final_state.json); and every file that `headkv profile`, `budget` (on the
@@ -45,8 +47,18 @@ STRATEGIES = {
         cfg, w, rm, hk.HeadWiseHyper(update_interval=1)),
     "head_wise(all, latent)": lambda hk, cfg, w, rm: hk.HeadWiseStrategy(
         cfg, w, rm, hk.HeadWiseHyper(candidate_mode="all", novelty_metric="latent")),
+    "head_wise(mixed roles)": lambda hk, cfg, w, rm: hk.HeadWiseStrategy(cfg, w, mixed_role_map(hk, cfg)),
 }
 PROMPTS = ("a red kite over the dunes", "a lighthouse at night")
+
+
+def mixed_role_map(hk, cfg):
+    """Head (l, h) takes role (l + h) % 3: every layer holds all three roles,
+    and no role's heads are contiguous, so a per-role split of the heads
+    cannot pass by taking a slice of the head order."""
+    heads = cfg.heads
+    return hk.roles.role_map_from_lists(cfg.L, cfg.H, anchor=[lh for lh in heads if sum(lh) % 3 == 0],
+                                        local=[lh for lh in heads if sum(lh) % 3 == 1])
 
 
 def import_headkv(checkout: Path):
