@@ -44,9 +44,6 @@ class AssembledSequence:
     def tokens_per_frame(self) -> int:
         return self.frames[0].tokens
 
-    def provenance(self) -> np.ndarray:
-        return np.vstack([fr.provenance for fr in self.frames])
-
 
 def assemble(layer: int, head: int, history: Sequence[FrameKV],
              current: Sequence[FrameKV]) -> AssembledSequence:

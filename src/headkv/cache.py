@@ -104,9 +104,6 @@ class FrameWindow:
         del self.frames[self.n_sink:stop]
         return evicted
 
-    def history(self) -> list:
-        return list(self.frames)
-
 
 def roll_after_block(cache: FrameWindow, block_index: int, frames: list) -> list:
     """Advance a window past a finished block. Returns the frames it dropped;

@@ -69,9 +69,9 @@ def _profile(cfg: ExperimentConfig, weights, prompts: list[str], blocks: list[in
 
 def cmd_profile(cfg: ExperimentConfig, out: str | None = None) -> dict[str, Path]:
     """Profile head roles: writes role_map.json and head_stats.csv."""
-    out_path = _out_dir(cfg, out)
     report, role_map = _profile(cfg, init_model(cfg.model), [text for text, _ in cfg.prompt_schedule],
                                 list(cfg.profiling.sampled_blocks))
+    out_path = _out_dir(cfg, out)
 
     map_path = out_path / "role_map.json"
     role_map.save(map_path)
@@ -92,11 +92,11 @@ def cmd_generate(cfg: ExperimentConfig, out: str | None = None) -> dict[str, Pat
     """Run one rollout under the configured strategy: writes metrics.csv,
     admissions.csv, and final_state.json. Rows are written as blocks finish;
     with the oracle on, the recompute oracle steps in lock-step."""
-    out_path = _out_dir(cfg, out)
     weights = init_model(cfg.model)
     strategy = build_strategy(cfg, weights)
     engine = RolloutEngine(weights, cfg.model, cfg.rope, strategy)
     reference = ReferenceGenerator(weights, cfg.model, cfg.rope) if cfg.oracle_enabled() else None
+    out_path = _out_dir(cfg, out)
 
     metrics_path = out_path / "metrics.csv"
     admissions_path = out_path / "admissions.csv"
@@ -191,9 +191,9 @@ def _stability_runs(cfg: ExperimentConfig) -> list[HeadRoleMap]:
 def cmd_stability(cfg: ExperimentConfig, out: str | None = None) -> dict[str, Path]:
     """Classification stability across M profiling runs varied along one axis:
     writes stability.csv plus the per-run role maps."""
-    out_path = _out_dir(cfg, out)
     maps = _stability_runs(cfg)
     report = core_stability_ratio(maps)
+    out_path = _out_dir(cfg, out)
 
     paths: dict[str, Path] = {}
     for r, m in enumerate(maps):

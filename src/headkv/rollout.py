@@ -40,9 +40,8 @@ class LatentBlock:
     """One generated block: f frames of final latents; its keys and values,
     one (layer, head) -> FrameKV map per frame, which the caches roll in as
     they are; every head's spatially encoded queries, for profiling; and what
-    the step attended: frames and key/value scalars summed over heads, plus
-    per-head retention evidence when the engine records it. The recompute
-    oracle's blocks carry latents only."""
+    the step attended: frames and key/value scalars summed over heads. The
+    recompute oracle's blocks carry latents only."""
 
     index: int
     frames: list[np.ndarray]             # f arrays of (s, d_model)
@@ -50,20 +49,9 @@ class LatentBlock:
     q_spatial: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)   # (f*s, d) each
     frame_slots: int = 0
     stored_scalars: int = 0
-    retention: dict[tuple[int, int], RetentionSnapshot] = field(default_factory=dict)
 
     def hidden(self) -> np.ndarray:
         return np.vstack(self.frames)
-
-
-@dataclass
-class RetentionSnapshot:
-    """Per-head evidence for the masked-attention oracle at one step."""
-
-    provenance: np.ndarray               # (tokens, 2) source (frame, token)
-    key_token_temporal: np.ndarray       # (tokens,)
-    query_frame_indices: np.ndarray      # (f,)
-    output: np.ndarray                   # (f*s, d)
 
 
 class CacheStrategy(Protocol):
@@ -253,7 +241,7 @@ class MetricsRow:
 
 class RolloutEngine:
     def __init__(self, weights: ModelWeights, config: ModelConfig, rope: RopeParams,
-                 strategy: CacheStrategy, record_retention: bool = False):
+                 strategy: CacheStrategy):
         if rope.d != config.d:
             raise ConfigError(f"rope channel total {rope.d} != head dim {config.d}")
         if strategy.config != config:
@@ -262,7 +250,6 @@ class RolloutEngine:
         self.config = config
         self.rope = rope
         self.strategy = strategy
-        self.record_retention = record_retention
         frame_grid = grid_positions(config.grid_h, config.grid_w)
         # q and k of every head and block share the f*s grid positions
         self._spatial = rope_rotation(np.tile(frame_grid, (config.f, 1)), rope, SPATIAL_AXES)
@@ -278,12 +265,10 @@ class RolloutEngine:
         q_spatial: dict[tuple[int, int], np.ndarray] = {}
         step_slots = 0
         step_scalars = 0
-        retention: dict[tuple[int, int], RetentionSnapshot] = {}
 
         for l in range(cfg.L):
             encoded = []
             queries = []
-            seqs: list[AssembledSequence] = []
             for h in range(cfg.H):
                 q = hidden @ self.weights.wq[l, h]
                 k = hidden @ self.weights.wk[l, h]
@@ -307,28 +292,19 @@ class RolloutEngine:
                     frame[(l, h)] = fr
                 encoded.append(enc)
                 queries.append(q_enc)
-                seqs.append(seq)
+                step_slots += seq.frame_count
 
             buffer = pack(encoded, queries)
             outputs = packed_attention(buffer)
-            step_slots += sum(seq.frame_count for seq in seqs)
             step_scalars += buffer.keys.size + buffer.values.size
             delta = np.zeros_like(hidden)
             for h in range(cfg.H):
                 delta += outputs[h] @ self.weights.wo[l, h]
             hidden = hidden + delta
-            if self.record_retention:
-                for h in range(cfg.H):
-                    retention[(l, h)] = RetentionSnapshot(
-                        provenance=seqs[h].provenance(),
-                        key_token_temporal=encoded[h].key_token_temporal,
-                        query_frame_indices=encoded[h].query_frame_indices,
-                        output=outputs[h],
-                    )
 
         frames = [hidden[t * s:(t + 1) * s].copy() for t in range(f)]
         return LatentBlock(index=i, frames=frames, kv=kv, q_spatial=q_spatial, frame_slots=step_slots,
-                           stored_scalars=step_scalars, retention=retention)
+                           stored_scalars=step_scalars)
 
     def commit(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]:
         """Advance the caches past a finished block; returns every episodic

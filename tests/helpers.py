@@ -1,9 +1,11 @@
 """Dense helpers shared by the tests."""
 
 import math
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
+import headkv.rollout
 from headkv.errors import ShapeError
 from headkv.tensor_ops import softmax_rows
 
@@ -22,3 +24,56 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ShapeError(f"k rows {k.shape[0]} != v rows {v.shape[0]}")
     scores = q @ k.T / math.sqrt(k.shape[1])
     return softmax_rows(scores) @ v
+
+
+class Retention(NamedTuple):
+    """One head's evidence for the masked-attention oracle at one step."""
+
+    provenance: np.ndarray               # (tokens, 2) source (frame, token)
+    key_token_temporal: np.ndarray       # (tokens,)
+    query_frame_indices: np.ndarray      # (f,)
+    output: np.ndarray                   # (f*s, d)
+
+
+def run_with_retention(engine: headkv.rollout.RolloutEngine, n_blocks: int,
+                       schedule: list[tuple[str, int]]
+                       ) -> Iterator[tuple[headkv.rollout.LatentBlock, dict[tuple[int, int], Retention]]]:
+    """engine.run, yielding (block, {(layer, head): Retention}) per block.
+
+    The evidence is read at two seams the engine already passes it through:
+    the strategy's encode(seq, rope), wrapped on the instance, sees each
+    head's assembled frames and temporal indices, and
+    headkv.rollout.packed_attention, wrapped at that module name, returns
+    each head's output in buffer.head_ids order. Both are restored when the
+    generator finishes or is closed."""
+    strategy = engine.strategy
+    encode = strategy.encode
+    attend = headkv.rollout.packed_attention
+    encoded: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    outputs: dict[tuple[int, int], np.ndarray] = {}
+
+    def recording_encode(seq, rope):
+        enc = encode(seq, rope)
+        lh = (seq.layer, seq.head)
+        assert lh not in encoded, f"head {lh} encoded twice in one step"
+        encoded[lh] = (np.vstack([fr.provenance for fr in seq.frames]),
+                       enc.key_token_temporal, enc.query_frame_indices)
+        return enc
+
+    def recording_attention(buffer):
+        result = attend(buffer)
+        for lh, out in zip(buffer.head_ids, result):
+            assert lh not in outputs, f"head {lh} attended twice in one step"
+            outputs[lh] = out
+        return result
+
+    strategy.encode = recording_encode
+    headkv.rollout.packed_attention = recording_attention
+    try:
+        for block, _, _ in engine.run(n_blocks, schedule):
+            yield block, {lh: Retention(*encoded[lh], outputs[lh]) for lh in sorted(encoded)}
+            encoded.clear()
+            outputs.clear()
+    finally:
+        headkv.rollout.packed_attention = attend
+        del strategy.encode

@@ -36,6 +36,7 @@ from headkv.rollout import (
     WindowStrategy,
 )
 from headkv.tensor_ops import RopeParams
+from helpers import run_with_retention
 
 TOY = ModelConfig(L=4, H=6, d=16, s=16, f=3, grid_h=4, grid_w=4, seed=0)
 ROPE = RopeParams.default_for(16)
@@ -148,12 +149,12 @@ def test_criterion_04_retention_correctness(tmp_path):
         role_map = toy_role_map(tmp_path)
         weights = init_model(TOY)
         strategy = HeadWiseStrategy(TOY, weights, role_map, HeadWiseHyper())
-        engine = RolloutEngine(weights, TOY, ROPE, strategy, record_retention=True)
-        blocks = [block for block, _, _ in engine.run(64, SCHED)]
-        archive = FrameArchive.from_blocks(blocks)
+        engine = RolloutEngine(weights, TOY, ROPE, strategy)
+        run = list(run_with_retention(engine, 64, SCHED))
+        archive = FrameArchive.from_blocks([block for block, _ in run])
         checked = 0
-        for block in blocks:
-            for (l, h), snap in block.retention.items():
+        for block, retention in run:
+            for (l, h), snap in retention.items():
                 q_sp = block.q_spatial[(l, h)]
                 ref = masked_attention_reference(
                     archive, l, h, snap.provenance, snap.key_token_temporal,
@@ -169,12 +170,12 @@ def test_criterion_05_rope_boundedness(tmp_path):
         role_map = toy_role_map(tmp_path)
         weights = init_model(TOY)
         strategy = HeadWiseStrategy(TOY, weights, role_map, HeadWiseHyper())
-        engine = RolloutEngine(weights, TOY, ROPE, strategy, record_retention=True)
+        engine = RolloutEngine(weights, TOY, ROPE, strategy)
         caps = {HeadRole.LOCAL: 3, HeadRole.ANCHOR: 6, HeadRole.MEMORY: 10}
         seen_max = {role: 0 for role in caps}
         # each block's retention is checked as the block arrives
-        for block, _, _ in engine.run(256, SCHED):
-            for (l, h), snap in block.retention.items():
+        for block, retention in run_with_retention(engine, 256, SCHED):
+            for (l, h), snap in retention.items():
                 role = role_map.role(l, h)
                 dist = int(snap.query_frame_indices.max() - snap.key_token_temporal.min())
                 assert dist <= caps[role], f"block {block.index} {role} distance {dist}"
@@ -182,7 +183,7 @@ def test_criterion_05_rope_boundedness(tmp_path):
         assert seen_max == caps
         for role, cap in caps.items():
             last = max(int(snap.query_frame_indices.max() - snap.key_token_temporal.min())
-                       for (l, h), snap in block.retention.items()
+                       for (l, h), snap in retention.items()
                        if role_map.role(l, h) is role)
             assert last == cap
     _report(5, "temporal re-encoding boundedness (256 blocks)", t)

@@ -17,7 +17,7 @@ from headkv.reference import attention_rows, rotate_temporal_rows
 from headkv.roles import role_map_from_lists
 from headkv.rollout import HeadWiseHyper, HeadWiseStrategy, RolloutEngine
 from headkv.tensor_ops import TEMPORAL, RopeParams, frame_rotation, rope_rotation
-from helpers import attention
+from helpers import attention, run_with_retention
 
 D = 8
 ROPE8 = RopeParams.default_for(8)
@@ -224,8 +224,8 @@ def retention_run():
     heads = cfg.heads
     role_map = role_map_from_lists(cfg.L, cfg.H, anchor=heads[:1], local=heads[1:2])
     strategy = HeadWiseStrategy(cfg, weights, role_map, HeadWiseHyper())
-    engine = RolloutEngine(weights, cfg, RopeParams.default_for(8), strategy, record_retention=True)
-    retention = [block.retention for block, _, _ in engine.run(500, [("sweep", 1)])]
+    engine = RolloutEngine(weights, cfg, RopeParams.default_for(8), strategy)
+    retention = [step for _, step in run_with_retention(engine, 500, [("sweep", 1)])]
     return cfg, role_map, retention
 
 

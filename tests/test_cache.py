@@ -42,18 +42,18 @@ class TestRollFirstBlock:
     def test_local(self):
         cache = FrameWindow(0, 1)
         roll_after_block(cache, 1, block_frames(1))
-        assert indices(cache.history()) == [2]
+        assert indices(list(cache.frames)) == [2]
 
     def test_anchor_captures_first_frames(self):
         cache = FrameWindow(F, 1)
         roll_after_block(cache, 1, block_frames(1))
         # the first f frames are the anchors; the last frame is among them
-        assert indices(cache.history()) == [0, 1, 2]
+        assert indices(list(cache.frames)) == [0, 1, 2]
 
     def test_memory_no_eviction(self):
         cache = FrameWindow(0, 3)
         evicted = roll_after_block(cache, 1, block_frames(1))
-        assert indices(cache.history()) == [0, 1, 2]
+        assert indices(list(cache.frames)) == [0, 1, 2]
         assert evicted == []
 
 
@@ -62,7 +62,7 @@ class TestRollSecondBlock:
         cache = FrameWindow(0, 3)
         cache.roll(1, block_frames(1))
         evicted = cache.roll(2, block_frames(2))
-        assert indices(cache.history()) == [3, 4, 5]
+        assert indices(list(cache.frames)) == [3, 4, 5]
         assert indices(evicted) == [0, 1, 2]
         # the exited block's first frame is the episodic candidate
         first = [fr for fr in evicted if fr.global_frame_index % F == 0]
@@ -81,7 +81,7 @@ class TestRollSecondBlock:
         for i in range(1, 11):
             cache.roll(i, block_frames(i))
             lo = max(F * i - b_fast, 0)
-            assert indices(cache.history()) == list(range(lo, F * i))
+            assert indices(list(cache.frames)) == list(range(lo, F * i))
 
     @pytest.mark.parametrize("b_fast", [2, 3, 4, 5, 7])
     def test_every_frame_evicted_exactly_once(self, b_fast):
@@ -105,7 +105,7 @@ class TestFrameWindowProperty:
             frames = block_frames(i, f)
             evicted += indices(cache.roll(i, frames))
             seen += indices(frames)
-            kept = indices(cache.history())
+            kept = indices(list(cache.frames))
             stop = n_sink if keep is None else max(n_sink, len(seen) - keep)
             assert kept == seen[:n_sink] + seen[stop:]
             # every frame that left, left once and in order
@@ -154,21 +154,21 @@ class FrameWindowMachine(RuleBasedStateMachine):
     def roll_out_of_order(self, offset):
         # offset <= 0 repeats an earlier block index, offset >= 2 skips one
         index = self.block + offset
-        before = [id(fr) for fr in self.cache.history()]
+        before = [id(fr) for fr in list(self.cache.frames)]
         with pytest.raises(SequencingError):
             self.cache.roll(index, block_frames(max(index, 1), self.f))
         assert self.cache.last_block == self.block
-        assert [id(fr) for fr in self.cache.history()] == before
+        assert [id(fr) for fr in list(self.cache.frames)] == before
 
     @invariant()
     def history_matches_the_model(self):
-        assert [id(fr) for fr in self.cache.history()] == [id(fr) for fr in self.model]
+        assert [id(fr) for fr in list(self.cache.frames)] == [id(fr) for fr in self.model]
 
     @invariant()
     def history_is_first_sinks_plus_last_keep(self):
         seen = indices(self.seen)
         stop = self.n_sink if self.keep is None else max(self.n_sink, len(seen) - self.keep)
-        assert indices(self.cache.history()) == seen[:self.n_sink] + seen[stop:]
+        assert indices(list(self.cache.frames)) == seen[:self.n_sink] + seen[stop:]
 
 
 TestFrameWindowMachine = FrameWindowMachine.TestCase
@@ -183,31 +183,31 @@ class TestRetainedFrames:
     def test_local_at_block_5(self):
         cache = FrameWindow(0, 1)
         self.roll_through(cache, 4)
-        frames = cache.history() + block_frames(5)
+        frames = list(cache.frames) + block_frames(5)
         assert indices(frames) == [11, 12, 13, 14]
 
     def test_anchor_at_block_5(self):
         cache = FrameWindow(F, 1)
         self.roll_through(cache, 4)
-        frames = cache.history() + block_frames(5)
+        frames = list(cache.frames) + block_frames(5)
         assert indices(frames) == [0, 1, 2, 11, 12, 13, 14]
 
     def test_anchor_at_block_2_deduplicates_prev(self):
         cache = FrameWindow(F, 1)
         self.roll_through(cache, 1)
-        frames = cache.history() + block_frames(2)
+        frames = list(cache.frames) + block_frames(2)
         assert indices(frames) == [0, 1, 2, 3, 4, 5]
         assert len(frames) == 6
 
     def test_local_at_block_1_is_current_only(self):
-        frames = FrameWindow(0, 1).history() + block_frames(1)
+        frames = list(FrameWindow(0, 1).frames) + block_frames(1)
         assert indices(frames) == [0, 1, 2]
 
     def test_anchor_frames_never_evicted(self):
         cache = FrameWindow(F, 1)
         for i in range(1, 31):
             roll_after_block(cache, i, block_frames(i))
-            retained = cache.history() + block_frames(i + 1)
+            retained = list(cache.frames) + block_frames(i + 1)
             assert indices(retained)[:3] == [0, 1, 2]
 
     @pytest.mark.parametrize("role,cap", [
@@ -222,7 +222,7 @@ class TestRetainedFrames:
         cache = strategy.windows[role]
         counts = []
         for i in range(1, 13):
-            counts.append(len(cache.history() + block_frames(i)))
+            counts.append(len(list(cache.frames) + block_frames(i)))
             roll_after_block(cache, i, block_frames(i))
         assert max(counts) == cap
         assert all(c <= cap for c in counts)
@@ -231,7 +231,7 @@ class TestRetainedFrames:
     def test_memory_capacity_without_episodic(self):
         cache = FrameWindow(0, 3)
         for i in range(1, 9):
-            frames = cache.history() + block_frames(i)
+            frames = list(cache.frames) + block_frames(i)
             assert len(frames) <= 3 + F
             roll_after_block(cache, i, block_frames(i))
 

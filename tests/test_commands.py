@@ -367,7 +367,20 @@ class TestCli:
     def test_out_of_range_spec_exit_2_under_every_command(self, tmp_path, command, section):
         """These used to load, then fail or pass depending on whether the
         command built the section's window."""
-        cfg = self.write_cfg(tmp_path, {**section, "n_blocks": 2, "output_dir": str(tmp_path / "out")})
+        self.assert_config_error_leaves_no_output(tmp_path, command, section)
+
+    @pytest.mark.parametrize("command,raw", [
+        (["profile"], {"profiling": {"window": 2}}),
+        (["generate"], {"strategy": {"type": "head_wise"}, "head_role_map": "missing.json"}),
+        (["stability"], {"stability": {"runs": 3, "prompt_pool": ["a"]}}),
+    ], ids=repr)
+    def test_late_config_error_leaves_no_output_dir(self, tmp_path, command, raw):
+        """These fail only once the command builds its inputs; each used to
+        leave an empty output directory behind."""
+        self.assert_config_error_leaves_no_output(tmp_path, command, raw)
+
+    def assert_config_error_leaves_no_output(self, tmp_path, command, raw):
+        cfg = self.write_cfg(tmp_path, {**raw, "n_blocks": 2, "output_dir": str(tmp_path / "out")})
         proc = self.run_cli(command[0], "--config", str(cfg), *command[1:])
         assert proc.returncode == 2
         assert "configuration error" in proc.stderr

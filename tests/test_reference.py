@@ -26,15 +26,20 @@ from headkv.rollout import (
     WindowStrategy,
 )
 from headkv.tensor_ops import RopeParams
-from helpers import attention
+from helpers import attention, run_with_retention
 
 SCHED = [("oracle prompt", 1)]
 
 
-def run_blocks(weights, cfg, rope, strategy, n_blocks, record_retention=False):
-    """Every block a rollout yields, layer records and retention included."""
-    engine = RolloutEngine(weights, cfg, rope, strategy, record_retention=record_retention)
+def run_blocks(weights, cfg, rope, strategy, n_blocks):
+    """Every block a rollout yields."""
+    engine = RolloutEngine(weights, cfg, rope, strategy)
     return [block for block, _, _ in engine.run(n_blocks, SCHED)]
+
+
+def retention_blocks(weights, cfg, rope, strategy, n_blocks):
+    """Every block a rollout yields, each with its per-head retention."""
+    return list(run_with_retention(RolloutEngine(weights, cfg, rope, strategy), n_blocks, SCHED))
 
 
 def small_setup(seed=2):
@@ -125,19 +130,18 @@ def head_wise_run():
     cfg, weights, rope = small_setup()
     rm = role_map_from_lists(cfg.L, cfg.H, anchor=cfg.heads[:1], local=cfg.heads[1:2])
     strategy = HeadWiseStrategy(cfg, weights, rm, HeadWiseHyper())
-    blocks = run_blocks(weights, cfg, rope, strategy, 8, record_retention=True)
-    return cfg, rope, rm, blocks
+    return cfg, rope, rm, retention_blocks(weights, cfg, rope, strategy, 8)
 
 
 class TestMaskedAttentionReference:
 
     def test_mask_everything_equals_full_reference(self):
         cfg, weights, rope = small_setup()
-        run = run_blocks(weights, cfg, rope, WindowStrategy(cfg, window=None), 3, record_retention=True)
-        archive = FrameArchive.from_blocks(run)
+        run = retention_blocks(weights, cfg, rope, WindowStrategy(cfg, window=None), 3)
+        archive = FrameArchive.from_blocks([block for block, _ in run])
         i = 3
-        block = run[i - 1]
-        snap = block.retention[(1, 1)]
+        block, retention = run[i - 1]
+        snap = retention[(1, 1)]
         q_sp = block.q_spatial[(1, 1)]
         got = masked_attention_reference(archive, 1, 1, snap.provenance,
                                          snap.key_token_temporal, q_sp,
@@ -151,10 +155,10 @@ class TestMaskedAttentionReference:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_mask_current_only_equals_within_block(self, head_wise_run):
-        cfg, rope, rm, blocks = head_wise_run
-        block = blocks[0]
-        archive = FrameArchive.from_blocks(blocks)
-        snap = block.retention[(0, 2)]
+        cfg, rope, rm, run = head_wise_run
+        block, retention = run[0]
+        archive = FrameArchive.from_blocks([block for block, _ in run])
+        snap = retention[(0, 2)]
         q_sp = block.q_spatial[(0, 2)]
         got = masked_attention_reference(archive, 0, 2, snap.provenance,
                                          snap.key_token_temporal, q_sp,
@@ -166,12 +170,12 @@ class TestMaskedAttentionReference:
         np.testing.assert_allclose(got, attention_rows(q_enc, k_enc, vals), atol=1e-12)
 
     def test_live_local_head_snapshot_matches_fast_path(self, head_wise_run):
-        cfg, rope, rm, blocks = head_wise_run
+        cfg, rope, rm, run = head_wise_run
         local_head = rm.heads_of(HeadRole.LOCAL)[0]
-        archive = FrameArchive.from_blocks(blocks)
+        archive = FrameArchive.from_blocks([block for block, _ in run])
         i = 7
-        block = blocks[i - 1]
-        snap = block.retention[local_head]
+        block, retention = run[i - 1]
+        snap = retention[local_head]
         q_sp = block.q_spatial[local_head]
         ref = masked_attention_reference(archive, *local_head, snap.provenance,
                                          snap.key_token_temporal, q_sp,
@@ -179,10 +183,10 @@ class TestMaskedAttentionReference:
         np.testing.assert_allclose(ref, snap.output, atol=1e-10)
 
     def test_every_head_every_block(self, head_wise_run):
-        cfg, rope, rm, blocks = head_wise_run
-        archive = FrameArchive.from_blocks(blocks)
-        for block in blocks:
-            for (l, h), snap in block.retention.items():
+        cfg, rope, rm, run = head_wise_run
+        archive = FrameArchive.from_blocks([block for block, _ in run])
+        for block, retention in run:
+            for (l, h), snap in retention.items():
                 q_sp = block.q_spatial[(l, h)]
                 ref = masked_attention_reference(archive, l, h, snap.provenance,
                                                  snap.key_token_temporal, q_sp,

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from headkv import cache, rollout, tensor_ops
+from headkv import assembly, cache, rollout, tensor_ops
 from headkv.assembly import assemble
 from headkv.commands import cmd_generate
 from headkv.config import config_from_dict
@@ -17,6 +17,7 @@ from headkv.rollout import (
     WindowStrategy,
 )
 from headkv.tensor_ops import RopeParams
+from helpers import run_with_retention
 
 SCHED = [("rollout prompt", 1)]
 
@@ -373,6 +374,49 @@ class TestWindowEncode:
         enc = strategy.encode(assemble(0, 0, strategy.history_frames(0, 0), current), rope)
         assert enc.key_frame_indices.tolist() == [0, 6, 7, 8, 9, 10, 11]
         assert enc.query_frame_indices.tolist() == [9, 10, 11]
+
+
+class TestRunWithRetention:
+    """The test helper that reads the masked-oracle evidence at the engine's
+    encode and packed-attention seams."""
+
+    STRATEGIES = {
+        "head_wise": lambda cfg, weights: HeadWiseStrategy(cfg, weights, mixed_map(cfg), HeadWiseHyper()),
+        "sink_window": lambda cfg, weights: WindowStrategy(cfg, window=6, n_sink=1),
+        "unbounded": lambda cfg, weights: WindowStrategy(cfg, window=None),
+    }
+
+    @pytest.mark.parametrize("name", list(STRATEGIES))
+    def test_every_head_once_per_block(self, name):
+        cfg, weights, rope = small_setup()
+        engine = RolloutEngine(weights, cfg, rope, self.STRATEGIES[name](cfg, weights))
+        plain = run(weights, cfg, rope, self.STRATEGIES[name](cfg, weights), SCHED, 6)
+        steps = list(run_with_retention(engine, 6, SCHED))
+        assert [block.index for block, _ in steps] == list(range(1, 7))
+        for (block, retention), (want, _, _) in zip(steps, plain):
+            assert list(retention) == cfg.heads
+            # the wrapped seams change nothing the engine computes
+            np.testing.assert_array_equal(block.hidden(), want.hidden())
+            assert sum(len(r.provenance) for r in retention.values()) == block.frame_slots * cfg.s
+            for r in retention.values():
+                assert r.key_token_temporal.shape == (len(r.provenance),)
+                assert r.query_frame_indices.shape == (cfg.f,)
+                assert r.output.shape == (cfg.f * cfg.s, cfg.d)
+
+    @pytest.mark.parametrize("stop_after", [None, 2])
+    def test_seams_restored(self, stop_after):
+        """After a full run, and after a consumer closes the generator early."""
+        cfg, weights, rope = small_setup()
+        strategy = HeadWiseStrategy(cfg, weights, hand_map(cfg), HeadWiseHyper())
+        steps = run_with_retention(RolloutEngine(weights, cfg, rope, strategy), 4, SCHED)
+        for n, _ in enumerate(steps, 1):
+            assert rollout.packed_attention is not assembly.packed_attention
+            assert "encode" in vars(strategy)
+            if n == stop_after:
+                steps.close()
+        assert n == (stop_after or 4)
+        assert rollout.packed_attention is assembly.packed_attention
+        assert "encode" not in vars(strategy)
 
 
 class TestEpisodicCadence:
