@@ -10,7 +10,6 @@ entry sequence at all times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -18,10 +17,6 @@ from .cache import FrameKV
 from .errors import ConfigError, ShapeError
 
 Slots = dict[tuple[int, int], FrameKV]
-
-
-def _with_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
-    return v, float(np.linalg.norm(v))
 
 
 def _cosine(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> float:
@@ -39,8 +34,6 @@ class EpisodicEntry:
     frame_index: int              # source global frame; -1 for the summary
     is_summary: bool
     slots: Slots
-    latent: Optional[np.ndarray] = None  # raw frame latent, kept for the
-                                         # latent-similarity novelty variant
 
 
 @dataclass
@@ -56,7 +49,6 @@ class EpisodicMemory:
     capacity: int                              # B_epi, summary included
     memory_heads: list[tuple[int, int]]
     tokens_per_frame: int                      # s; summaries hold exactly s tokens
-    novelty_metric: str = "key_cosine"         # or "latent"
     entries: list[EpisodicEntry] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -64,8 +56,6 @@ class EpisodicMemory:
             raise ConfigError("episodic capacity must be >= 1")
         if not self.memory_heads:
             raise ConfigError("episodic memory needs at least one memory head")
-        if self.novelty_metric not in ("key_cosine", "latent"):
-            raise ConfigError(f"unknown novelty metric {self.novelty_metric!r}")
 
     @property
     def summary_present(self) -> bool:
@@ -91,26 +81,13 @@ class EpisodicMemory:
         if set(candidate) != set(self.memory_heads):
             raise ConfigError("candidate slots do not cover the memory-head set")
 
-    def novelty_score(self, candidate: Slots, latent: Optional[np.ndarray] = None) -> float:
+    def novelty_score(self, candidate: Slots) -> float:
         """Max over stored entries of the layer/head-averaged cosine between
         mean-pooled keys. Defined as -1 for an empty memory (forced admit)."""
         self._check_candidate(candidate)
         if not self.entries:
             return -1.0
-        if self.novelty_metric == "latent":
-            return self._novelty_latent(latent)
         return max(self._similarity(candidate, entry.slots) for entry in self.entries)
-
-    def _novelty_latent(self, latent: Optional[np.ndarray]) -> float:
-        if latent is None:
-            raise ConfigError("latent novelty metric requires the candidate frame latent")
-        pooled_c = _with_norm(latent.mean(axis=0))
-        best = -np.inf
-        for entry in self.entries:
-            if entry.latent is None:
-                continue
-            best = max(best, _cosine(pooled_c, _with_norm(entry.latent.mean(axis=0))))
-        return float(best) if best > -np.inf else -1.0
 
     def _similarity(self, a: Slots, b: Slots) -> float:
         """Mean over memory heads of the cosine between mean-pooled keys."""
@@ -223,16 +200,13 @@ class EpisodicMemory:
     # -- admission --------------------------------------------------------
 
     def try_admit(self, candidate: Slots, frame_index: int, block_index: int,
-                  tau_novel: float, prompt_keys: dict[tuple[int, int], np.ndarray],
-                  latent: Optional[np.ndarray] = None) -> AdmissionDecision:
+                  tau_novel: float, prompt_keys: dict[tuple[int, int], np.ndarray]) -> AdmissionDecision:
         """One admission transaction: score, reject or append, and compress in
         the same transaction if the append overflows capacity."""
-        delta = self.novelty_score(candidate, latent=latent)
+        delta = self.novelty_score(candidate)
         if delta >= tau_novel:
             return AdmissionDecision(block_index, delta, admitted=False, compressed=False)
-        self.entries.append(EpisodicEntry(
-            frame_index=frame_index, is_summary=False, slots=dict(candidate), latent=latent,
-        ))
+        self.entries.append(EpisodicEntry(frame_index=frame_index, is_summary=False, slots=dict(candidate)))
         compressed = False
         if len(self.entries) > self.capacity:
             self._compress_overflow(prompt_keys)

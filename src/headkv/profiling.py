@@ -41,15 +41,16 @@ class BucketProportions:
         return (self.p_sink, self.p_middle, self.p_current)
 
 
-def bucket_proportions(a: np.ndarray, s: int, i: int, f: int = 3) -> BucketProportions:
-    """Attention mass per temporal bucket of a (f*s) x (f*i*s) row-stochastic
-    map: sink = first frame, current = the block's last f frames, middle =
-    everything between. Normalized by the f*s query rows."""
+def bucket_proportions(a: np.ndarray, s: int, i: int) -> BucketProportions:
+    """Attention mass per temporal bucket of an (f*s) x (f*i*s) row-stochastic
+    map, f = rows // s: sink = first frame, current = the block's last f
+    frames, middle = everything between. Normalized by the f*s query rows."""
     if i < 2:
         raise ConfigError(f"bucket proportions need a middle bucket; block index {i} < 2")
     a = np.asarray(a)
-    if a.shape != (f * s, f * i * s):
-        raise ShapeError(f"attention map must be ({f * s}, {f * i * s}), got {a.shape}")
+    f = a.shape[0] // s if a.ndim == 2 else 0
+    if f < 1 or a.shape != (f * s, f * i * s):
+        raise ShapeError(f"attention map must be (f*{s}, f*{i * s}) for some f >= 1, got {a.shape}")
     sink_end = s
     current_start = (f * i - f) * s
     norm = 1.0 / (f * s)
@@ -139,7 +140,7 @@ def _accumulate_block(sums: np.ndarray, frames: list[dict], block: LatentBlock,
         k_enc = apply_rope(np.vstack([frame[(l, h)] for frame in frames]), key_rot)
         q_enc = apply_rope(q, q_rot)
         a = softmax_rows(q_enc @ k_enc.T / math.sqrt(config.d))
-        p = bucket_proportions(a, s, i, f=f)
+        p = bucket_proportions(a, s, i)
         sums[l, h, 0] += p.p_sink
         sums[l, h, 1] += p.p_middle
         sums[l, h, 2] += p.p_current

@@ -28,7 +28,7 @@ from .assembly import (
     reencode_temporal,
 )
 from .cache import FrameKV, FrameWindow, roll_after_block
-from .episodic import AdmissionDecision, EpisodicEntry, EpisodicMemory, Slots
+from .episodic import AdmissionDecision, EpisodicMemory, Slots
 from .errors import ConfigError
 from .model import ModelConfig, ModelWeights, block_input
 from .roles import HeadRole, HeadRoleMap
@@ -122,18 +122,12 @@ class HeadWiseHyper:
     b_fast: int = 3
     tau_novel: float = 0.95
     update_interval: int = 3
-    candidate_mode: str = "latest"      # or "all": evaluate every exited block
-    novelty_metric: str = "key_cosine"  # or "latent"
 
     def __post_init__(self) -> None:
         if min(self.b_epi, self.b_fast, self.update_interval) < 1:
             raise ConfigError("B_epi, B_fast, update_interval must be >= 1")
         if not math.isfinite(self.tau_novel):
             raise ConfigError(f"tau_novel must be finite, got {self.tau_novel}")
-        if self.candidate_mode not in ("latest", "all"):
-            raise ConfigError(f"unknown candidate_mode {self.candidate_mode!r}")
-        if self.novelty_metric not in ("key_cosine", "latent"):
-            raise ConfigError(f"unknown novelty_metric {self.novelty_metric!r}")
 
 
 class HeadWiseStrategy:
@@ -160,17 +154,15 @@ class HeadWiseStrategy:
             capacity=self.hyper.b_epi,
             memory_heads=memory_heads,
             tokens_per_frame=config.s,
-            novelty_metric=self.hyper.novelty_metric,
         )
         self.role_map = role_map
         sizes = {HeadRole.LOCAL: (0, 1), HeadRole.ANCHOR: (config.f, 1),
                  HeadRole.MEMORY: (0, self.hyper.b_fast)}
         self.windows = {role: FrameWindow(*size) for role, size in sizes.items()}
         self._heads = {role: role_map.heads_of(role) for role in sizes}
-        self._pending: list[EpisodicEntry] = []
-        # latents of the block-first frames in fast memory, the only
-        # candidates, kept only for the latent novelty metric
-        self._latents: dict[int, np.ndarray] = {}
+        # the newest block-first frame to leave fast memory since the last
+        # update, as (frame index, slots)
+        self._candidate: tuple[int, Slots] | None = None
 
     def history_frames(self, layer: int, head: int) -> list[FrameKV]:
         role = self.role_map.role(layer, head)
@@ -185,9 +177,6 @@ class HeadWiseStrategy:
         return reencode_temporal(seq, rope)
 
     def roll(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]:
-        f = self.config.f
-        if self.hyper.novelty_metric == "latent":
-            self._latents[f * (block.index - 1)] = block.frames[0]
         # each window keeps its own role's heads, so an anchor's sink frames
         # keep no other head's keys and values alive
         evicted = {role: roll_after_block(window, block.index,
@@ -195,35 +184,26 @@ class HeadWiseStrategy:
                    for role, window in self.windows.items()}
 
         # a frame map leaving fast memory is a candidate's slots; candidacy
-        # fires when a block's first frame leaves
+        # fires when a block's first frame leaves, and a newer candidate
+        # replaces an older one
         for slots in evicted[HeadRole.MEMORY]:
             index = slots[self.episodic.memory_heads[0]].global_frame_index
-            if index % f:
-                continue
-            cand = EpisodicEntry(frame_index=index, is_summary=False, slots=slots,
-                                 latent=self._latents.pop(index, None))
-            if self.hyper.candidate_mode == "latest":
-                self._pending = [cand]
-            else:
-                self._pending.append(cand)
+            if index % self.config.f == 0:
+                self._candidate = (index, slots)
 
-        if block.index % self.hyper.update_interval or not self._pending:
+        if block.index % self.hyper.update_interval or self._candidate is None:
             return []
+        frame_index, slots = self._candidate
+        self._candidate = None
         prompt_keys = {(l, h): self.weights.prompt_key_vector(prompt, l, h)
                        for (l, h) in self.episodic.memory_heads}
-        decisions = [
-            self.episodic.try_admit(
-                candidate=cand.slots,
-                frame_index=cand.frame_index,
-                block_index=block.index,
-                tau_novel=self.hyper.tau_novel,
-                prompt_keys=prompt_keys,
-                latent=cand.latent,
-            )
-            for cand in self._pending
-        ]
-        self._pending = []
-        return decisions
+        return [self.episodic.try_admit(
+            candidate=slots,
+            frame_index=frame_index,
+            block_index=block.index,
+            tau_novel=self.hyper.tau_novel,
+            prompt_keys=prompt_keys,
+        )]
 
     def state(self) -> dict:
         return {"episodic_entries": [{"frame_index": e.frame_index, "is_summary": e.is_summary}

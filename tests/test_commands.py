@@ -379,6 +379,13 @@ class TestCli:
         leave an empty output directory behind."""
         self.assert_config_error_leaves_no_output(tmp_path, command, raw)
 
+    @pytest.mark.parametrize("key,value", [("candidate_mode", "latest"), ("novelty_metric", "key_cosine")])
+    def test_retired_hyper_key_exit_2(self, tmp_path, key, value):
+        """Both keys were options whose other value no config used; an old
+        config that still sets their default is refused, not ignored."""
+        proc = self.assert_config_error_leaves_no_output(tmp_path, ["generate"], {"hyperparameters": {key: value}})
+        assert f"unknown hyperparameters keys: ['{key}']" in proc.stderr
+
     def assert_config_error_leaves_no_output(self, tmp_path, command, raw):
         cfg = self.write_cfg(tmp_path, {**raw, "n_blocks": 2, "output_dir": str(tmp_path / "out")})
         proc = self.run_cli(command[0], "--config", str(cfg), *command[1:])
@@ -386,6 +393,7 @@ class TestCli:
         assert "configuration error" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+        return proc
 
     def test_missing_config_exit_2(self, tmp_path):
         proc = self.run_cli("generate", "--config", str(tmp_path / "nope.json"))

@@ -306,28 +306,6 @@ class TestExhaustiveNoveltySuite:
             assert mem.novelty_score(cand) == pytest.approx(expected, abs=1e-12)
 
 
-class TestLatentMetric:
-    def test_latent_novelty_uses_frame_latents(self):
-        rng = np.random.default_rng(23)
-        mem = EpisodicMemory(capacity=5, memory_heads=HEADS2, tokens_per_frame=S,
-                             novelty_metric="latent")
-        lat = rng.standard_normal((S, 8))
-        mem.try_admit(random_slots(rng, idx=0), 0, 1, tau_novel=2.0,
-                      prompt_keys=zero_prompt_keys(), latent=lat)
-        dup_lat = lat.copy()
-        score = mem.novelty_score(random_slots(rng, idx=3), latent=dup_lat)
-        assert score == pytest.approx(1.0, abs=1e-12)
-
-    def test_latent_metric_requires_latent(self):
-        rng = np.random.default_rng(24)
-        mem = EpisodicMemory(capacity=5, memory_heads=HEADS2, tokens_per_frame=S,
-                             novelty_metric="latent")
-        mem.try_admit(random_slots(rng, idx=0), 0, 1, tau_novel=2.0,
-                      prompt_keys=zero_prompt_keys(), latent=rng.standard_normal((S, 8)))
-        with pytest.raises(ConfigError):
-            mem.novelty_score(random_slots(rng, idx=3))
-
-
 class TestCachedPooledKeys:
     """Pooled keys are cached on each FrameKV and provenance is built on first
     read; after a rollout that compresses every block, both must still equal

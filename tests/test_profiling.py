@@ -69,9 +69,19 @@ class TestBucketProportions:
         with pytest.raises(ConfigError):
             bucket_proportions(np.zeros((3, 3)), 1, 1)
 
+    def test_frames_per_block_read_from_rows(self):
+        # f=2, s=2, i=3: widths are 1 frame, 2i-3=3 frames and f=2 frames
+        s, i = 2, 3
+        a = np.full((2 * s, 2 * i * s), 1.0 / (2 * i * s))
+        p = bucket_proportions(a, s, i)
+        assert p.as_tuple() == pytest.approx((1 / 6, 3 / 6, 2 / 6), abs=1e-12)
+
     def test_shape_validated(self):
-        with pytest.raises(ShapeError):
-            bucket_proportions(np.zeros((6, 17)), 2, 3)
+        # s=2, i=3: the rows must be a positive multiple of s, f = rows // s,
+        # and the columns f*i*s
+        for shape in [(6, 17), (5, 15), (1, 3), (0, 0), (18,)]:
+            with pytest.raises(ShapeError):
+                bucket_proportions(np.zeros(shape), 2, 3)
 
     def test_proportions_validated(self):
         with pytest.raises(ShapeError):

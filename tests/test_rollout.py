@@ -167,11 +167,6 @@ class TestScheduleHandling:
         with pytest.raises(SequencingError):
             engine.commit(engine.step(1, "p"), "p")
 
-    @pytest.mark.parametrize("mode", [{"candidate_mode": "newest"}, {"novelty_metric": "latnet"}], ids=repr)
-    def test_unknown_hyper_mode_rejected(self, mode):
-        with pytest.raises(ConfigError):
-            HeadWiseHyper(**mode)
-
     def test_role_map_grid_checked(self):
         cfg, weights, rope = small_setup()
         wrong = role_map_from_lists(1, 3, anchor=[(0, 0)], local=[])
@@ -436,35 +431,11 @@ class TestEpisodicCadence:
         frames = [e.frame_index for e in strategy.episodic.entries if not e.is_summary]
         assert frames == [0, 3, 6, 9, 12]
 
-    def test_candidate_mode_all_evaluates_backlog(self):
+    def test_newest_candidate_wins(self):
         cfg, weights, rope = small_setup(scene_period=1)
-        rm = hand_map(cfg)
-        latest = HeadWiseStrategy(cfg, weights, rm, HeadWiseHyper(update_interval=2, candidate_mode="latest"))
-        latest_steps = run(weights, cfg, rope, latest, SCHED, 9)
-        all_mode = HeadWiseStrategy(cfg, weights, rm, HeadWiseHyper(update_interval=2, candidate_mode="all"))
-        all_steps = run(weights, cfg, rope, all_mode, SCHED, 9)
-        # blocks 1..8 leave fast memory at rolls 2..9; "all" evaluates each
-        # exited block at the next update, "latest" only the newest
-        assert [d.block_index for d in admissions(latest_steps)] == [2, 4, 6, 8]
-        assert [d.block_index for d in admissions(all_steps)] == [2, 4, 4, 6, 6, 8, 8]
-
-
-class TestLatentNovelty:
-    def rollout(self, metric):
-        cfg, weights, rope = small_setup(scene_period=4, scene_jitter=0.02)
-        hyper = HeadWiseHyper(update_interval=2, candidate_mode="all", novelty_metric=metric)
-        strategy = HeadWiseStrategy(cfg, weights, hand_map(cfg), hyper)
-        return cfg, hyper, strategy, admissions(run(weights, cfg, rope, strategy, SCHED, 100))
-
-    def test_latent_archive_stays_bounded(self):
-        cfg, hyper, strategy, _ = self.rollout("latent")
-        assert len(strategy._latents) <= hyper.b_fast + cfg.f
-
-    def test_admissions_score_frame_latents(self):
-        *_, decisions = self.rollout("latent")
-        *_, key_decisions = self.rollout("key_cosine")
-        deltas = [d.delta for d in decisions]
-        # only the first admission meets an empty memory
-        assert deltas[0] == -1.0
-        assert all(-1.0 < d <= 1.0 for d in deltas[1:])
-        assert deltas != [d.delta for d in key_decisions]
+        strategy = HeadWiseStrategy(cfg, weights, hand_map(cfg), HeadWiseHyper(update_interval=2))
+        steps = run(weights, cfg, rope, strategy, SCHED, 9)
+        # blocks 1..8 leave fast memory at rolls 2..9; each update takes only
+        # the newest, so frames 3, 9 and 15 are never scored
+        assert [d.block_index for d in admissions(steps)] == [2, 4, 6, 8]
+        assert [e.frame_index for e in strategy.episodic.entries] == [0, 6, 12, 18]

@@ -45,8 +45,6 @@ STRATEGIES = {
     "head_wise": lambda hk, cfg, w, rm: hk.HeadWiseStrategy(cfg, w, rm),
     "head_wise(update_interval=1)": lambda hk, cfg, w, rm: hk.HeadWiseStrategy(
         cfg, w, rm, hk.HeadWiseHyper(update_interval=1)),
-    "head_wise(all, latent)": lambda hk, cfg, w, rm: hk.HeadWiseStrategy(
-        cfg, w, rm, hk.HeadWiseHyper(candidate_mode="all", novelty_metric="latent")),
     "head_wise(mixed roles)": lambda hk, cfg, w, rm: hk.HeadWiseStrategy(cfg, w, mixed_role_map(hk, cfg)),
 }
 PROMPTS = ("a red kite over the dunes", "a lighthouse at night")
