@@ -446,6 +446,8 @@ class TestConfigLoading:
         {"strategy": {"type": "sink_window", "w": 8}},
         {"hyperparameters": {"b_epi": 5}},
         {"hyperparameters": {"tau_novelty": 0.9}},
+        {"hyperparameters": {"candidate_mode": "latest"}},
+        {"hyperparameters": {"novelty_metric": "key_cosine"}},
         {"hyperparameters": {"rope": {"d_x": 4}}},
         {"profiling": {"repeat": 2}},
         {"stability": {"axes": "blocks"}},

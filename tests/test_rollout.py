@@ -167,6 +167,14 @@ class TestScheduleHandling:
         with pytest.raises(SequencingError):
             engine.commit(engine.step(1, "p"), "p")
 
+    @pytest.mark.parametrize("bad", [
+        {"b_epi": 0}, {"b_fast": 0}, {"update_interval": 0},
+        {"tau_novel": float("nan")}, {"tau_novel": float("inf")},
+    ], ids=repr)
+    def test_hyper_values_checked(self, bad):
+        with pytest.raises(ConfigError):
+            HeadWiseHyper(**bad)
+
     def test_role_map_grid_checked(self):
         cfg, weights, rope = small_setup()
         wrong = role_map_from_lists(1, 3, anchor=[(0, 0)], local=[])
