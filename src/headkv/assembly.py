@@ -7,13 +7,14 @@ attention regardless of context-length differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .cache import FrameKV
 from .errors import IntegrityError, ShapeError
-from .tensor_ops import RopeParams, Rotation, apply_rope, frame_rotation, softmax_rows
+from .tensor_ops import RopeParams, Rotation, apply_rope, frame_index_array, frame_rotation, softmax_rows
 
 
 @dataclass
@@ -33,7 +34,7 @@ class AssembledSequence:
             raise ShapeError(
                 f"current block must occupy 1..{len(self.frames)} trailing frames, got {self.f_current}"
             )
-        if len({fr.tokens for fr in self.frames}) != 1:
+        if len({fr.keys.shape[0] for fr in self.frames}) != 1:
             raise ShapeError(f"head ({self.layer}, {self.head}) frames hold differing token counts")
 
     @property
@@ -78,19 +79,20 @@ class EncodedSequence:
 def _encode(seq: AssembledSequence, rope: RopeParams, key_idx: tuple[int, ...],
             query_idx: tuple[int, ...]) -> EncodedSequence:
     """Rotate a transient flat copy of the keys; the cached frames themselves
-    stay spatial-only. Both rotations come from the `frame_rotation` cache."""
+    stay spatial-only. Both rotations come from the `frame_rotation` cache,
+    both index arrays from `frame_index_array`."""
     if seq.temporal_encoded:
         raise IntegrityError(
             f"head ({seq.layer}, {seq.head}) keys already temporally encoded; double rotation refused"
         )
     s = seq.tokens_per_frame
-    keys = apply_rope(np.vstack([fr.keys for fr in seq.frames]), frame_rotation(key_idx, s, rope))
+    keys = apply_rope(np.concatenate([fr.keys for fr in seq.frames]), frame_rotation(key_idx, s, rope))
     seq.temporal_encoded = True
     return EncodedSequence(
         layer=seq.layer, head=seq.head, keys=keys,
-        values=np.vstack([fr.values for fr in seq.frames]),
-        key_frame_indices=np.array(key_idx, dtype=np.int64),
-        query_frame_indices=np.array(query_idx, dtype=np.int64),
+        values=np.concatenate([fr.values for fr in seq.frames]),
+        key_frame_indices=frame_index_array(key_idx),
+        query_frame_indices=frame_index_array(query_idx),
         query_rotation=frame_rotation(query_idx, s, rope),
     )
 
@@ -159,54 +161,63 @@ def pack(sequences: Sequence[EncodedSequence], queries: Sequence[np.ndarray],
     if ids != sorted(ids) or len(set(ids)) != len(ids):
         raise ShapeError("sequences must be unique and ordered by (layer, head)")
 
-    k_lengths = np.array([s.keys.shape[0] for s in sequences], dtype=np.int64)
-    q_lengths = np.array([q.shape[0] for q in queries], dtype=np.int64)
-    if (k_lengths < 1).any() or (q_lengths < 1).any():
+    k_lengths = [s.keys.shape[0] for s in sequences]
+    q_lengths = [q.shape[0] for q in queries]
+    if min(k_lengths) < 1 or min(q_lengths) < 1:
         raise ShapeError("every head needs at least one key and one query token")
-    k_offsets = np.concatenate(([0], np.cumsum(k_lengths)[:-1]))
-    q_offsets = np.concatenate(([0], np.cumsum(q_lengths)[:-1]))
     return PackedBuffer(
-        keys=np.vstack([s.keys for s in sequences]).astype(dtype, copy=False),
-        values=np.vstack([s.values for s in sequences]).astype(dtype, copy=False),
-        queries=np.vstack(queries).astype(dtype, copy=False),
-        k_offsets=k_offsets, k_lengths=k_lengths,
-        q_offsets=q_offsets, q_lengths=q_lengths,
+        keys=np.concatenate([s.keys for s in sequences]).astype(dtype, copy=False),
+        values=np.concatenate([s.values for s in sequences]).astype(dtype, copy=False),
+        queries=np.concatenate(queries).astype(dtype, copy=False),
+        k_offsets=_offsets(k_lengths), k_lengths=np.array(k_lengths, dtype=np.int64),
+        q_offsets=_offsets(q_lengths), q_lengths=np.array(q_lengths, dtype=np.int64),
         head_ids=ids,
     )
 
 
-def _check_integrity(buffer: PackedBuffer) -> None:
+def _offsets(lengths: list[int]) -> np.ndarray:
+    """(n,) int64 start of each span: the prefix sums of the lengths before it."""
+    return np.array(list(accumulate(lengths, initial=0))[:-1], dtype=np.int64)
+
+
+def _check_integrity(buffer: PackedBuffer) -> list[list[int]]:
+    """Check the offset tables against the flats; returns them as lists:
+    key offsets, key lengths, query offsets, query lengths."""
+    tables = []
     for name, offsets, lengths, flat in (
         ("key", buffer.k_offsets, buffer.k_lengths, buffer.keys),
         ("query", buffer.q_offsets, buffer.q_lengths, buffer.queries),
     ):
+        offsets, lengths = offsets.tolist(), lengths.tolist()
         if len(offsets) != buffer.n_heads or len(lengths) != buffer.n_heads:
             raise IntegrityError(f"{name} offset table does not match head count")
-        if (lengths < 1).any():
+        if min(lengths, default=1) < 1:
             raise IntegrityError(f"{name} span with non-positive length")
         # prefix-sum equality implies strictly increasing, non-overlapping spans
-        expected = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        if not np.array_equal(offsets, expected):
+        ends = list(accumulate(lengths, initial=0))
+        if offsets != ends[:-1]:
             raise IntegrityError(f"{name} offsets are not the prefix sums of lengths")
-        if int(lengths.sum()) != flat.shape[0]:
-            raise IntegrityError(f"{name} lengths sum to {int(lengths.sum())}, flat size is {flat.shape[0]}")
+        if ends[-1] != flat.shape[0]:
+            raise IntegrityError(f"{name} lengths sum to {ends[-1]}, flat size is {flat.shape[0]}")
+        tables += (offsets, lengths)
     if buffer.values.shape[0] != buffer.keys.shape[0]:
         raise IntegrityError("key and value flats differ in length")
+    return tables
 
 
 def packed_attention(buffer: PackedBuffer) -> list[np.ndarray]:
     """One pass over the flat buffer honoring per-head boundaries; output i is
     head i's attention over its own span."""
-    _check_integrity(buffer)
-    d = buffer.keys.shape[1]
+    k_offsets, k_lengths, q_offsets, q_lengths = _check_integrity(buffer)
+    keys, values, queries = buffer.keys, buffer.values, buffer.queries
+    d = keys.shape[1]
+    if queries.shape[1] != d:
+        raise IntegrityError("query width differs from key width")
     scale = 1.0 / np.sqrt(d)
     outputs: list[np.ndarray] = []
-    for idx in range(buffer.n_heads):
-        q, k, v = buffer.head_slice(idx)
-        if q.shape[1] != d:
-            raise IntegrityError("query width differs from key width")
-        scores = q @ k.T
+    for ko, kl, qo, ql in zip(k_offsets, k_lengths, q_offsets, q_lengths):
+        scores = queries[qo:qo + ql] @ keys[ko:ko + kl].T
         scores *= scale
-        outputs.append(softmax_rows(scores) @ v)
+        outputs.append(softmax_rows(scores) @ values[ko:ko + kl])
     return outputs
 

@@ -8,6 +8,7 @@ temporal encoding happens at assembly time, never at write time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,19 +51,19 @@ class FrameKV:
     @property
     def provenance(self) -> np.ndarray:
         if self._provenance is None:
-            n = self.tokens
-            self._provenance = np.column_stack(
-                (np.full(n, self.global_frame_index, dtype=np.int64),
-                 np.arange(n, dtype=np.int64))
-            )
+            prov = np.empty((self.tokens, 2), dtype=np.int64)
+            prov[:, 0] = self.global_frame_index
+            prov[:, 1] = np.arange(self.tokens)
+            self._provenance = prov
         return self._provenance
 
     @property
     def pooled_key(self) -> tuple[np.ndarray, float]:
         """Mean of the key rows and that mean's L2 norm."""
         if self._pooled is None:
-            pooled = self.keys.mean(axis=0)
-            self._pooled = (pooled, float(np.linalg.norm(pooled)))
+            # what keys.mean(axis=0) and np.linalg.norm compute on float64, unwrapped
+            pooled = np.add.reduce(self.keys, axis=0) / self.tokens
+            self._pooled = (pooled, math.sqrt(pooled.dot(pooled)))
         return self._pooled
 
 

@@ -19,12 +19,30 @@ from .errors import ConfigError, ShapeError
 Slots = dict[tuple[int, int], FrameKV]
 
 
-def _cosine(a: tuple[np.ndarray, float], b: tuple[np.ndarray, float]) -> float:
-    """Cosine of two (vector, L2 norm) pairs; 0 when either norm is 0."""
-    (va, na), (vb, nb) = a, b
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(va, vb) / (na * nb))
+# the memory heads' mean-pooled keys stacked in memory-head order (n, d),
+# their L2 norms (n,), and which norms are non-zero (n,)
+Pooled = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _similarities(a: list[Pooled], b: list[Pooled]) -> list[float]:
+    """Similarity of each pair (a[i], b[i]): the mean over memory heads of
+    the cosine between mean-pooled keys, where a head whose norm is 0 on
+    either side adds 0. A head's dot product is its (1, d) @ (d, 1) matmul,
+    which gives the bits of np.dot on the two vectors, and each mean sums
+    the heads left to right, as sum() over a list of floats does."""
+    va, na, nza = (np.concatenate(part) for part in zip(*a))
+    vb, nb, nzb = (np.concatenate(part) for part in zip(*b))
+    dots = np.matmul(va[:, None, :], vb[:, :, None]).reshape(len(na))
+    cosines = np.divide(dots, na * nb, out=np.zeros(len(na)), where=nza & nzb)
+    n = len(a[0][1])
+    return [sum(row) / n for row in cosines.reshape(len(a), n).tolist()]
+
+
+def _interleave(first: list[np.ndarray], second: list[np.ndarray]) -> np.ndarray:
+    """(n, 2 * rows, cols) stack of first[i]'s rows then second[i]'s, for n
+    pairs of (rows, cols) arrays."""
+    flat = np.concatenate([x for pair in zip(first, second) for x in pair])
+    return flat.reshape(len(first), -1, flat.shape[1])
 
 
 @dataclass
@@ -34,6 +52,8 @@ class EpisodicEntry:
     frame_index: int              # source global frame; -1 for the summary
     is_summary: bool
     slots: Slots
+    # built on first scoring by the memory that holds the entry, dropped with it
+    pooled: Pooled | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -87,12 +107,18 @@ class EpisodicMemory:
         self._check_candidate(candidate)
         if not self.entries:
             return -1.0
-        return max(self._similarity(candidate, entry.slots) for entry in self.entries)
+        entries = [self._entry_pool(entry) for entry in self.entries]
+        return max(_similarities([self._pool(candidate)] * len(entries), entries))
 
-    def _similarity(self, a: Slots, b: Slots) -> float:
-        """Mean over memory heads of the cosine between mean-pooled keys."""
-        sims = [_cosine(a[lh].pooled_key, b[lh].pooled_key) for lh in self.memory_heads]
-        return sum(sims) / len(sims)
+    def _pool(self, slots: Slots) -> Pooled:
+        pairs = [slots[lh].pooled_key for lh in self.memory_heads]
+        norms = np.array([norm for _, norm in pairs])
+        return np.concatenate([vec for vec, _ in pairs]).reshape(len(pairs), -1), norms, norms != 0.0
+
+    def _entry_pool(self, entry: EpisodicEntry) -> Pooled:
+        if entry.pooled is None:
+            entry.pooled = self._pool(entry.slots)
+        return entry.pooled
 
     def find_redundant_pair(self) -> tuple[int, int]:
         """Most similar unordered entry pair (initial overflow, no summary yet);
@@ -102,13 +128,14 @@ class EpisodicMemory:
         n = len(self.entries)
         if n < 2:
             raise ConfigError("redundant-pair search needs at least 2 entries")
+        pools = [self._entry_pool(e) for e in self.entries]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        sims = _similarities([pools[i] for i, _ in pairs], [pools[j] for _, j in pairs])
         best_pair = (0, 1)
         best_sim = -np.inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                sim = self._similarity(self.entries[i].slots, self.entries[j].slots)
-                if sim > best_sim:
-                    best_sim, best_pair = sim, (i, j)
+        for pair, sim in zip(pairs, sims):
+            if sim > best_sim:
+                best_sim, best_pair = sim, pair
         return best_pair
 
     def select_merge_victim(self) -> int:
@@ -122,7 +149,8 @@ class EpisodicMemory:
             raise ConfigError("merge-victim selection needs >= 2 non-summary entries")
         # adjacent[i - 1] is the similarity of entries i and i + 1, so entry
         # idx's neighbor similarities are adjacent[idx - 2] and adjacent[idx - 1]
-        adjacent = [self._similarity(self.entries[i].slots, self.entries[i + 1].slots) for i in range(1, n - 1)]
+        pools = [self._entry_pool(e) for e in self.entries]
+        adjacent = _similarities(pools[1:n - 1], pools[2:n])
         best_idx = 1
         best_score = -np.inf
         for idx in range(1, n):
@@ -150,36 +178,36 @@ class EpisodicMemory:
                     raise ShapeError(
                         f"compression operands must hold {s} tokens, got {e.slots[lh].tokens}"
                     )
-        layers = sorted({l for (l, _) in self.memory_heads})
-        heads_by_layer = {l: [lh for lh in self.memory_heads if lh[0] == l] for l in layers}
+        # every memory head's row scores at once, then one ranking per layer
+        heads = self.memory_heads
+        a = [first.slots[lh] for lh in heads]
+        b = [second.slots[lh] for lh in heads]
+        keys = _interleave([fr.keys for fr in a], [fr.keys for fr in b])         # (heads, 2s, d)
+        pk = np.concatenate([np.asarray(prompt_keys[lh]) for lh in heads]).reshape(len(heads), -1)
+        pk_norms = np.sqrt(np.matmul(pk[:, None, :], pk[:, :, None]))[:, 0]     # (heads, 1)
+        # np.linalg.norm(axis=-1), without its wrapper
+        denom = np.sqrt(np.add.reduce(keys * keys, axis=2)) * pk_norms
+        dots = np.matmul(keys, pk[:, :, None])[:, :, 0]
+        sims = np.divide(dots, denom, out=np.zeros_like(denom), where=denom > 0.0)
+        values = _interleave([fr.values for fr in a], [fr.values for fr in b])
+        prov = _interleave([fr.provenance for fr in a], [fr.provenance for fr in b])
 
         slots: Slots = {}
-        for l in layers:
-            heads = heads_by_layer[l]
-            r = np.zeros(2 * s)
-            cat_keys_by_head = {}
-            for lh in heads:
-                cat_keys = cat_keys_by_head[lh] = np.vstack([first.slots[lh].keys, second.slots[lh].keys])
-                pk = np.asarray(prompt_keys[lh])
-                pk_norm = float(np.linalg.norm(pk))
-                row_norms = np.linalg.norm(cat_keys, axis=1)
-                denom = row_norms * pk_norm
-                sims = np.where(denom > 0.0, cat_keys @ pk / np.where(denom == 0.0, 1.0, denom), 0.0)
-                r += sims
-            r /= len(heads)
+        for l in sorted({l for (l, _) in heads}):
+            rows = [i for i, (hl, _) in enumerate(heads) if hl == l]
+            # the layer's heads summed in memory-head order, one row at a time
+            r = np.add.reduce(sims[rows], axis=0)
+            r /= len(rows)
             # stable sort: ties keep ascending position
             order = np.argsort(-r, kind="stable")[:s]
-            for lh in heads:
-                a, b = first.slots[lh], second.slots[lh]
-                cat_keys = cat_keys_by_head[lh]
-                cat_vals = np.vstack([a.values, b.values])
-                cat_prov = np.vstack([a.provenance, b.provenance])
-                slots[lh] = FrameKV(
-                    keys=cat_keys[order],
-                    values=cat_vals[order],
+            # gathered per head, so each summary frame owns its rows
+            for i in rows:
+                slots[heads[i]] = FrameKV(
+                    keys=keys[i, order],
+                    values=values[i, order],
                     global_frame_index=-1,
                     is_summary=True,
-                    provenance=cat_prov[order],
+                    provenance=prov[i, order],
                 )
         return EpisodicEntry(frame_index=-1, is_summary=True, slots=slots)
 

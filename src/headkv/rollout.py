@@ -163,6 +163,8 @@ class HeadWiseStrategy:
         # the newest block-first frame to leave fast memory since the last
         # update, as (frame index, slots)
         self._candidate: tuple[int, Slots] | None = None
+        # the last prompt's key vector per memory head, as (prompt, keys)
+        self._prompt_keys: tuple[str, dict[tuple[int, int], np.ndarray]] | None = None
 
     def history_frames(self, layer: int, head: int) -> list[FrameKV]:
         role = self.role_map.role(layer, head)
@@ -195,14 +197,15 @@ class HeadWiseStrategy:
             return []
         frame_index, slots = self._candidate
         self._candidate = None
-        prompt_keys = {(l, h): self.weights.prompt_key_vector(prompt, l, h)
-                       for (l, h) in self.episodic.memory_heads}
+        if self._prompt_keys is None or self._prompt_keys[0] != prompt:
+            self._prompt_keys = (prompt, {(l, h): self.weights.prompt_key_vector(prompt, l, h)
+                                          for (l, h) in self.episodic.memory_heads})
         return [self.episodic.try_admit(
             candidate=slots,
             frame_index=frame_index,
             block_index=block.index,
             tau_novel=self.hyper.tau_novel,
-            prompt_keys=prompt_keys,
+            prompt_keys=self._prompt_keys[1],
         )]
 
     def state(self) -> dict:
@@ -246,15 +249,19 @@ class RolloutEngine:
         step_slots = 0
         step_scalars = 0
 
+        w = self.weights
         for l in range(cfg.L):
+            # one product per projection and layer; slice h holds the same
+            # bits as hidden @ w.wq[l, h]
+            q_heads = np.matmul(hidden, w.wq[l])
+            k_heads = np.matmul(hidden, w.wk[l])
+            v_heads = np.matmul(hidden, w.wv[l])
             encoded = []
             queries = []
             for h in range(cfg.H):
-                q = hidden @ self.weights.wq[l, h]
-                k = hidden @ self.weights.wk[l, h]
-                v = hidden @ self.weights.wv[l, h]
-                q = apply_rope(q, self._spatial)
-                k = apply_rope(k, self._spatial)
+                q = apply_rope(q_heads[h], self._spatial)
+                k = apply_rope(k_heads[h], self._spatial)
+                v = v_heads[h]
                 # each frame owns its rows, so a frame kept past this block
                 # does not keep the whole block's k and v alive
                 current = [
@@ -279,7 +286,7 @@ class RolloutEngine:
             step_scalars += buffer.keys.size + buffer.values.size
             delta = np.zeros_like(hidden)
             for h in range(cfg.H):
-                delta += outputs[h] @ self.weights.wo[l, h]
+                delta += outputs[h] @ w.wo[l, h]
             hidden = hidden + delta
 
         frames = [hidden[t * s:(t + 1) * s].copy() for t in range(f)]

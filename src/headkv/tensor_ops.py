@@ -63,9 +63,10 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2:
         raise ShapeError(f"softmax_rows expects a 2-D matrix, got shape {m.shape}")
-    out = m - m.max(axis=1, keepdims=True)
+    # np.maximum.reduce and np.add.reduce are what .max and .sum call
+    out = m - np.maximum.reduce(m, axis=1, keepdims=True)
     np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
+    out /= np.add.reduce(out, axis=1, keepdims=True)
     return out
 
 
@@ -143,16 +144,75 @@ def apply_rope(tokens: np.ndarray, rotation: Rotation) -> np.ndarray:
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ShapeError(f"apply_rope expects a 2-D token matrix, got shape {tokens.shape}")
-    if tokens.dtype not in _COMPLEX_OF:
+    complex_type = _COMPLEX_OF.get(tokens.dtype)
+    if complex_type is None:
         raise ShapeError(f"rope tokens must be float32 or float64, got dtype {tokens.dtype}")
     if tokens.shape != (rotation.tokens, rotation.d):
         raise ShapeError(f"tokens {tokens.shape} do not match the rotation's "
                          f"({rotation.tokens}, {rotation.d})")
     out = tokens.copy()                      # C order, so pairs are adjacent
-    pairs = out.view(_COMPLEX_OF[tokens.dtype])
+    pairs = out.view(complex_type)
     for first, rows in rotation.runs:
         pairs[:, first:first + rows.shape[1]] *= rows
     return out
+
+
+class _PrefixRows:
+    """Rows of every prefix 0..n-1 of frame indices, for one key at a time.
+    `build(start, stop, *key)` returns the rows of frames start..stop-1 as a
+    tuple of arrays, `per_frame` rows per frame each, and each array of the
+    tuple lives in one buffer with room for the next power of two frames.
+    A longer prefix builds only its new frames, and moves to a buffer twice
+    the size when it outgrows one. A view handed out stays valid: filled
+    rows never change, and an outgrown buffer lives on in the views that
+    still hold it. A new key starts over.
+
+    The unbounded baseline asks for range(F) with F growing every step, and
+    head-wise re-indexing for range(F) with each role's F; all of them share
+    these rows instead of each holding its own."""
+
+    def __init__(self, build):
+        self._build = build
+        self._key: tuple = ()
+        self._frames = 0
+        self._buffers: tuple[np.ndarray, ...] = ()
+
+    def views(self, n_frames: int, per_frame: int, *key) -> tuple[np.ndarray, ...]:
+        if key != self._key:
+            self._key, self._frames, self._buffers = key, 0, ()
+        if n_frames > self._frames:
+            start, stop = self._frames * per_frame, n_frames * per_frame
+            fresh = self._build(self._frames, n_frames, *key)
+            if not self._buffers or len(self._buffers[0]) < stop:
+                capacity = (1 << (n_frames - 1).bit_length()) * per_frame
+                grown = tuple(np.empty((capacity, *rows.shape[1:]), dtype=rows.dtype) for rows in fresh)
+                for new, old in zip(grown, self._buffers):
+                    new[:start] = old[:start]
+                self._buffers = grown
+            for buffer, rows in zip(self._buffers, fresh):
+                buffer[start:stop] = rows
+            self._frames = n_frames
+        views = tuple(buffer[:n_frames * per_frame] for buffer in self._buffers)
+        for view in views:
+            view.flags.writeable = False
+        return views
+
+
+def _is_prefix(frame_indices: tuple[int, ...]) -> bool:
+    n = len(frame_indices)
+    return n > 0 and frame_indices[-1] == n - 1 and frame_indices == tuple(range(n))
+
+
+def _temporal_rotation(frame_indices: Sequence[int], tokens_per_frame: int, params: RopeParams) -> Rotation:
+    positions = np.zeros((len(frame_indices) * tokens_per_frame, 3), dtype=np.int64)
+    positions[:, 0] = np.repeat(np.asarray(frame_indices, dtype=np.int64), tokens_per_frame)
+    return rope_rotation(positions, params, (TEMPORAL,))
+
+
+# a temporal rotation has one run, at column 0, or none when d_t is 0
+_prefix_rotation = _PrefixRows(lambda start, stop, s, params: tuple(
+    rows for _, rows in _temporal_rotation(range(start, stop), s, params).runs))
+_prefix_indices = _PrefixRows(lambda start, stop: (np.arange(start, stop, dtype=np.int64),))
 
 
 @functools.lru_cache(maxsize=16)
@@ -161,10 +221,24 @@ def frame_rotation(frame_indices: tuple[int, ...], tokens_per_frame: int,
     """Temporal-only rotation of frames at the given non-negative indices,
     tokens_per_frame rows each: the one temporal rotation, for head-wise
     re-indexing, window baselines and profiling alike. Cached by the index
-    tuple: every caller shares the returned object, whose rows are read-only."""
-    positions = np.zeros((len(frame_indices) * tokens_per_frame, 3), dtype=np.int64)
-    positions[:, 0] = np.repeat(np.asarray(frame_indices, dtype=np.int64), tokens_per_frame)
-    return rope_rotation(positions, params, (TEMPORAL,))
+    tuple: every caller shares the returned object, whose rows are read-only.
+    A prefix range(n) takes its rows from one grown buffer."""
+    if _is_prefix(frame_indices):
+        n = len(frame_indices)
+        rows = _prefix_rotation.views(n, tokens_per_frame, tokens_per_frame, params)
+        return Rotation(d=params.d, tokens=n * tokens_per_frame, runs=tuple((0, r) for r in rows))
+    return _temporal_rotation(frame_indices, tokens_per_frame, params)
+
+
+@functools.lru_cache(maxsize=16)
+def frame_index_array(frame_indices: tuple[int, ...]) -> np.ndarray:
+    """The index tuple as a read-only int64 array, cached like
+    `frame_rotation`; a prefix range(n) is a view of one grown arange."""
+    if _is_prefix(frame_indices):
+        return _prefix_indices.views(len(frame_indices), 1)[0]
+    out = np.array(frame_indices, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def grid_positions(grid_h: int, grid_w: int) -> np.ndarray:

@@ -1,0 +1,291 @@
+"""The hot path's numpy forms against the plain forms they stand for, with
+exact equality: the batched projections, the stacked episodic scores, the
+stacked compression ranking, softmax_rows' reductions and the temporal
+rotations served from one grown prefix buffer."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from headkv import assembly, tensor_ops
+from headkv.cache import FrameKV
+from headkv.episodic import EpisodicEntry, EpisodicMemory, _similarities
+from headkv.model import ModelConfig, block_input, init_model
+from headkv.rollout import HeadWiseHyper, HeadWiseStrategy, RolloutEngine, WindowStrategy
+from headkv.tensor_ops import (
+    TEMPORAL,
+    RopeParams,
+    Rotation,
+    frame_index_array,
+    frame_rotation,
+    rope_rotation,
+    softmax_rows,
+)
+
+MID = ModelConfig(L=4, H=8, d=32, s=64, f=3, grid_h=8, grid_w=8, seed=0)
+
+
+class TestProjection:
+    @pytest.mark.parametrize("grid", ["toy", "mid"])
+    def test_layer_product_slices_equal_per_head_products(self, grid, toy_config, toy_weights):
+        cfg, weights = (toy_config, toy_weights) if grid == "toy" else (MID, init_model(MID))
+        hidden = block_input(weights, "a prompt", 4)
+        for w in (weights.wq, weights.wk, weights.wv):
+            for l in range(cfg.L):
+                per_layer = np.matmul(hidden, w[l])
+                for h in range(cfg.H):
+                    assert np.array_equal(per_layer[h], hidden @ w[l, h])
+
+    def test_first_layer_values_in_the_block_are_the_per_head_products(self, toy_config, toy_weights,
+                                                                      rope, toy_role_map):
+        cfg = toy_config
+        engine = RolloutEngine(toy_weights, cfg, rope, HeadWiseStrategy(cfg, toy_weights, toy_role_map))
+        block = engine.step(1, "a prompt")
+        hidden = block_input(toy_weights, "a prompt", 1)
+        for h in range(cfg.H):
+            v = hidden @ toy_weights.wv[0, h]
+            for t, frame in enumerate(block.kv):
+                assert frame[(0, h)].values.tobytes() == v[t * cfg.s:(t + 1) * cfg.s].tobytes()
+
+
+class TestSoftmaxRows:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_the_method_wrapper_form(self, dtype):
+        rng = np.random.default_rng(0)
+        for shape in [(1, 1), (3, 7), (48, 176), (192, 448)]:
+            m = (rng.standard_normal(shape) * 8).astype(dtype)
+            want = m - m.max(axis=1, keepdims=True)
+            np.exp(want, out=want)
+            want /= want.sum(axis=1, keepdims=True)
+            got = softmax_rows(m)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+HEADS = [(0, 1), (0, 3), (1, 0), (2, 2), (2, 5)]
+S, D = 8, 16
+
+
+def pooled_reference(frame: FrameKV) -> tuple[np.ndarray, float]:
+    vec = frame.keys.mean(axis=0)
+    return vec, float(np.linalg.norm(vec))
+
+
+def similarity_reference(a, b, heads) -> float:
+    """Mean over heads of np.dot / (norm * norm), 0 where a norm is 0."""
+    sims = []
+    for lh in heads:
+        (va, na), (vb, nb) = pooled_reference(a[lh]), pooled_reference(b[lh])
+        sims.append(0.0 if na == 0.0 or nb == 0.0 else float(np.dot(va, vb) / (na * nb)))
+    return sum(sims) / len(sims)
+
+
+def zero_mean_keys(rng) -> np.ndarray:
+    """Rows x1, -x1, x2, -x2, ...: summed in order they cancel exactly, so
+    the pooled key and its norm are 0."""
+    half = rng.standard_normal((S // 2, D))
+    return np.stack([half, -half], axis=1).reshape(S, D)
+
+
+def random_slots(rng, idx, zero_head=None):
+    return {lh: FrameKV(keys=zero_mean_keys(rng) if lh == zero_head else rng.standard_normal((S, D)),
+                        values=rng.standard_normal((S, D)), global_frame_index=idx)
+            for lh in HEADS}
+
+
+class TestEpisodicScores:
+    @pytest.fixture
+    def memory(self):
+        rng = np.random.default_rng(7)
+        mem = EpisodicMemory(capacity=6, memory_heads=list(HEADS), tokens_per_frame=S)
+        for n in range(5):
+            mem.entries.append(EpisodicEntry(frame_index=3 * n, is_summary=False,
+                                             slots=random_slots(rng, 3 * n, HEADS[2] if n == 1 else None)))
+        return mem, random_slots(rng, 99, HEADS[2])
+
+    def test_pooled_key_is_the_mean_and_its_norm(self, memory):
+        mem, candidate = memory
+        for slots in [e.slots for e in mem.entries] + [candidate]:
+            for fr in slots.values():
+                (vec, norm), (want_vec, want_norm) = fr.pooled_key, pooled_reference(fr)
+                assert vec.tobytes() == want_vec.tobytes() and norm == want_norm
+
+    def test_novelty_equals_the_per_head_mean(self, memory):
+        mem, candidate = memory
+        want = max(similarity_reference(candidate, e.slots, HEADS) for e in mem.entries)
+        assert mem.novelty_score(candidate) == want
+
+    def test_every_pair_score_equals_the_per_head_mean(self, memory):
+        mem, _ = memory
+        pools = [mem._entry_pool(e) for e in mem.entries]
+        pairs = [(i, j) for i in range(len(pools)) for j in range(len(pools))]
+        got = _similarities([pools[i] for i, _ in pairs], [pools[j] for _, j in pairs])
+        want = [similarity_reference(mem.entries[i].slots, mem.entries[j].slots, HEADS) for i, j in pairs]
+        assert got == want
+        assert pooled_reference(mem.entries[1].slots[HEADS[2]])[1] == 0.0     # a zero-norm head is scored
+
+    def test_pair_and_victim_follow_the_per_head_scores(self, memory):
+        mem, _ = memory
+        n = len(mem.entries)
+        sims = {(i, j): similarity_reference(mem.entries[i].slots, mem.entries[j].slots, HEADS)
+                for i in range(n) for j in range(i + 1, n)}
+        assert mem.find_redundant_pair() == max(sims, key=lambda ij: (sims[ij], -ij[0], -ij[1]))
+
+        mem.entries[0] = EpisodicEntry(frame_index=-1, is_summary=True, slots=mem.entries[0].slots)
+        scores = []
+        for idx in range(1, n):
+            near = [sims[(k, k + 1)] for k in (idx - 1, idx) if 1 <= k < n - 1]
+            scores.append(sum(near) / len(near))
+        assert mem.select_merge_victim() == 1 + scores.index(max(scores))
+
+    def test_pooled_arrays_die_with_a_merged_entry(self):
+        rng = np.random.default_rng(3)
+        mem = EpisodicMemory(capacity=2, memory_heads=list(HEADS), tokens_per_frame=S)
+        keys = {lh: np.ones(D) for lh in HEADS}
+        for n in range(2):
+            mem.try_admit(random_slots(rng, 3 * n), 3 * n, n + 1, tau_novel=2.0, prompt_keys=keys)
+        mem.novelty_score(random_slots(rng, 90))            # builds both entries' pooled arrays
+        entries = [weakref.ref(e) for e in mem.entries]
+        arrays = [[weakref.ref(arr) for arr in e.pooled] for e in mem.entries]
+        mem.try_admit(random_slots(rng, 6), 6, 3, tau_novel=2.0, prompt_keys=keys)
+        assert mem.summary_present and len(mem.entries) == 2
+        gc.collect()
+        assert any(entry() is None for entry in entries)   # the merge dropped at least one
+        for entry, refs in zip(entries, arrays):
+            assert all((ref() is None) == (entry() is None) for ref in refs)
+        mem.entries.clear()
+        gc.collect()
+        assert all(ref() is None for refs in arrays for ref in refs)
+
+
+def compress_reference(mem: EpisodicMemory, first: EpisodicEntry, second: EpisodicEntry, prompt_keys):
+    """One layer at a time, one head at a time: row-norm cosines against the
+    head's prompt key summed over the layer's heads, a stable ranking, and
+    per-head gathers of keys, values and provenance."""
+    s = mem.tokens_per_frame
+    out = {}
+    for l in sorted({l for l, _ in mem.memory_heads}):
+        heads = [lh for lh in mem.memory_heads if lh[0] == l]
+        r = np.zeros(2 * s)
+        for lh in heads:
+            cat = np.vstack([first.slots[lh].keys, second.slots[lh].keys])
+            pk = np.asarray(prompt_keys[lh])
+            denom = np.linalg.norm(cat, axis=1) * float(np.linalg.norm(pk))
+            r += np.where(denom > 0.0, cat @ pk / np.where(denom == 0.0, 1.0, denom), 0.0)
+        r /= len(heads)
+        order = np.argsort(-r, kind="stable")[:s]
+        for lh in heads:
+            a, b = first.slots[lh], second.slots[lh]
+            out[lh] = tuple(np.vstack([x, y])[order] for x, y in
+                            ((a.keys, b.keys), (a.values, b.values), (a.provenance, b.provenance)))
+    return out
+
+
+class TestCompression:
+    @pytest.mark.parametrize("heads", [HEADS, [(2, 5), (0, 3), (1, 0), (0, 1), (2, 2)]],
+                             ids=["layer_order", "interleaved_layers"])
+    def test_stacked_ranking_equals_the_per_head_loop(self, heads):
+        rng = np.random.default_rng(11)
+        mem = EpisodicMemory(capacity=3, memory_heads=list(heads), tokens_per_frame=S)
+        entries = [EpisodicEntry(frame_index=3 * n, is_summary=False, slots=random_slots(rng, 3 * n))
+                   for n in range(3)]
+        entries[1].slots[heads[0]].keys[2] = 0.0                        # a zero key row
+        prompt_keys = {lh: rng.standard_normal(D) for lh in heads}
+        prompt_keys[heads[1]] = np.zeros(D)                             # a zero prompt key
+        summary = mem.compress_into_summary(entries[0], entries[1], prompt_keys)
+        # a second merge ranks a summary, whose provenance is not the identity
+        for first, second in ((entries[0], entries[1]), (summary, entries[2])):
+            got = mem.compress_into_summary(first, second, prompt_keys).slots
+            want = compress_reference(mem, first, second, prompt_keys)
+            assert list(got) == list(want)
+            for lh, (keys, values, prov) in want.items():
+                fr = got[lh]
+                assert fr.keys.tobytes() == keys.tobytes()
+                assert fr.values.tobytes() == values.tobytes()
+                assert fr.provenance.tobytes() == prov.tobytes()
+
+
+def direct_rotation(frame_indices, s, rope) -> Rotation:
+    positions = np.zeros((len(frame_indices) * s, 3), dtype=np.int64)
+    positions[:, 0] = np.repeat(np.asarray(frame_indices, dtype=np.int64), s)
+    return rope_rotation(positions, rope, (TEMPORAL,))
+
+
+def same_rotation(a: Rotation, b: Rotation) -> bool:
+    return (a.d, a.tokens) == (b.d, b.tokens) and len(a.runs) == len(b.runs) and all(
+        fa == fb and ra.tobytes() == rb.tobytes() for (fa, ra), (fb, rb) in zip(a.runs, b.runs))
+
+
+def root(arr: np.ndarray) -> np.ndarray:
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+class TestPrefixRotations:
+    def test_prefix_rows_equal_a_direct_build(self):
+        rope = RopeParams.default_for(16)
+        tensor_ops.frame_rotation.cache_clear()
+        tensor_ops.frame_index_array.cache_clear()
+        # grow, shrink, grow past a power of two, switch the token count and back
+        for n, s in [(4, 16), (7, 16), (3, 16), (11, 16), (17, 16), (2, 4), (40, 16), (1, 16)]:
+            idx = tuple(range(n))
+            rot = frame_rotation(idx, s, rope)
+            assert same_rotation(rot, direct_rotation(idx, s, rope))
+            assert all(not rows.flags.writeable for _, rows in rot.runs)
+            arr = frame_index_array(idx)
+            assert arr.tolist() == list(idx) and arr.dtype == np.int64 and not arr.flags.writeable
+        # index tuples that are not prefixes are built as they are
+        for idx in [(1, 2, 3), (0, 2), (0, 5, 6, 7), (3,)]:
+            assert same_rotation(frame_rotation(idx, 16, rope), direct_rotation(idx, 16, rope))
+            assert frame_index_array(idx).tolist() == list(idx)
+
+    def test_unbounded_latents_equal_direct_rotations(self, toy_config, toy_weights, rope, monkeypatch):
+        def latents():
+            engine = RolloutEngine(toy_weights, toy_config, rope, WindowStrategy(toy_config, None))
+            out = []
+            for i in range(1, 13):
+                block = engine.step(i, "p")
+                engine.commit(block, "p")
+                out.append(block.hidden().tobytes())
+            return out
+
+        grown = latents()
+        monkeypatch.setattr(assembly, "frame_rotation", direct_rotation)
+        assert latents() == grown
+
+    def test_unbounded_rollout_holds_one_grown_rotation(self, rope):
+        """After 256 unbounded blocks on the toy grid (one layer of two heads,
+        since rotations depend on the grid and the rope split only) the live
+        temporal rotations hold the rows of one rotation grown to the next
+        power of two frames, plus the few query rotations the cache keeps:
+        not a rotation per step."""
+        cfg = ModelConfig(L=1, H=2, d=16, s=16, f=3, grid_h=4, grid_w=4, seed=3)
+        weights = init_model(cfg)
+        # start from an empty cache and, by asking for another token count, an
+        # empty prefix buffer
+        tensor_ops.frame_rotation.cache_clear()
+        frame_rotation((0,), 1, rope)
+        gc.collect()
+        before = [o for o in gc.get_objects() if isinstance(o, Rotation)]   # held, so ids stay unique
+        known = {id(o) for o in before}
+        engine = RolloutEngine(weights, cfg, rope, WindowStrategy(cfg, None))
+        n_blocks = 256
+        for i in range(1, n_blocks + 1):
+            engine.commit(engine.step(i, "p"), "p")
+        gc.collect()
+        roots = {}
+        for rot in gc.get_objects():
+            if isinstance(rot, Rotation) and id(rot) not in known:
+                for _, rows in rot.runs:
+                    base = root(rows)
+                    roots[id(base)] = base.nbytes
+        frames = cfg.f * n_blocks
+        row_bytes = (rope.d_t // 2) * 16                               # complex128 per temporal pair
+        grown = (1 << (frames - 1).bit_length()) * cfg.s * row_bytes
+        spatial = cfg.f * cfg.s * (rope.d_h + rope.d_w) // 2 * 16
+        queries = tensor_ops.frame_rotation.cache_info().maxsize * cfg.f * cfg.s * row_bytes
+        assert sum(roots.values()) <= grown + queries + spatial
+        assert max(roots.values()) == grown
+        del before
