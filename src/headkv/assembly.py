@@ -14,7 +14,7 @@ import numpy as np
 
 from .cache import FrameKV
 from .errors import IntegrityError, ShapeError
-from .tensor_ops import RopeParams, Rotation, apply_rope, frame_index_array, frame_rotation, softmax_rows
+from .tensor_ops import RopeParams, Rotation, apply_rope, frame_rotation, softmax_rows
 
 
 @dataclass
@@ -66,21 +66,15 @@ class EncodedSequence:
     head: int
     keys: np.ndarray                  # (tokens, d), temporal + spatial encoded
     values: np.ndarray                # (tokens, d)
-    key_frame_indices: np.ndarray     # (frame_count,) temporal index per frame
-    query_frame_indices: np.ndarray   # (f_current,)
-    query_rotation: Rotation          # f_current * tokens_per_frame rows
-
-    @property
-    def key_token_temporal(self) -> np.ndarray:
-        """(tokens,) temporal index of every key row."""
-        return np.repeat(self.key_frame_indices, self.keys.shape[0] // len(self.key_frame_indices))
+    key_frame_indices: tuple[int, ...]     # temporal index per frame
+    query_frame_indices: tuple[int, ...]   # f_current of them
+    query_rotation: Rotation               # f_current * tokens_per_frame rows
 
 
 def _encode(seq: AssembledSequence, rope: RopeParams, key_idx: tuple[int, ...],
             query_idx: tuple[int, ...]) -> EncodedSequence:
     """Rotate a transient flat copy of the keys; the cached frames themselves
-    stay spatial-only. Both rotations come from the `frame_rotation` cache,
-    both index arrays from `frame_index_array`."""
+    stay spatial-only. Both rotations come from the `frame_rotation` cache."""
     if seq.temporal_encoded:
         raise IntegrityError(
             f"head ({seq.layer}, {seq.head}) keys already temporally encoded; double rotation refused"
@@ -91,8 +85,7 @@ def _encode(seq: AssembledSequence, rope: RopeParams, key_idx: tuple[int, ...],
     return EncodedSequence(
         layer=seq.layer, head=seq.head, keys=keys,
         values=np.concatenate([fr.values for fr in seq.frames]),
-        key_frame_indices=frame_index_array(key_idx),
-        query_frame_indices=frame_index_array(query_idx),
+        key_frame_indices=key_idx, query_frame_indices=query_idx,
         query_rotation=frame_rotation(query_idx, s, rope),
     )
 
@@ -142,11 +135,6 @@ class PackedBuffer:
     @property
     def n_heads(self) -> int:
         return len(self.head_ids)
-
-    def head_slice(self, idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ko, kl = int(self.k_offsets[idx]), int(self.k_lengths[idx])
-        qo, ql = int(self.q_offsets[idx]), int(self.q_lengths[idx])
-        return (self.queries[qo:qo + ql], self.keys[ko:ko + kl], self.values[ko:ko + kl])
 
 
 def pack(sequences: Sequence[EncodedSequence], queries: Sequence[np.ndarray],

@@ -50,9 +50,6 @@ class LatentBlock:
     frame_slots: int = 0
     stored_scalars: int = 0
 
-    def hidden(self) -> np.ndarray:
-        return np.vstack(self.frames)
-
 
 class CacheStrategy(Protocol):
     """What the engine and the commands need of a cache policy: the model

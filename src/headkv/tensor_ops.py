@@ -1,8 +1,9 @@
 """Minimal dense numerics: row softmax and 3-axis rotary position encoding
 with temporal/height/width channel groups. A rotation is built once per
 position set (`rope_rotation`; every temporal one through the cached
-`frame_rotation`) and applied to any number of token matrices with
-`apply_rope`.
+`frame_rotation`, which serves each prefix range(n) of frames as a view of
+one rotation of a power-of-two frame count) and applied to any number of
+token matrices with `apply_rope`.
 
 All functions are pure and operate on plain numpy arrays (rows = tokens,
 cols = channels). Double precision is the reference path; callers may pass
@@ -157,47 +158,6 @@ def apply_rope(tokens: np.ndarray, rotation: Rotation) -> np.ndarray:
     return out
 
 
-class _PrefixRows:
-    """Rows of every prefix 0..n-1 of frame indices, for one key at a time.
-    `build(start, stop, *key)` returns the rows of frames start..stop-1 as a
-    tuple of arrays, `per_frame` rows per frame each, and each array of the
-    tuple lives in one buffer with room for the next power of two frames.
-    A longer prefix builds only its new frames, and moves to a buffer twice
-    the size when it outgrows one. A view handed out stays valid: filled
-    rows never change, and an outgrown buffer lives on in the views that
-    still hold it. A new key starts over.
-
-    The unbounded baseline asks for range(F) with F growing every step, and
-    head-wise re-indexing for range(F) with each role's F; all of them share
-    these rows instead of each holding its own."""
-
-    def __init__(self, build):
-        self._build = build
-        self._key: tuple = ()
-        self._frames = 0
-        self._buffers: tuple[np.ndarray, ...] = ()
-
-    def views(self, n_frames: int, per_frame: int, *key) -> tuple[np.ndarray, ...]:
-        if key != self._key:
-            self._key, self._frames, self._buffers = key, 0, ()
-        if n_frames > self._frames:
-            start, stop = self._frames * per_frame, n_frames * per_frame
-            fresh = self._build(self._frames, n_frames, *key)
-            if not self._buffers or len(self._buffers[0]) < stop:
-                capacity = (1 << (n_frames - 1).bit_length()) * per_frame
-                grown = tuple(np.empty((capacity, *rows.shape[1:]), dtype=rows.dtype) for rows in fresh)
-                for new, old in zip(grown, self._buffers):
-                    new[:start] = old[:start]
-                self._buffers = grown
-            for buffer, rows in zip(self._buffers, fresh):
-                buffer[start:stop] = rows
-            self._frames = n_frames
-        views = tuple(buffer[:n_frames * per_frame] for buffer in self._buffers)
-        for view in views:
-            view.flags.writeable = False
-        return views
-
-
 def _is_prefix(frame_indices: tuple[int, ...]) -> bool:
     n = len(frame_indices)
     return n > 0 and frame_indices[-1] == n - 1 and frame_indices == tuple(range(n))
@@ -209,10 +169,12 @@ def _temporal_rotation(frame_indices: Sequence[int], tokens_per_frame: int, para
     return rope_rotation(positions, params, (TEMPORAL,))
 
 
-# a temporal rotation has one run, at column 0, or none when d_t is 0
-_prefix_rotation = _PrefixRows(lambda start, stop, s, params: tuple(
-    rows for _, rows in _temporal_rotation(range(start, stop), s, params).runs))
-_prefix_indices = _PrefixRows(lambda start, stop: (np.arange(start, stop, dtype=np.int64),))
+@functools.lru_cache(maxsize=1)
+def _prefix_table(tokens_per_frame: int, params: RopeParams, frames: int) -> Rotation:
+    """The temporal rotation of range(frames), frames a power of two; every
+    shorter prefix is a view of its rows. One is kept: a held view keeps a
+    replaced one alive."""
+    return _temporal_rotation(range(frames), tokens_per_frame, params)
 
 
 @functools.lru_cache(maxsize=16)
@@ -222,23 +184,13 @@ def frame_rotation(frame_indices: tuple[int, ...], tokens_per_frame: int,
     tokens_per_frame rows each: the one temporal rotation, for head-wise
     re-indexing, window baselines and profiling alike. Cached by the index
     tuple: every caller shares the returned object, whose rows are read-only.
-    A prefix range(n) takes its rows from one grown buffer."""
-    if _is_prefix(frame_indices):
-        n = len(frame_indices)
-        rows = _prefix_rotation.views(n, tokens_per_frame, tokens_per_frame, params)
-        return Rotation(d=params.d, tokens=n * tokens_per_frame, runs=tuple((0, r) for r in rows))
-    return _temporal_rotation(frame_indices, tokens_per_frame, params)
-
-
-@functools.lru_cache(maxsize=16)
-def frame_index_array(frame_indices: tuple[int, ...]) -> np.ndarray:
-    """The index tuple as a read-only int64 array, cached like
-    `frame_rotation`; a prefix range(n) is a view of one grown arange."""
-    if _is_prefix(frame_indices):
-        return _prefix_indices.views(len(frame_indices), 1)[0]
-    out = np.array(frame_indices, dtype=np.int64)
-    out.flags.writeable = False
-    return out
+    A prefix range(n) is a view of the rotation of the next power of two
+    frames."""
+    if not _is_prefix(frame_indices):
+        return _temporal_rotation(frame_indices, tokens_per_frame, params)
+    tokens = len(frame_indices) * tokens_per_frame
+    table = _prefix_table(tokens_per_frame, params, 1 << (len(frame_indices) - 1).bit_length())
+    return Rotation(d=params.d, tokens=tokens, runs=tuple((first, rows[:tokens]) for first, rows in table.runs))
 
 
 def grid_positions(grid_h: int, grid_w: int) -> np.ndarray:

@@ -6,6 +6,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 import headkv.rollout
+from headkv.assembly import EncodedSequence
 from headkv.errors import ShapeError
 from headkv.tensor_ops import softmax_rows
 
@@ -24,6 +25,12 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ShapeError(f"k rows {k.shape[0]} != v rows {v.shape[0]}")
     scores = q @ k.T / math.sqrt(k.shape[1])
     return softmax_rows(scores) @ v
+
+
+def key_token_temporal(enc: EncodedSequence) -> np.ndarray:
+    """(tokens,) temporal index of every key row of an encoded head."""
+    idx = np.array(enc.key_frame_indices, dtype=np.int64)
+    return np.repeat(idx, enc.keys.shape[0] // len(idx))
 
 
 class Retention(NamedTuple):
@@ -57,7 +64,7 @@ def run_with_retention(engine: headkv.rollout.RolloutEngine, n_blocks: int,
         lh = (seq.layer, seq.head)
         assert lh not in encoded, f"head {lh} encoded twice in one step"
         encoded[lh] = (np.vstack([fr.provenance for fr in seq.frames]),
-                       enc.key_token_temporal, enc.query_frame_indices)
+                       key_token_temporal(enc), np.array(enc.query_frame_indices, dtype=np.int64))
         return enc
 
     def recording_attention(buffer):

@@ -283,7 +283,7 @@ def test_criterion_08_unbounded_cache_consistency():
         run = RolloutEngine(weights, TOY, ROPE, WindowStrategy(TOY, window=None)).run(16, SCHED)
         ref = ReferenceGenerator(weights, TOY, ROPE).run(16, SCHED)
         for (blk, _, _), rblk in zip(run, ref):
-            assert np.abs(blk.hidden() - rblk.hidden()).max() < 1e-10
+            assert np.abs(np.vstack(blk.frames) - np.vstack(rblk.frames)).max() < 1e-10
     _report(8, "unbounded-cache consistency (16 blocks)", t)
 
 

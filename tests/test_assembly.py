@@ -17,7 +17,7 @@ from headkv.reference import attention_rows, rotate_temporal_rows
 from headkv.roles import role_map_from_lists
 from headkv.rollout import HeadWiseHyper, HeadWiseStrategy, RolloutEngine
 from headkv.tensor_ops import TEMPORAL, RopeParams, frame_rotation, rope_rotation
-from helpers import attention, run_with_retention
+from helpers import attention, key_token_temporal, run_with_retention
 
 D = 8
 ROPE8 = RopeParams.default_for(8)
@@ -74,7 +74,7 @@ class TestReencodeTemporal:
         seq = assembled(n_history=3)
         raw = np.vstack([fr.keys for fr in seq.frames])
         enc = reencode_temporal(seq, ROPE8)
-        expected = rotate_temporal_rows(raw, enc.key_token_temporal, ROPE8)
+        expected = rotate_temporal_rows(raw, key_token_temporal(enc), ROPE8)
         np.testing.assert_allclose(enc.keys, expected, atol=1e-12)
 
     def test_explicit_global_indices(self):
@@ -160,7 +160,9 @@ class TestPack:
             qs.append(q)
         buf = pack(encs, qs)
         for idx, enc in enumerate(encs):
-            q_got, k_got, v_got = buf.head_slice(idx)
+            ko, kl = int(buf.k_offsets[idx]), int(buf.k_lengths[idx])
+            qo, ql = int(buf.q_offsets[idx]), int(buf.q_lengths[idx])
+            q_got, k_got, v_got = buf.queries[qo:qo + ql], buf.keys[ko:ko + kl], buf.values[ko:ko + kl]
             np.testing.assert_array_equal(k_got, enc.keys)
             np.testing.assert_array_equal(v_got, enc.values)
             np.testing.assert_array_equal(q_got, qs[idx])

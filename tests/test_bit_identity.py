@@ -1,7 +1,7 @@
 """The hot path's numpy forms against the plain forms they stand for, with
 exact equality: the batched projections, the stacked episodic scores, the
 stacked compression ranking, softmax_rows' reductions and the temporal
-rotations served from one grown prefix buffer."""
+rotations served as views of one power-of-two prefix rotation."""
 
 import gc
 import weakref
@@ -18,7 +18,6 @@ from headkv.tensor_ops import (
     TEMPORAL,
     RopeParams,
     Rotation,
-    frame_index_array,
     frame_rotation,
     rope_rotation,
     softmax_rows,
@@ -227,19 +226,37 @@ class TestPrefixRotations:
     def test_prefix_rows_equal_a_direct_build(self):
         rope = RopeParams.default_for(16)
         tensor_ops.frame_rotation.cache_clear()
-        tensor_ops.frame_index_array.cache_clear()
         # grow, shrink, grow past a power of two, switch the token count and back
         for n, s in [(4, 16), (7, 16), (3, 16), (11, 16), (17, 16), (2, 4), (40, 16), (1, 16)]:
             idx = tuple(range(n))
             rot = frame_rotation(idx, s, rope)
             assert same_rotation(rot, direct_rotation(idx, s, rope))
             assert all(not rows.flags.writeable for _, rows in rot.runs)
-            arr = frame_index_array(idx)
-            assert arr.tolist() == list(idx) and arr.dtype == np.int64 and not arr.flags.writeable
         # index tuples that are not prefixes are built as they are
         for idx in [(1, 2, 3), (0, 2), (0, 5, 6, 7), (3,)]:
             assert same_rotation(frame_rotation(idx, 16, rope), direct_rotation(idx, 16, rope))
-            assert frame_index_array(idx).tolist() == list(idx)
+
+    def test_held_prefix_survives_a_replaced_rotation(self):
+        """A prefix rotation handed out keeps its rows, byte for byte and
+        read-only, after the shared power-of-two rotation it views is
+        replaced by a longer prefix, another token count or another rope split."""
+        rope = RopeParams.default_for(16)
+        tensor_ops.frame_rotation.cache_clear()
+        held = []
+        # 32 frames of 16 tokens and 128 frames of 4 fill rotations of equal
+        # shape, and so do the two rope bases: a replacement must not reuse rows
+        for n, s, params in [(8, 16, rope), (16, 16, rope), (32, 16, rope), (100, 4, rope),
+                             (100, 4, RopeParams(8, 4, 4, base=500.0)), (5, 4, RopeParams(12, 2, 2))]:
+            held.append((tuple(range(n)), s, params, frame_rotation(tuple(range(n)), s, params)))
+            tensor_ops.frame_rotation.cache_clear()     # the next call replaces the shared rotation
+            for idx, s_held, p_held, rot in held:
+                assert same_rotation(rot, direct_rotation(idx, s_held, p_held))
+                for _, rows in rot.runs:
+                    assert not rows.flags.writeable
+                    with pytest.raises(ValueError):
+                        rows[0, 0] = 1.0
+        # each held rotation views its own power-of-two rotation
+        assert len({id(root(rows)) for *_, rot in held for _, rows in rot.runs}) == len(held)
 
     def test_unbounded_latents_equal_direct_rotations(self, toy_config, toy_weights, rope, monkeypatch):
         def latents():
@@ -248,7 +265,7 @@ class TestPrefixRotations:
             for i in range(1, 13):
                 block = engine.step(i, "p")
                 engine.commit(block, "p")
-                out.append(block.hidden().tobytes())
+                out.append(np.vstack(block.frames).tobytes())
             return out
 
         grown = latents()
@@ -263,8 +280,8 @@ class TestPrefixRotations:
         not a rotation per step."""
         cfg = ModelConfig(L=1, H=2, d=16, s=16, f=3, grid_h=4, grid_w=4, seed=3)
         weights = init_model(cfg)
-        # start from an empty cache and, by asking for another token count, an
-        # empty prefix buffer
+        # start from an empty cache and, by asking for another token count, a
+        # prefix rotation the rollout cannot use
         tensor_ops.frame_rotation.cache_clear()
         frame_rotation((0,), 1, rope)
         gc.collect()

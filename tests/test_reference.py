@@ -73,12 +73,41 @@ class TestRotateTemporalRows:
                                    apply_rope(rows, rope_rotation(pos, rope, (TEMPORAL,))), atol=1e-12)
 
 
+class TestEmptyChannelGroup:
+    """A rope split may leave the temporal group, or both spatial groups,
+    without channels: its rotations then have no run for them, the prefix
+    rotations included."""
+
+    CFG = ModelConfig(L=2, H=3, d=16, s=16, f=3, grid_h=4, grid_w=4, seed=0)
+    SPLITS = [RopeParams(0, 8, 8), RopeParams(16, 0, 0)]
+    IDS = ["no_temporal", "temporal_only"]
+
+    @pytest.mark.parametrize("split", SPLITS, ids=IDS)
+    def test_unbounded_equals_reference(self, split):
+        weights = init_model(self.CFG)
+        run = run_blocks(weights, self.CFG, split, WindowStrategy(self.CFG, window=None), 9)
+        ref = ReferenceGenerator(weights, self.CFG, split).run(9, SCHED)
+        for blk, rblk in zip(run, ref):
+            np.testing.assert_allclose(np.vstack(blk.frames), np.vstack(rblk.frames), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("split", SPLITS, ids=IDS)
+    @pytest.mark.parametrize("make", [
+        lambda cfg, weights: HeadWiseStrategy(cfg, weights, role_map_from_lists(
+            cfg.L, cfg.H, anchor=[(0, 0), (1, 1)], local=[(0, 1), (1, 2)]), HeadWiseHyper()),
+        lambda cfg, weights: WindowStrategy(cfg, window=6, n_sink=1),
+    ], ids=["head_wise", "sink_window"])
+    def test_bounded_latents_finite(self, split, make):
+        weights = init_model(self.CFG)
+        for blk in run_blocks(weights, self.CFG, split, make(self.CFG, weights), 9):
+            assert np.isfinite(np.vstack(blk.frames)).all()
+
+
 class TestFullAttentionReference:
     def test_block_one_equals_engine(self):
         cfg, weights, rope = small_setup()
         engine_run = run_blocks(weights, cfg, rope, WindowStrategy(cfg, window=None), 1)
         ref_run = ReferenceGenerator(weights, cfg, rope).run(1, SCHED)
-        np.testing.assert_allclose(engine_run[0].hidden(), ref_run[0].hidden(), atol=1e-12)
+        np.testing.assert_allclose(np.vstack(engine_run[0].frames), np.vstack(ref_run[0].frames), atol=1e-12)
 
     def test_steps_must_run_in_order(self):
         cfg, weights, rope = small_setup()
@@ -96,14 +125,14 @@ class TestFullAttentionReference:
         run = run_blocks(weights, cfg, rope, WindowStrategy(cfg, window=window), n)
         ref = ReferenceGenerator(weights, cfg, rope).run(n, SCHED)
         for blk, rblk in zip(run, ref):
-            np.testing.assert_allclose(blk.hidden(), rblk.hidden(), atol=1e-10)
+            np.testing.assert_allclose(np.vstack(blk.frames), np.vstack(rblk.frames), atol=1e-10)
 
     def test_unbounded_engine_matches_over_ten_blocks(self):
         cfg, weights, rope = small_setup()
         run = run_blocks(weights, cfg, rope, WindowStrategy(cfg, window=None), 10)
         ref = ReferenceGenerator(weights, cfg, rope).run(10, SCHED)
         for blk, rblk in zip(run, ref):
-            np.testing.assert_allclose(blk.hidden(), rblk.hidden(), atol=1e-10)
+            np.testing.assert_allclose(np.vstack(blk.frames), np.vstack(rblk.frames), atol=1e-10)
 
     def test_fidelity_in_range_and_recomputable(self):
         cfg, weights, rope = small_setup()

@@ -56,7 +56,7 @@ class TestDeterminism:
         a = run(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 5)
         b = run(weights, cfg, rope, WindowStrategy(cfg, window=None), SCHED, 5)
         for (ba, _, _), (bb, _, _) in zip(a, b):
-            np.testing.assert_array_equal(ba.hidden(), bb.hidden())
+            np.testing.assert_array_equal(np.vstack(ba.frames), np.vstack(bb.frames))
 
     def test_head_wise_runs_bit_identical(self):
         cfg, weights, rope = small_setup()
@@ -64,7 +64,7 @@ class TestDeterminism:
         a = run(weights, cfg, rope, HeadWiseStrategy(cfg, weights, rm), SCHED, 12)
         b = run(weights, cfg, rope, HeadWiseStrategy(cfg, weights, rm), SCHED, 12)
         for (ba, _, _), (bb, _, _) in zip(a, b):
-            np.testing.assert_array_equal(ba.hidden(), bb.hidden())
+            np.testing.assert_array_equal(np.vstack(ba.frames), np.vstack(bb.frames))
         assert [d.delta for d in admissions(a)] == [d.delta for d in admissions(b)]
 
     def test_block_one_identical_across_strategies(self):
@@ -76,9 +76,9 @@ class TestDeterminism:
             run(weights, cfg, rope, WindowStrategy(cfg, window=6, n_sink=1), SCHED, 1),
             run(weights, cfg, rope, HeadWiseStrategy(cfg, weights, rm), SCHED, 1),
         ]
-        base = runs[0][0][0].hidden()
+        base = np.vstack(runs[0][0][0].frames)
         for steps in runs[1:]:
-            np.testing.assert_array_equal(steps[0][0].hidden(), base)
+            np.testing.assert_array_equal(np.vstack(steps[0][0].frames), base)
 
 
 class TestContextLengths:
@@ -189,7 +189,7 @@ class TestLongRolloutStability:
         strategy = HeadWiseStrategy(cfg, weights, rm, HeadWiseHyper())
         worst = 0.0
         for block, _, _ in RolloutEngine(weights, cfg, rope, strategy).run(300, SCHED):
-            hid = block.hidden()
+            hid = np.vstack(block.frames)
             assert np.isfinite(hid).all()
             worst = max(worst, float(np.abs(hid).max()))
         assert worst < 1e3
@@ -278,51 +278,42 @@ class TestCachedFramesOwnTheirRows:
 
 class TestRotationsBuiltOnce:
     """Spatial rotations are built with the engine and temporal rotations once
-    per frame-index tuple, shared by every head: a warm head-wise step builds
-    none, a warm window step one key and one query rotation."""
+    per frame-index tuple, shared by every head: a warm head-wise step misses
+    the `frame_rotation` cache never, a warm window step once for its key
+    and once for its query rotation."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-        build = tensor_ops.rope_rotation
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return build(*args, **kwargs)
-
-        # frame_rotation resolves tensor_ops.rope_rotation at call time
-        for module in (tensor_ops, rollout):
-            monkeypatch.setattr(module, "rope_rotation", counted)
+    def misses(self):
         tensor_ops.frame_rotation.cache_clear()
-        return calls
+        return lambda: tensor_ops.frame_rotation.cache_info().misses
 
-    def test_warm_head_wise_steps_build_no_rotation(self, calls, toy_config, toy_weights,
+    def test_warm_head_wise_steps_build_no_rotation(self, misses, toy_config, toy_weights,
                                                     rope, toy_role_map):
         strategy = HeadWiseStrategy(toy_config, toy_weights, toy_role_map, HeadWiseHyper(update_interval=1))
         engine = RolloutEngine(toy_weights, toy_config, rope, strategy)
         for i in range(1, 13):
             engine.commit(engine.step(i, "p"), "p")
-        assert calls                            # the engine's spatial rotation at least
-        calls.clear()
+        warm = misses()
+        assert warm                             # each role's rotations at least
         for i in range(13, 17):
             block = engine.step(i, "p")
             engine.commit(block, "p")
             assert block.frame_slots == 205    # steady state: 5 local, 6 anchor, 13 memory heads
-        assert calls == []
+        assert misses() == warm
 
     @pytest.mark.parametrize("window, n_sink", [(8, 1), (None, 0)], ids=["sink_window", "unbounded"])
-    def test_warm_window_steps_build_two_rotations(self, calls, toy_config, toy_weights, rope,
+    def test_warm_window_steps_build_two_rotations(self, misses, toy_config, toy_weights, rope,
                                                    window, n_sink):
         strategy = WindowStrategy(toy_config, window, n_sink=n_sink)
         engine = RolloutEngine(toy_weights, toy_config, rope, strategy)
         for i in range(1, 13):
             engine.commit(engine.step(i, "p"), "p")
         for i in range(13, 17):
-            calls.clear()
+            before = misses()
             engine.commit(engine.step(i, "p"), "p")
             # every head holds the same global indices: one key and one query
             # rotation for all 24 heads
-            assert len(calls) == 2
+            assert misses() - before == 2
 
 
 class TestOneWindowPerPolicy:
@@ -375,8 +366,8 @@ class TestWindowEncode:
             engine.commit(engine.step(i, "p"), "p")
         current = [frame[(0, 0)] for frame in engine.step(4, "p").kv]
         enc = strategy.encode(assemble(0, 0, strategy.history_frames(0, 0), current), rope)
-        assert enc.key_frame_indices.tolist() == [0, 6, 7, 8, 9, 10, 11]
-        assert enc.query_frame_indices.tolist() == [9, 10, 11]
+        assert list(enc.key_frame_indices) == [0, 6, 7, 8, 9, 10, 11]
+        assert list(enc.query_frame_indices) == [9, 10, 11]
 
 
 class TestRunWithRetention:
@@ -399,7 +390,7 @@ class TestRunWithRetention:
         for (block, retention), (want, _, _) in zip(steps, plain):
             assert list(retention) == cfg.heads
             # the wrapped seams change nothing the engine computes
-            np.testing.assert_array_equal(block.hidden(), want.hidden())
+            np.testing.assert_array_equal(np.vstack(block.frames), np.vstack(want.frames))
             assert sum(len(r.provenance) for r in retention.values()) == block.frame_slots * cfg.s
             for r in retention.values():
                 assert r.key_token_temporal.shape == (len(r.provenance),)
