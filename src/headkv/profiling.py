@@ -5,8 +5,10 @@ cross-run core stability ratio.
 The profiled rollout advances under a sink-plus-sliding-window cache so the
 substrate sees long context, while the sampled-block measurement computes
 each head's attention map against the full archived key history with global
-frame indices. Maps are reduced to bucket sums on the fly and never kept
-beyond one block.
+frame indices. The archive holds every committed key already rotated at its
+global frame: keys never change after commit and RoPE acts row by row, so
+each block is rotated once, not once per later sample. Maps are reduced to
+bucket sums on the fly and never kept beyond one block.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import FrameWindow
 from .errors import ConfigError, ShapeError
 from .model import ModelConfig, ModelWeights, measurement_perturbation
 from .roles import HeadRole, HeadRoleMap, role_map_from_lists
@@ -97,15 +98,19 @@ def profile_rollout(weights: ModelWeights, config: ModelConfig, rope: RopeParams
 
     sampled = sorted(set(sampled_blocks))
     n_blocks = max(sampled)
+    f, s = config.f, config.s
     sums = np.zeros((config.L, config.H, 3))
     count = 0
+    # every (layer, head)'s keys at their global frames, rows f*(i-1)*s ..
+    # f*i*s-1 for block i; each prompt overwrites the rows it reads
+    archive = np.empty((config.L, config.H, n_blocks * f * s, config.d))
 
     for prompt in prompts:
         strategy = WindowStrategy(config, window=window, n_sink=n_sink)
         engine = RolloutEngine(weights, config, rope, strategy)
-        archive = FrameWindow(0, None)       # every committed frame's keys
         for i in range(1, n_blocks + 1):
             block = engine.step(i, prompt)
+            archived = None                  # the block whose keys fill block i's rows
             if i in sampled:
                 for r in range(repeats):
                     stream = perturb_offset + r
@@ -114,33 +119,41 @@ def profile_rollout(weights: ModelWeights, config: ModelConfig, rope: RopeParams
                     else:
                         perturb = measurement_perturbation(config, i, stream, perturb_scale)
                         probe = engine.step(i, prompt, perturb=perturb)
-                    _accumulate_block(sums, archive.frames + _keys(probe), probe, config, rope)
+                    _archive_keys(archive, probe, config, rope)
+                    archived = probe
+                    _accumulate_block(sums, archive, probe, config, rope)
                 count += repeats
             engine.commit(block, prompt)
-            archive.roll(i, _keys(block))
+            if archived is not block and i < n_blocks:
+                _archive_keys(archive, block, config, rope)
 
     return ProfileReport(layers=config.L, heads=config.H, means=sums / count)
 
 
-def _keys(block: LatentBlock) -> list[dict]:
-    """The block's frame maps cut down to each head's keys: the archive never
-    reads values, and holding them would keep every frame's values alive."""
-    return [{lh: fr.keys for lh, fr in frame.items()} for frame in block.kv]
+def _archive_keys(archive: np.ndarray, block: LatentBlock, config: ModelConfig,
+                  rope: RopeParams) -> None:
+    """Write each head's keys of the block into its archive rows, rotated at
+    the block's global frames."""
+    i = block.index
+    f, s = config.f, config.s
+    rows = slice(f * (i - 1) * s, f * i * s)
+    rot = frame_rotation(tuple(range(f * (i - 1), f * i)), s, rope)
+    for l, h in config.heads:
+        archive[l, h, rows] = apply_rope(np.concatenate([frame[(l, h)].keys for frame in block.kv]), rot)
 
 
-def _accumulate_block(sums: np.ndarray, frames: list[dict], block: LatentBlock,
+def _accumulate_block(sums: np.ndarray, archive: np.ndarray, block: LatentBlock,
                       config: ModelConfig, rope: RopeParams) -> None:
-    """Full-context attention map per head over the key maps of every frame
-    up to and including the block's own, reduced to bucket sums."""
+    """Full-context attention map per head over the archived keys of every
+    frame up to and including the block's own, reduced to bucket sums."""
     i = block.index
     f, s = config.f, config.s
     q_rot = frame_rotation(tuple(range(f * (i - 1), f * i)), s, rope)
-    key_rot = frame_rotation(tuple(range(f * i)), s, rope)
+    scale = math.sqrt(config.d)
     for (l, h), q in block.q_spatial.items():
-        k_enc = apply_rope(np.vstack([frame[(l, h)] for frame in frames]), key_rot)
-        q_enc = apply_rope(q, q_rot)
-        a = softmax_rows(q_enc @ k_enc.T / math.sqrt(config.d))
-        p = bucket_proportions(a, s, i)
+        scores = apply_rope(q, q_rot) @ archive[l, h, :f * i * s].T
+        scores /= scale
+        p = bucket_proportions(softmax_rows(scores), s, i)
         sums[l, h, 0] += p.p_sink
         sums[l, h, 1] += p.p_middle
         sums[l, h, 2] += p.p_current

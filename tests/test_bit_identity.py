@@ -1,9 +1,11 @@
 """The hot path's numpy forms against the plain forms they stand for, with
 exact equality: the batched projections, the stacked episodic scores, the
-stacked compression ranking, softmax_rows' reductions and the temporal
-rotations served as views of one power-of-two prefix rotation."""
+stacked compression ranking, softmax_rows' reductions, the temporal
+rotations served as views of one power-of-two prefix rotation and
+profiling's archive of keys rotated once per committed block."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -12,7 +14,8 @@ import pytest
 from headkv import assembly, tensor_ops
 from headkv.cache import FrameKV
 from headkv.episodic import EpisodicEntry, EpisodicMemory, _similarities
-from headkv.model import ModelConfig, block_input, init_model
+from headkv.model import ModelConfig, block_input, init_model, measurement_perturbation
+from headkv.profiling import bucket_proportions, profile_rollout
 from headkv.rollout import HeadWiseHyper, HeadWiseStrategy, RolloutEngine, WindowStrategy
 from headkv.tensor_ops import (
     TEMPORAL,
@@ -306,3 +309,45 @@ class TestPrefixRotations:
         assert sum(roots.values()) <= grown + queries + spatial
         assert max(roots.values()) == grown
         del before
+
+
+def profile_full_history(weights, config, rope, sampled_blocks, repeats, prompts, perturb_offset):
+    """profile_rollout's means as every sample's full spatial-key history,
+    concatenated and rotated at frames 0..f*i-1 in one piece."""
+    f, s = config.f, config.s
+    sampled = sorted(set(sampled_blocks))
+    sums = np.zeros((config.L, config.H, 3))
+    count = 0
+    for prompt in prompts:
+        engine = RolloutEngine(weights, config, rope, WindowStrategy(config, window=8, n_sink=1))
+        history: list[dict] = []
+        for i in range(1, max(sampled) + 1):
+            block = engine.step(i, prompt)
+            if i in sampled:
+                for r in range(repeats):
+                    stream = perturb_offset + r
+                    probe = block if stream == 0 else engine.step(
+                        i, prompt, perturb=measurement_perturbation(config, i, stream, 0.05))
+                    q_rot = frame_rotation(tuple(range(f * (i - 1), f * i)), s, rope)
+                    key_rot = frame_rotation(tuple(range(f * i)), s, rope)
+                    for (l, h), q in probe.q_spatial.items():
+                        keys = np.concatenate([frame[(l, h)].keys for frame in history + probe.kv])
+                        k_enc = tensor_ops.apply_rope(keys, key_rot)
+                        q_enc = tensor_ops.apply_rope(q, q_rot)
+                        sums[l, h] += bucket_proportions(
+                            softmax_rows(q_enc @ k_enc.T / math.sqrt(config.d)), s, i).as_tuple()
+                count += repeats
+            engine.commit(block, prompt)
+            history += block.kv
+    return sums / count
+
+
+class TestProfileArchive:
+    @pytest.mark.parametrize("perturb_offset", [0, 1])
+    def test_means_equal_the_full_history_rotation(self, perturb_offset, toy_config, toy_weights, rope):
+        """Offset 0 measures each block as generated, then once perturbed;
+        offset 1 perturbs every probe, so each sampled block's rows are
+        written again with its committed keys before later blocks read them."""
+        args = (toy_weights, toy_config, rope, [3, 4, 7], 2, ["first prompt", "second prompt"])
+        got = profile_rollout(*args, window=8, n_sink=1, perturb_offset=perturb_offset).means
+        assert got.tobytes() == profile_full_history(*args, perturb_offset).tobytes()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,32 @@ class TestProfileRollout:
         with pytest.raises(ConfigError):
             profile_rollout(toy_weights, toy_config, rope, [2], 1, ["x"], window=8)
 
+    def test_perturbed_probes_equal_direct_measurement(self, toy_weights, toy_config, rope):
+        """Offset 1 measures only perturbed probes; block 5 reads block 3's
+        rows, which must hold the committed keys, not the probe's."""
+        report = profile_rollout(toy_weights, toy_config, rope, sampled_blocks=[3, 5],
+                                 repeats=1, prompts=["solo"], window=8, n_sink=1, perturb_offset=1)
+        expected = [measure_block_direct(toy_weights, toy_config, rope, "solo", b, stream=1) for b in (3, 5)]
+        np.testing.assert_allclose(report.means, np.mean(expected, axis=0), atol=1e-12)
+
+    def test_prompts_share_one_archive(self, toy_weights, toy_config, rope):
+        """A second prompt reuses the call's key archive (30 blocks, 4.4 MB on
+        the toy grid): a fresh one per prompt would hold two at once and
+        raise the traced peak by over a quarter."""
+        def peak(prompts):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                profile_rollout(toy_weights, toy_config, rope, [3, 30], 1, prompts, window=8)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        profile_rollout(toy_weights, toy_config, rope, [3, 30], 1, ["warm"], window=8)   # fills the caches
+        one, two = peak(["p one"]), peak(["p one", "p two"])
+        assert two <= 1.05 * one
+
     def test_report_proportions_valid(self, toy_weights, toy_config, rope):
         report = profile_rollout(toy_weights, toy_config, rope, [3, 5], 1, ["v"], window=8)
         for l in range(toy_config.L):
@@ -248,12 +276,14 @@ class TestProfileRollout:
                 assert abs(sum(p.as_tuple()) - 1.0) < 1e-9
 
 
-def measure_block_direct(weights, config, rope, prompt, block_idx):
+def measure_block_direct(weights, config, rope, prompt, block_idx, stream=0):
     """Independent single-block measurement: run the windowed rollout, archive
     spatial keys, and build each head's full-context map with the scalar
-    rotation oracle."""
+    rotation oracle. A non-zero stream measures block_idx re-run under that
+    stream's input perturbation (scale 0.05) against the same cache state."""
     import math
 
+    from headkv.model import measurement_perturbation
     from headkv.reference import rotate_temporal_rows
     from headkv.rollout import RolloutEngine, WindowStrategy
 
@@ -265,10 +295,12 @@ def measure_block_direct(weights, config, rope, prompt, block_idx):
         block = engine.step(i, prompt)
         if i == block_idx:
             f, s = config.f, config.s
+            probe = block if stream == 0 else engine.step(
+                i, prompt, perturb=measurement_perturbation(config, i, stream, 0.05))
             q_t = np.repeat(np.arange(f * (i - 1), f * i, dtype=np.int64), s)
             key_t = np.repeat(np.arange(f * i, dtype=np.int64), s)
-            for (l, h), q in block.q_spatial.items():
-                ks = archive[(l, h)] + [frame[(l, h)].keys for frame in block.kv]
+            for (l, h), q in probe.q_spatial.items():
+                ks = archive[(l, h)] + [frame[(l, h)].keys for frame in probe.kv]
                 k_enc = rotate_temporal_rows(np.vstack(ks), key_t, rope)
                 q_enc = rotate_temporal_rows(q, q_t, rope)
                 scores = q_enc @ k_enc.T / math.sqrt(config.d)
