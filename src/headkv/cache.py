@@ -22,16 +22,17 @@ class FrameKV:
 
     keys are stored with spatial RoPE applied and no temporal rotation, and
     never change after construction, so the mean-pooled key and its norm are
-    computed once, on first use. provenance maps each token row to its
-    (source global frame, source token) pair: summary frames are given theirs,
-    since their rows originate from multiple source frames; for ordinary
-    frames it is the identity, built on first read.
+    computed once, on first use. An episodic summary frame has global frame
+    index -1. provenance maps each token row to its (source global frame,
+    source token) pair: summary frames are given theirs, since their rows
+    originate from multiple source frames; for ordinary frames it is the
+    identity, built on first read.
     """
 
-    __slots__ = ("keys", "values", "global_frame_index", "is_summary", "_provenance", "_pooled")
+    __slots__ = ("keys", "values", "global_frame_index", "_provenance", "_pooled")
 
     def __init__(self, keys: np.ndarray, values: np.ndarray, global_frame_index: int,
-                 is_summary: bool = False, provenance: np.ndarray | None = None):
+                 provenance: np.ndarray | None = None):
         n = keys.shape[0]
         if values.shape[0] != n:
             raise ShapeError("FrameKV keys/values row counts differ")
@@ -40,9 +41,12 @@ class FrameKV:
         self.keys = keys                              # (tokens, d)
         self.values = values                          # (tokens, d)
         self.global_frame_index = global_frame_index
-        self.is_summary = is_summary
         self._provenance = provenance                 # (tokens, 2) int, (frame, token)
         self._pooled: tuple[np.ndarray, float] | None = None
+
+    @property
+    def is_summary(self) -> bool:
+        return self.global_frame_index == -1
 
     @property
     def tokens(self) -> int:

@@ -43,12 +43,9 @@ def _fmt(x: float) -> str:
 
 def build_strategy(cfg: ExperimentConfig, weights):
     spec = cfg.strategy
-    if spec.type == "unbounded":
-        return WindowStrategy(cfg.model, window=None)
-    if spec.type == "uniform_window":
-        return WindowStrategy(cfg.model, window=spec.W, n_sink=0)
-    if spec.type == "sink_window":
-        return WindowStrategy(cfg.model, window=spec.W, n_sink=spec.n_sink)
+    if spec.type != "head_wise":
+        return WindowStrategy(cfg.model, window=None if spec.type == "unbounded" else spec.W,
+                              n_sink=spec.n_sink if spec.type == "sink_window" else 0)
     if cfg.head_role_map is None:
         raise ConfigError("strategy head_wise requires a head_role_map path")
     role_map = HeadRoleMap.load(cfg.head_role_map)
@@ -62,8 +59,7 @@ def _profile(cfg: ExperimentConfig, weights, prompts: list[str], blocks: list[in
     spec = cfg.profiling
     report = profile_rollout(weights, cfg.model, cfg.rope, sampled_blocks=blocks,
                              repeats=spec.repeats, prompts=prompts, window=spec.window,
-                             n_sink=spec.n_sink, perturb_scale=spec.perturb_scale,
-                             perturb_offset=offset)
+                             n_sink=spec.n_sink, perturb_offset=offset)
     return report, classify_heads(report, cfg.alpha_anchor, cfg.tau_local)
 
 
@@ -178,10 +174,7 @@ def _stability_runs(cfg: ExperimentConfig) -> list[HeadRoleMap]:
                 raise ConfigError(f"prompt pool has {len(pool)} entries for {spec.runs} runs")
             prompts = [pool[r]]
         elif spec.axis == "blocks":
-            sets = list(spec.block_sets) or [tuple(b + r for b in blocks) for r in range(spec.runs)]
-            if len(sets) < spec.runs:
-                raise ConfigError(f"block_sets has {len(sets)} entries for {spec.runs} runs")
-            blocks = list(sets[r])
+            blocks = [b + r for b in blocks]
         else:  # repeats: disjoint measurement perturbation streams per run
             offset = r * cfg.profiling.repeats
         maps.append(_profile(cfg, weights, prompts, blocks, offset)[1])

@@ -44,7 +44,6 @@ class ProfilingSpec:
     repeats: int = 1
     window: int = 8
     n_sink: int = 1
-    perturb_scale: float = 0.05
 
     def __post_init__(self) -> None:
         # window >= model.f is checked where the window is built: a generate
@@ -61,7 +60,6 @@ class StabilitySpec:
     runs: int = 4
     axis: str = "prompts"          # prompts | blocks | repeats | inject_disjoint_anchor
     prompt_pool: tuple[str, ...] = ()
-    block_sets: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
         if self.runs < 2:

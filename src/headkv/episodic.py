@@ -47,13 +47,17 @@ def _interleave(first: list[np.ndarray], second: list[np.ndarray]) -> np.ndarray
 
 @dataclass
 class EpisodicEntry:
-    """One logical episodic frame, materialized per (layer, memory-head)."""
+    """One logical episodic frame, materialized per (layer, memory-head).
+    The summary is the entry at frame index -1."""
 
     frame_index: int              # source global frame; -1 for the summary
-    is_summary: bool
     slots: Slots
     # built on first scoring by the memory that holds the entry, dropped with it
     pooled: Pooled | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def is_summary(self) -> bool:
+        return self.frame_index == -1
 
 
 @dataclass
@@ -131,12 +135,8 @@ class EpisodicMemory:
         pools = [self._entry_pool(e) for e in self.entries]
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         sims = _similarities([pools[i] for i, _ in pairs], [pools[j] for _, j in pairs])
-        best_pair = (0, 1)
-        best_sim = -np.inf
-        for pair, sim in zip(pairs, sims):
-            if sim > best_sim:
-                best_sim, best_pair = sim, pair
-        return best_pair
+        # max() keeps the first maximum, the smallest pair
+        return pairs[max(range(len(pairs)), key=sims.__getitem__)]
 
     def select_merge_victim(self) -> int:
         """Non-summary entry whose average similarity to its adjacent
@@ -151,14 +151,9 @@ class EpisodicMemory:
         # idx's neighbor similarities are adjacent[idx - 2] and adjacent[idx - 1]
         pools = [self._entry_pool(e) for e in self.entries]
         adjacent = _similarities(pools[1:n - 1], pools[2:n])
-        best_idx = 1
-        best_score = -np.inf
-        for idx in range(1, n):
-            pairs = adjacent[max(idx - 2, 0):idx]
-            score = sum(pairs) / len(pairs)
-            if score > best_score:
-                best_score, best_idx = score, idx
-        return best_idx
+        scores = [sum(near) / len(near) for near in (adjacent[max(idx - 2, 0):idx] for idx in range(1, n))]
+        # index() finds the first maximum, the smallest index
+        return 1 + scores.index(max(scores))
 
     # -- compression ------------------------------------------------------
 
@@ -206,24 +201,18 @@ class EpisodicMemory:
                     keys=keys[i, order],
                     values=values[i, order],
                     global_frame_index=-1,
-                    is_summary=True,
                     provenance=prov[i, order],
                 )
-        return EpisodicEntry(frame_index=-1, is_summary=True, slots=slots)
+        return EpisodicEntry(frame_index=-1, slots=slots)
 
     def _compress_overflow(self, prompt_keys: dict[tuple[int, int], np.ndarray]) -> None:
         if not self.summary_present:
             i, j = self.find_redundant_pair()
-            summary = self.compress_into_summary(self.entries[i], self.entries[j], prompt_keys)
-            remaining = [e for idx, e in enumerate(self.entries) if idx not in (i, j)]
         else:
-            if len(self.entries) - 1 >= 2:
-                j = self.select_merge_victim()
-            else:
-                j = 1  # a single non-summary entry is the only possible victim
-            summary = self.compress_into_summary(self.entries[0], self.entries[j], prompt_keys)
-            remaining = [e for idx, e in enumerate(self.entries) if idx not in (0, j)]
-        self.entries = [summary] + remaining
+            # a single non-summary entry is the only possible victim
+            i, j = 0, (self.select_merge_victim() if len(self.entries) > 2 else 1)
+        summary = self.compress_into_summary(self.entries[i], self.entries[j], prompt_keys)
+        self.entries = [summary] + [e for idx, e in enumerate(self.entries) if idx not in (i, j)]
 
     # -- admission --------------------------------------------------------
 
@@ -234,7 +223,7 @@ class EpisodicMemory:
         delta = self.novelty_score(candidate)
         if delta >= tau_novel:
             return AdmissionDecision(block_index, delta, admitted=False, compressed=False)
-        self.entries.append(EpisodicEntry(frame_index=frame_index, is_summary=False, slots=dict(candidate)))
+        self.entries.append(EpisodicEntry(frame_index=frame_index, slots=dict(candidate)))
         compressed = False
         if len(self.entries) > self.capacity:
             self._compress_overflow(prompt_keys)

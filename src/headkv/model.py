@@ -36,6 +36,10 @@ _OUTPUT_GAIN = 0.5
 # few units and head-dependent self-affinity shows up as concentrated
 # attention; value/output stay at contractive scales.
 _QK_GAIN = 3.0
+# Weight of the prompt embedding in every block input.
+_PROMPT_STRENGTH = 0.05
+# Scale of the seeded input perturbation that emulates a profiling repeat.
+_PERTURB_SCALE = 0.05
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,6 @@ class ModelConfig:
     # small per-block wiggle, so episodic novelty sees scenes, not iid frames.
     scene_period: int = 1
     scene_jitter: float = 0.05
-    prompt_strength: float = 0.05
 
     def __post_init__(self) -> None:
         for name in ("L", "H", "d", "s", "f", "grid_h", "grid_w"):
@@ -173,13 +176,13 @@ def block_input(weights: ModelWeights, prompt: str, i: int, perturb: np.ndarray 
     base = _rng(cfg.seed, _SCENE_STREAM, pkey, scene).standard_normal((n, cfg.d_model))
     wiggle = _rng(cfg.seed, _WIGGLE_STREAM, i).standard_normal((n, cfg.d_model))
     x = base + cfg.scene_jitter * wiggle
-    hidden = x @ weights.embed + cfg.prompt_strength * weights.prompt_embedding(prompt)
+    hidden = x @ weights.embed + _PROMPT_STRENGTH * weights.prompt_embedding(prompt)
     if perturb is not None:
         hidden = hidden + perturb
     return hidden
 
 
-def measurement_perturbation(config: ModelConfig, i: int, r: int, scale: float) -> np.ndarray:
+def measurement_perturbation(config: ModelConfig, i: int, r: int) -> np.ndarray:
     """Seeded input perturbation used to emulate repeated per-block statistics."""
     n = config.f * config.s
-    return scale * _rng(config.seed, _PERTURB_STREAM, i, r).standard_normal((n, config.d_model))
+    return _PERTURB_SCALE * _rng(config.seed, _PERTURB_STREAM, i, r).standard_normal((n, config.d_model))

@@ -76,9 +76,7 @@ class ProfileReport:
 
 def profile_rollout(weights: ModelWeights, config: ModelConfig, rope: RopeParams,
                     sampled_blocks: list[int], repeats: int, prompts: list[str],
-                    window: int = 8, n_sink: int = 1,
-                    perturb_scale: float = 0.05,
-                    perturb_offset: int = 0) -> ProfileReport:
+                    window: int = 8, n_sink: int = 1, perturb_offset: int = 0) -> ProfileReport:
     """Mean bucket proportions over (sampled blocks x repeats x prompts).
 
     Repeat r measures under perturbation stream perturb_offset + r: stream 0
@@ -117,7 +115,7 @@ def profile_rollout(weights: ModelWeights, config: ModelConfig, rope: RopeParams
                     if stream == 0:
                         probe = block
                     else:
-                        perturb = measurement_perturbation(config, i, stream, perturb_scale)
+                        perturb = measurement_perturbation(config, i, stream)
                         probe = engine.step(i, prompt, perturb=perturb)
                     _archive_keys(archive, probe, config, rope)
                     archived = probe

@@ -144,12 +144,9 @@ class HeadWiseStrategy:
         self.config = config
         self.weights = weights
         self.hyper = hyper or HeadWiseHyper()
-        memory_heads = role_map.heads_of(HeadRole.MEMORY)
-        if not memory_heads:
-            raise ConfigError("head-wise strategy needs at least one memory head")
         self.episodic = EpisodicMemory(
             capacity=self.hyper.b_epi,
-            memory_heads=memory_heads,
+            memory_heads=role_map.heads_of(HeadRole.MEMORY),
             tokens_per_frame=config.s,
         )
         self.role_map = role_map

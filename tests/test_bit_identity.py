@@ -102,7 +102,7 @@ class TestEpisodicScores:
         rng = np.random.default_rng(7)
         mem = EpisodicMemory(capacity=6, memory_heads=list(HEADS), tokens_per_frame=S)
         for n in range(5):
-            mem.entries.append(EpisodicEntry(frame_index=3 * n, is_summary=False,
+            mem.entries.append(EpisodicEntry(frame_index=3 * n,
                                              slots=random_slots(rng, 3 * n, HEADS[2] if n == 1 else None)))
         return mem, random_slots(rng, 99, HEADS[2])
 
@@ -134,7 +134,7 @@ class TestEpisodicScores:
                 for i in range(n) for j in range(i + 1, n)}
         assert mem.find_redundant_pair() == max(sims, key=lambda ij: (sims[ij], -ij[0], -ij[1]))
 
-        mem.entries[0] = EpisodicEntry(frame_index=-1, is_summary=True, slots=mem.entries[0].slots)
+        mem.entries[0] = EpisodicEntry(frame_index=-1, slots=mem.entries[0].slots)
         scores = []
         for idx in range(1, n):
             near = [sims[(k, k + 1)] for k in (idx - 1, idx) if 1 <= k < n - 1]
@@ -190,7 +190,7 @@ class TestCompression:
     def test_stacked_ranking_equals_the_per_head_loop(self, heads):
         rng = np.random.default_rng(11)
         mem = EpisodicMemory(capacity=3, memory_heads=list(heads), tokens_per_frame=S)
-        entries = [EpisodicEntry(frame_index=3 * n, is_summary=False, slots=random_slots(rng, 3 * n))
+        entries = [EpisodicEntry(frame_index=3 * n, slots=random_slots(rng, 3 * n))
                    for n in range(3)]
         entries[1].slots[heads[0]].keys[2] = 0.0                        # a zero key row
         prompt_keys = {lh: rng.standard_normal(D) for lh in heads}
@@ -327,7 +327,7 @@ def profile_full_history(weights, config, rope, sampled_blocks, repeats, prompts
                 for r in range(repeats):
                     stream = perturb_offset + r
                     probe = block if stream == 0 else engine.step(
-                        i, prompt, perturb=measurement_perturbation(config, i, stream, 0.05))
+                        i, prompt, perturb=measurement_perturbation(config, i, stream))
                     q_rot = frame_rotation(tuple(range(f * (i - 1), f * i)), s, rope)
                     key_rot = frame_rotation(tuple(range(f * i)), s, rope)
                     for (l, h), q in probe.q_spatial.items():

@@ -326,7 +326,6 @@ class TestCli:
         {"model": {"scene_jitter": float("nan")}},
         {"hyperparameters": {"alpha_anchor": float("nan")}},
         {"hyperparameters": {"rope": {"base": float("inf")}}},
-        {"profiling": {"perturb_scale": float("nan"), "repeats": 2}},
     ], ids=repr)
     def test_non_finite_profile_config_exit_2(self, tmp_path, raw):
         """These used to exit 0 writing nan proportions, or crash with a
@@ -385,6 +384,30 @@ class TestCli:
         config that still sets their default is refused, not ignored."""
         proc = self.assert_config_error_leaves_no_output(tmp_path, ["generate"], {"hyperparameters": {key: value}})
         assert f"unknown hyperparameters keys: ['{key}']" in proc.stderr
+
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("generate", "model", "prompt_strength", 0.05),
+        ("profile", "profiling", "perturb_scale", 0.05),
+        ("stability", "stability", "block_sets", []),
+    ], ids=repr)
+    def test_retired_config_key_exit_2(self, tmp_path, command, section, key, value):
+        """Each key held one value in every config; an old config that still
+        sets it, even to that value, is refused under the command it fed."""
+        proc = self.assert_config_error_leaves_no_output(tmp_path, [command], {section: {key: value}})
+        assert f"unknown {section} keys: ['{key}']" in proc.stderr
+
+    def test_head_wise_without_memory_head_exit_2(self, tmp_path):
+        """The episodic tier refuses an empty memory-head set; without that
+        check the first candidate lookup fails with an IndexError."""
+        roles = [{"layer": 0, "head": h, "role": role} for h, role in enumerate(["anchor", "local"])]
+        (tmp_path / "roles.json").write_text(json.dumps({"alpha_anchor": 0.5, "tau_local": 0.5,
+                                                         "roles": roles}))
+        proc = self.assert_config_error_leaves_no_output(tmp_path, ["generate"], {
+            "model": dict(TOY_MODEL, L=1, H=2),
+            "strategy": {"type": "head_wise"},
+            "head_role_map": str(tmp_path / "roles.json"),
+        })
+        assert "needs at least one memory head" in proc.stderr
 
     def assert_config_error_leaves_no_output(self, tmp_path, command, raw):
         cfg = self.write_cfg(tmp_path, {**raw, "n_blocks": 2, "output_dir": str(tmp_path / "out")})
@@ -448,6 +471,9 @@ class TestConfigLoading:
         {"hyperparameters": {"tau_novelty": 0.9}},
         {"hyperparameters": {"candidate_mode": "latest"}},
         {"hyperparameters": {"novelty_metric": "key_cosine"}},
+        {"model": {"prompt_strength": 0.05}},
+        {"profiling": {"perturb_scale": 0.05}},
+        {"stability": {"block_sets": []}},
         {"hyperparameters": {"rope": {"d_x": 4}}},
         {"profiling": {"repeat": 2}},
         {"stability": {"axes": "blocks"}},
@@ -523,12 +549,10 @@ class TestConfigLoading:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
     @pytest.mark.parametrize("path", [
         ("model", "scene_jitter"),
-        ("model", "prompt_strength"),
         ("hyperparameters", "alpha_anchor"),
         ("hyperparameters", "tau_local"),
         ("hyperparameters", "tau_novel"),
         ("hyperparameters", "rope", "base"),
-        ("profiling", "perturb_scale"),
     ], ids=".".join)
     def test_real_values_must_be_finite(self, tmp_path, path, value):
         """json.loads accepts NaN, Infinity and -Infinity; each real-valued

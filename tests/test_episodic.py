@@ -165,18 +165,13 @@ def make_summary_memory(non_summary_keys: list[np.ndarray]) -> EpisodicMemory:
     rng = np.random.default_rng(11)
     mem = EpisodicMemory(capacity=len(non_summary_keys) + 1, memory_heads=HEADS2,
                          tokens_per_frame=S)
-    summary_slots = {}
-    for lh in HEADS2:
-        fr = frame_from_keys(rng.standard_normal((S, D)), -1)
-        fr.is_summary = True
-        fr.global_frame_index = -1
-        summary_slots[lh] = fr
+    summary_slots = {lh: frame_from_keys(rng.standard_normal((S, D)), -1) for lh in HEADS2}
     from headkv.episodic import EpisodicEntry
 
-    mem.entries.append(EpisodicEntry(frame_index=-1, is_summary=True, slots=summary_slots))
+    mem.entries.append(EpisodicEntry(frame_index=-1, slots=summary_slots))
     for n, keys in enumerate(non_summary_keys):
         mem.entries.append(EpisodicEntry(
-            frame_index=3 * n, is_summary=False,
+            frame_index=3 * n,
             slots={lh: frame_from_keys(keys.copy(), 3 * n) for lh in HEADS2}))
     return mem
 
@@ -283,7 +278,7 @@ class TestCompressIntoSummary:
         mem = memory_with([a])
         from headkv.episodic import EpisodicEntry
 
-        bad = EpisodicEntry(frame_index=3, is_summary=False, slots=small)
+        bad = EpisodicEntry(frame_index=3, slots=small)
         with pytest.raises(ShapeError):
             mem.compress_into_summary(mem.entries[0], bad, zero_prompt_keys())
 
@@ -423,7 +418,9 @@ class EpisodicAdmissionMachine(RuleBasedStateMachine):
     @invariant()
     def summary_only_at_index_zero(self):
         assert not any(e.is_summary for e in self.mem.entries[1:])
-        assert all((e.frame_index == -1) == e.is_summary for e in self.mem.entries)
+        if self.mem.entries:
+            first = self.mem.entries[0]
+            assert all((fr.global_frame_index == -1) == first.is_summary for fr in first.slots.values())
 
     @invariant()
     def every_head_holds_the_same_sequence(self):

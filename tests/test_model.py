@@ -101,9 +101,9 @@ class TestBlockInput:
         assert not np.array_equal(block_input(w, "p", 1), block_input(w, "q", 1))
 
     def test_perturbation_seeded(self):
-        a = measurement_perturbation(SMALL, 3, 1, 0.05)
-        b = measurement_perturbation(SMALL, 3, 1, 0.05)
-        c = measurement_perturbation(SMALL, 3, 2, 0.05)
+        a = measurement_perturbation(SMALL, 3, 1)
+        b = measurement_perturbation(SMALL, 3, 1)
+        c = measurement_perturbation(SMALL, 3, 2)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 

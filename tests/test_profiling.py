@@ -296,7 +296,7 @@ def measure_block_direct(weights, config, rope, prompt, block_idx, stream=0):
         if i == block_idx:
             f, s = config.f, config.s
             probe = block if stream == 0 else engine.step(
-                i, prompt, perturb=measurement_perturbation(config, i, stream, 0.05))
+                i, prompt, perturb=measurement_perturbation(config, i, stream))
             q_t = np.repeat(np.arange(f * (i - 1), f * i, dtype=np.int64), s)
             key_t = np.repeat(np.arange(f * i, dtype=np.int64), s)
             for (l, h), q in probe.q_spatial.items():
