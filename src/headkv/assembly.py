@@ -90,18 +90,14 @@ def _encode(seq: AssembledSequence, rope: RopeParams, key_idx: tuple[int, ...],
     )
 
 
-def encode_temporal(seq: AssembledSequence, rope: RopeParams,
-                    key_frame_indices: Sequence[int],
-                    query_frame_indices: Sequence[int]) -> EncodedSequence:
-    """Temporal encoding at arbitrary per-frame indices (the window baselines
-    use global ones)."""
-    key_idx = np.asarray(key_frame_indices, dtype=np.int64)
-    query_idx = np.asarray(query_frame_indices, dtype=np.int64)
-    if key_idx.shape != (seq.frame_count,):
-        raise ShapeError(f"need one temporal index per frame ({seq.frame_count}), got {key_idx.shape}")
-    if query_idx.shape != (seq.f_current,):
-        raise ShapeError(f"need one query index per current frame ({seq.f_current}), got {query_idx.shape}")
-    return _encode(seq, rope, tuple(key_idx.tolist()), tuple(query_idx.tolist()))
+def encode_temporal(seq: AssembledSequence, rope: RopeParams) -> EncodedSequence:
+    """Temporal encoding at global frame indices (the window baselines): each
+    key frame at its own, and the queries at the last f_current of them, the
+    current block's."""
+    # from a list, not a generator: tuple() of a generator over-allocates and
+    # shrinks, and the shrunk tuples pile up on CPython's tuple free list
+    key_idx = tuple([fr.global_frame_index for fr in seq.frames])
+    return _encode(seq, rope, key_idx, key_idx[-seq.f_current:])
 
 
 def reencode_temporal(seq: AssembledSequence, rope: RopeParams) -> EncodedSequence:

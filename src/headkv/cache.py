@@ -8,7 +8,6 @@ temporal encoding happens at assembly time, never at write time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +20,15 @@ class FrameKV:
     """One frame's keys/values for one (layer, head).
 
     keys are stored with spatial RoPE applied and no temporal rotation, and
-    never change after construction, so the mean-pooled key and its norm are
-    computed once, on first use. An episodic summary frame has global frame
-    index -1. provenance maps each token row to its (source global frame,
-    source token) pair: summary frames are given theirs, since their rows
-    originate from multiple source frames; for ordinary frames it is the
-    identity, built on first read.
+    never change after construction; the episodic tier, not the frame, pools
+    them. An episodic summary frame has global frame index -1. provenance
+    maps each token row to its (source global frame, source token) pair:
+    summary frames are given theirs, since their rows originate from
+    multiple source frames; for ordinary frames it is the identity, built on
+    first read.
     """
 
-    __slots__ = ("keys", "values", "global_frame_index", "_provenance", "_pooled")
+    __slots__ = ("keys", "values", "global_frame_index", "_provenance")
 
     def __init__(self, keys: np.ndarray, values: np.ndarray, global_frame_index: int,
                  provenance: np.ndarray | None = None):
@@ -42,7 +41,6 @@ class FrameKV:
         self.values = values                          # (tokens, d)
         self.global_frame_index = global_frame_index
         self._provenance = provenance                 # (tokens, 2) int, (frame, token)
-        self._pooled: tuple[np.ndarray, float] | None = None
 
     @property
     def is_summary(self) -> bool:
@@ -60,15 +58,6 @@ class FrameKV:
             prov[:, 1] = np.arange(self.tokens)
             self._provenance = prov
         return self._provenance
-
-    @property
-    def pooled_key(self) -> tuple[np.ndarray, float]:
-        """Mean of the key rows and that mean's L2 norm."""
-        if self._pooled is None:
-            # what keys.mean(axis=0) and np.linalg.norm compute on float64, unwrapped
-            pooled = np.add.reduce(self.keys, axis=0) / self.tokens
-            self._pooled = (pooled, math.sqrt(pooled.dot(pooled)))
-        return self._pooled
 
 
 def _check_roll_order(last_block: int, block_index: int) -> None:

@@ -52,7 +52,8 @@ class EpisodicEntry:
 
     frame_index: int              # source global frame; -1 for the summary
     slots: Slots
-    # built on first scoring by the memory that holds the entry, dropped with it
+    # built by the memory the first time the entry is scored, as a candidate
+    # or as a stored entry, and dropped with it
     pooled: Pooled | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -101,27 +102,26 @@ class EpisodicMemory:
 
     # -- scoring ----------------------------------------------------------
 
-    def _check_candidate(self, candidate: Slots) -> None:
-        if set(candidate) != set(self.memory_heads):
-            raise ConfigError("candidate slots do not cover the memory-head set")
-
-    def novelty_score(self, candidate: Slots) -> float:
+    def novelty_score(self, candidate: EpisodicEntry) -> float:
         """Max over stored entries of the layer/head-averaged cosine between
-        mean-pooled keys. Defined as -1 for an empty memory (forced admit)."""
-        self._check_candidate(candidate)
+        mean-pooled keys, for the entry the candidate would become. Defined as
+        -1 for an empty memory (forced admit)."""
+        if set(candidate.slots) != set(self.memory_heads):
+            raise ConfigError("candidate slots do not cover the memory-head set")
         if not self.entries:
             return -1.0
         entries = [self._entry_pool(entry) for entry in self.entries]
-        return max(_similarities([self._pool(candidate)] * len(entries), entries))
-
-    def _pool(self, slots: Slots) -> Pooled:
-        pairs = [slots[lh].pooled_key for lh in self.memory_heads]
-        norms = np.array([norm for _, norm in pairs])
-        return np.concatenate([vec for vec, _ in pairs]).reshape(len(pairs), -1), norms, norms != 0.0
+        return max(_similarities([self._entry_pool(candidate)] * len(entries), entries))
 
     def _entry_pool(self, entry: EpisodicEntry) -> Pooled:
+        """The entry's pooled keys, built once: keys.mean(axis=0) and
+        np.linalg.norm of each memory head's frame, as their unwrapped float64
+        forms over the stacked frames."""
         if entry.pooled is None:
-            entry.pooled = self._pool(entry.slots)
+            keys = np.stack([entry.slots[lh].keys for lh in self.memory_heads])   # (heads, s, d)
+            means = np.add.reduce(keys, axis=1) / keys.shape[1]
+            norms = np.sqrt(np.matmul(means[:, None, :], means[:, :, None])).reshape(len(means))
+            entry.pooled = (means, norms, norms != 0.0)
         return entry.pooled
 
     def find_redundant_pair(self) -> tuple[int, int]:
@@ -219,11 +219,13 @@ class EpisodicMemory:
     def try_admit(self, candidate: Slots, frame_index: int, block_index: int,
                   tau_novel: float, prompt_keys: dict[tuple[int, int], np.ndarray]) -> AdmissionDecision:
         """One admission transaction: score, reject or append, and compress in
-        the same transaction if the append overflows capacity."""
-        delta = self.novelty_score(candidate)
+        the same transaction if the append overflows capacity. The entry
+        scored is the entry admitted, pooled keys included."""
+        entry = EpisodicEntry(frame_index=frame_index, slots=dict(candidate))
+        delta = self.novelty_score(entry)
         if delta >= tau_novel:
             return AdmissionDecision(block_index, delta, admitted=False, compressed=False)
-        self.entries.append(EpisodicEntry(frame_index=frame_index, slots=dict(candidate)))
+        self.entries.append(entry)
         compressed = False
         if len(self.entries) > self.capacity:
             self._compress_overflow(prompt_keys)

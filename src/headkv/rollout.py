@@ -99,10 +99,7 @@ class WindowStrategy:
 
     @staticmethod
     def encode(seq: AssembledSequence, rope: RopeParams) -> EncodedSequence:
-        # the current block's frames carry their global indices, so the
-        # queries take the last f_current key indices
-        key_idx = [fr.global_frame_index for fr in seq.frames]
-        return encode_temporal(seq, rope, key_idx, key_idx[-seq.f_current:])
+        return encode_temporal(seq, rope)
 
     def roll(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]:
         self.window.roll(block.index, block.kv)

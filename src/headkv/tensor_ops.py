@@ -51,11 +51,11 @@ class RopeParams:
         return self.d_t + self.d_h + self.d_w
 
     @classmethod
-    def default_for(cls, d: int, base: float = 10000.0) -> "RopeParams":
+    def default_for(cls, d: int) -> "RopeParams":
         """Half the channels temporal, a quarter each for height/width."""
         if d % 4 != 0:
             raise ShapeError(f"default channel split needs d divisible by 4, got {d}; pass an explicit split")
-        return cls(d_t=d // 2, d_h=d // 4, d_w=d // 4, base=base)
+        return cls(d_t=d // 2, d_h=d // 4, d_w=d // 4)
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:

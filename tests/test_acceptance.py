@@ -15,7 +15,7 @@ from headkv.assembly import assemble, pack, packed_attention, reencode_temporal
 from headkv.cache import FrameKV
 from headkv.commands import cmd_budget, cmd_generate, cmd_profile, cmd_stability
 from headkv.config import config_from_dict
-from headkv.episodic import EpisodicMemory
+from headkv.episodic import EpisodicEntry, EpisodicMemory
 from headkv.model import ModelConfig, init_model
 from headkv.profiling import ProfileReport, classify_heads, core_stability_ratio
 from headkv.reference import (
@@ -237,7 +237,7 @@ def test_criterion_07_oracle_suites():
             for i, sl in enumerate(stored):
                 mem.try_admit(sl, 3 * i, i + 1, tau_novel=2.0, prompt_keys=pk)
             cand = slots(99)
-            assert mem.novelty_score(cand) == pytest.approx(
+            assert mem.novelty_score(EpisodicEntry(frame_index=99, slots=cand)) == pytest.approx(
                 brute_force_novelty(cand, [e.slots for e in mem.entries]), abs=1e-12)
             if n_entries >= 2:
                 assert mem.find_redundant_pair() == brute_force_pair(

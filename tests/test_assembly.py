@@ -78,14 +78,10 @@ class TestReencodeTemporal:
         np.testing.assert_allclose(enc.keys, expected, atol=1e-12)
 
     def test_explicit_global_indices(self):
-        seq = assembled(n_history=2, f=3)
-        enc = encode_temporal(seq, ROPE8, [10, 11, 12, 13, 14], [12, 13, 14])
+        seq = assemble(0, 0, [frame(10), frame(11)], [frame(12), frame(13), frame(14)])
+        enc = encode_temporal(seq, ROPE8)
         np.testing.assert_array_equal(enc.key_frame_indices, [10, 11, 12, 13, 14])
-
-    def test_index_count_validated(self):
-        seq = assembled(n_history=2, f=3)
-        with pytest.raises(ShapeError):
-            encode_temporal(seq, ROPE8, [0, 1], [2, 3, 4])
+        np.testing.assert_array_equal(enc.query_frame_indices, [12, 13, 14])
 
 
 # sink-plus-recent index lists: a few leading frames, a gap, then a recent run
@@ -103,9 +99,9 @@ class TestEncodeTemporalAnyIndices:
     def test_rotated_keys_match_scalar_oracle(self, key_idx, n_query, s, seed):
         n_query = min(n_query, len(key_idx))
         rng = np.random.default_rng(seed)
-        frames = [frame(i, s=s, seed=int(rng.integers(1 << 30))) for i in range(len(key_idx))]
+        frames = [frame(i, s=s, seed=int(rng.integers(1 << 30))) for i in key_idx]
         seq = assemble(0, 0, frames[:-n_query], frames[-n_query:])
-        enc = encode_temporal(seq, ROPE8, key_idx, key_idx[-n_query:])
+        enc = encode_temporal(seq, ROPE8)
         raw = np.vstack([fr.keys for fr in frames])
         expected = rotate_temporal_rows(raw, np.repeat(key_idx, s), ROPE8)
         np.testing.assert_allclose(enc.keys, expected, rtol=0, atol=1e-12)

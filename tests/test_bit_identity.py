@@ -1,7 +1,7 @@
 """The hot path's numpy forms against the plain forms they stand for, with
-exact equality: the batched projections, the stacked episodic scores, the
-stacked compression ranking, softmax_rows' reductions, the temporal
-rotations served as views of one power-of-two prefix rotation and
+exact equality: the batched projections, the stacked episodic pooling and
+scores, the stacked compression ranking, softmax_rows' reductions, the
+temporal rotations served as views of one power-of-two prefix rotation and
 profiling's archive of keys rotated once per committed block."""
 
 import gc
@@ -108,15 +108,32 @@ class TestEpisodicScores:
 
     def test_pooled_key_is_the_mean_and_its_norm(self, memory):
         mem, candidate = memory
-        for slots in [e.slots for e in mem.entries] + [candidate]:
-            for fr in slots.values():
-                (vec, norm), (want_vec, want_norm) = fr.pooled_key, pooled_reference(fr)
-                assert vec.tobytes() == want_vec.tobytes() and norm == want_norm
+        for entry in mem.entries + [EpisodicEntry(frame_index=99, slots=candidate)]:
+            means, norms, _ = mem._entry_pool(entry)
+            for row, lh in enumerate(HEADS):
+                want_vec, want_norm = pooled_reference(entry.slots[lh])
+                assert means[row].tobytes() == want_vec.tobytes() and norms[row] == want_norm
+
+    @pytest.mark.parametrize("s", [4, 16, 64])
+    @pytest.mark.parametrize("d", [8, 16, 32])
+    def test_stacked_pooling_equals_the_per_frame_form(self, s, d):
+        rng = np.random.default_rng(s * 100 + d)
+        mem = EpisodicMemory(capacity=2, memory_heads=list(HEADS), tokens_per_frame=s)
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(10):
+                slots = {lh: FrameKV(keys=rng.standard_normal((s, d)) * scale,
+                                     values=np.zeros((s, d)), global_frame_index=0)
+                         for lh in HEADS}
+                means, norms, nonzero = mem._entry_pool(EpisodicEntry(frame_index=0, slots=slots))
+                for row, lh in enumerate(HEADS):
+                    want = slots[lh].keys.mean(axis=0)
+                    assert means[row].tobytes() == want.tobytes()
+                    assert norms[row] == np.linalg.norm(want) and nonzero[row]
 
     def test_novelty_equals_the_per_head_mean(self, memory):
         mem, candidate = memory
         want = max(similarity_reference(candidate, e.slots, HEADS) for e in mem.entries)
-        assert mem.novelty_score(candidate) == want
+        assert mem.novelty_score(EpisodicEntry(frame_index=99, slots=candidate)) == want
 
     def test_every_pair_score_equals_the_per_head_mean(self, memory):
         mem, _ = memory
@@ -147,7 +164,8 @@ class TestEpisodicScores:
         keys = {lh: np.ones(D) for lh in HEADS}
         for n in range(2):
             mem.try_admit(random_slots(rng, 3 * n), 3 * n, n + 1, tau_novel=2.0, prompt_keys=keys)
-        mem.novelty_score(random_slots(rng, 90))            # builds both entries' pooled arrays
+        # builds both entries' pooled arrays
+        mem.novelty_score(EpisodicEntry(frame_index=90, slots=random_slots(rng, 90)))
         entries = [weakref.ref(e) for e in mem.entries]
         arrays = [[weakref.ref(arr) for arr in e.pooled] for e in mem.entries]
         mem.try_admit(random_slots(rng, 6), 6, 3, tau_novel=2.0, prompt_keys=keys)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from headkv.cache import FrameKV
-from headkv.episodic import EpisodicMemory
+from headkv.episodic import EpisodicEntry, EpisodicMemory
 from headkv.errors import ConfigError, ShapeError
 from headkv.reference import (
     brute_force_novelty,
@@ -48,14 +48,14 @@ class TestNoveltyScore:
     def test_empty_memory_sentinel(self):
         mem = EpisodicMemory(capacity=5, memory_heads=HEADS2, tokens_per_frame=S)
         rng = np.random.default_rng(0)
-        assert mem.novelty_score(random_slots(rng)) == -1.0
+        assert mem.novelty_score(EpisodicEntry(frame_index=0, slots=random_slots(rng))) == -1.0
 
     def test_identical_candidate_scores_one(self):
         rng = np.random.default_rng(1)
         slots = random_slots(rng)
         mem = memory_with([slots])
         dup = {lh: frame_from_keys(slots[lh].keys.copy(), 9) for lh in HEADS2}
-        assert mem.novelty_score(dup) == pytest.approx(1.0, abs=1e-12)
+        assert mem.novelty_score(EpisodicEntry(frame_index=9, slots=dup)) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_brute_force_three_entries(self):
         rng = np.random.default_rng(2)
@@ -63,13 +63,13 @@ class TestNoveltyScore:
         mem = memory_with(stored)
         cand = random_slots(rng, idx=99)
         expected = brute_force_novelty(cand, [e.slots for e in mem.entries])
-        assert mem.novelty_score(cand) == pytest.approx(expected, abs=1e-12)
+        assert mem.novelty_score(EpisodicEntry(99, cand)) == pytest.approx(expected, abs=1e-12)
 
     def test_head_set_mismatch_raises(self):
         mem = EpisodicMemory(capacity=5, memory_heads=HEADS2, tokens_per_frame=S)
         rng = np.random.default_rng(3)
         with pytest.raises(ConfigError):
-            mem.novelty_score(random_slots(rng, heads=[(0, 1)]))
+            mem.novelty_score(EpisodicEntry(frame_index=0, slots=random_slots(rng, heads=[(0, 1)])))
 
 
 class TestTryAdmit:
@@ -93,6 +93,30 @@ class TestTryAdmit:
         decision = mem.try_admit(cand, 3, 2, tau_novel=0.95, prompt_keys=zero_prompt_keys())
         assert decision.admitted
         assert decision.delta == pytest.approx(0.0, abs=1e-12)
+
+    def test_admitted_entry_keeps_the_pooled_keys_scoring_built(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        mem = memory_with([random_slots(rng, idx=0)])
+        built = []                                  # (entry, pooled) per build
+        entry_pool = EpisodicMemory._entry_pool
+
+        def spy(self, entry):
+            fresh = entry.pooled is None
+            pooled = entry_pool(self, entry)
+            if fresh:
+                built.append((entry, pooled))
+            return pooled
+
+        monkeypatch.setattr(EpisodicMemory, "_entry_pool", spy)
+        decision = mem.try_admit(random_slots(rng, idx=3), 3, 2, tau_novel=2.0,
+                                 prompt_keys=zero_prompt_keys())
+        assert decision.admitted and not decision.compressed
+        admitted = mem.entries[-1]
+        assert admitted.pooled is not None
+        mem.novelty_score(EpisodicEntry(frame_index=6, slots=random_slots(rng, idx=6)))
+        # stacked once, while it was the candidate, and kept by the entry
+        builds = [pooled for entry, pooled in built if entry is admitted]
+        assert len(builds) == 1 and admitted.pooled is builds[0]
 
     def test_rejection_leaves_memory_bit_identical(self):
         rng = np.random.default_rng(5)
@@ -166,8 +190,6 @@ def make_summary_memory(non_summary_keys: list[np.ndarray]) -> EpisodicMemory:
     mem = EpisodicMemory(capacity=len(non_summary_keys) + 1, memory_heads=HEADS2,
                          tokens_per_frame=S)
     summary_slots = {lh: frame_from_keys(rng.standard_normal((S, D)), -1) for lh in HEADS2}
-    from headkv.episodic import EpisodicEntry
-
     mem.entries.append(EpisodicEntry(frame_index=-1, slots=summary_slots))
     for n, keys in enumerate(non_summary_keys):
         mem.entries.append(EpisodicEntry(
@@ -276,8 +298,6 @@ class TestCompressIntoSummary:
         a = random_slots(rng, idx=0)
         small = {lh: frame_from_keys(rng.standard_normal((S - 1, D)), 3) for lh in HEADS2}
         mem = memory_with([a])
-        from headkv.episodic import EpisodicEntry
-
         bad = EpisodicEntry(frame_index=3, slots=small)
         with pytest.raises(ShapeError):
             mem.compress_into_summary(mem.entries[0], bad, zero_prompt_keys())
@@ -298,13 +318,13 @@ class TestExhaustiveNoveltySuite:
                               prompt_keys=zero_prompt_keys(heads))
             cand = random_slots(rng, heads=heads, idx=99)
             expected = brute_force_novelty(cand, [e.slots for e in mem.entries])
-            assert mem.novelty_score(cand) == pytest.approx(expected, abs=1e-12)
+            assert mem.novelty_score(EpisodicEntry(99, cand)) == pytest.approx(expected, abs=1e-12)
 
 
 class TestCachedPooledKeys:
-    """Pooled keys are cached on each FrameKV and provenance is built on first
-    read; after a rollout that compresses every block, both must still equal
-    what they would be if computed afresh."""
+    """Pooled keys are kept on each episodic entry and provenance is built on
+    first read; after a rollout that compresses every block, both must still
+    equal what they would be if computed afresh."""
 
     @pytest.fixture(scope="class")
     def churned(self, toy_config, toy_weights, rope, toy_role_map):
@@ -322,18 +342,20 @@ class TestCachedPooledKeys:
         mem, _, _ = churned
         assert mem.summary_present and len(mem.entries) == mem.capacity
         for entry in mem.entries:
-            for fr in entry.slots.values():
-                pooled, norm = fr.pooled_key
-                assert pooled.tobytes() == fr.keys.mean(axis=0).tobytes()
-                assert norm == float(np.linalg.norm(fr.keys.mean(axis=0)))
+            means, norms, _ = mem._entry_pool(entry)
+            for row, lh in enumerate(mem.memory_heads):
+                fr = entry.slots[lh]
+                assert means[row].tobytes() == fr.keys.mean(axis=0).tobytes()
+                assert norms[row] == float(np.linalg.norm(fr.keys.mean(axis=0)))
 
     def test_novelty_matches_brute_force(self, churned):
         mem, blocks, _ = churned
         cand = {lh: blocks[-1].kv[0][lh] for lh in mem.memory_heads}
-        # scored twice: the second call reads the candidate's cached pooled keys
+        entry = EpisodicEntry(frame_index=cand[mem.memory_heads[0]].global_frame_index, slots=cand)
+        # scored twice: the second call reads the candidate's kept pooled keys
         for _ in range(2):
             expected = brute_force_novelty(cand, [e.slots for e in mem.entries])
-            assert mem.novelty_score(cand) == pytest.approx(expected, abs=1e-12)
+            assert mem.novelty_score(entry) == pytest.approx(expected, abs=1e-12)
 
     def test_plain_frame_provenance_is_identity(self, churned):
         mem, _, _ = churned
