@@ -114,10 +114,30 @@ def encode_queries(q_spatial: np.ndarray, enc: EncodedSequence) -> np.ndarray:
     return apply_rope(q_spatial, enc.query_rotation)
 
 
+class Workspace:
+    """Grow-only scratch for `pack` and `packed_attention`: one flat array per
+    dtype, replaced only when a request outgrows it, by one of the next power
+    of two elements, so a growing context reallocates O(log n) times. Each
+    `RolloutEngine` owns one."""
+
+    def __init__(self) -> None:
+        self._flats: dict[np.dtype, np.ndarray] = {}
+
+    def flat(self, dtype: np.dtype, size: int) -> np.ndarray:
+        """A 1-D array of at least `size` elements of `dtype`, contents undefined."""
+        dtype = np.dtype(dtype)
+        flat = self._flats.get(dtype)
+        if flat is None or flat.size < size:
+            flat = self._flats[dtype] = np.empty(1 << (size - 1).bit_length(), dtype=dtype)
+        return flat
+
+
 @dataclass
 class PackedBuffer:
     """Flat concatenation of all heads' key/value/query spans with per-head
-    offsets and lengths; the variable-length attention input."""
+    offsets and lengths, and scratch for one head's scores; the
+    variable-length attention input. The arrays are views of the workspace
+    it was packed into, valid until the next `pack` into that workspace."""
 
     keys: np.ndarray      # (total_kv, d)
     values: np.ndarray
@@ -126,6 +146,7 @@ class PackedBuffer:
     k_lengths: np.ndarray
     q_offsets: np.ndarray
     q_lengths: np.ndarray
+    scores: np.ndarray    # 1-D, room for max(q_lengths) * max(k_lengths)
     head_ids: list[tuple[int, int]] = field(default_factory=list)
 
     @property
@@ -134,9 +155,10 @@ class PackedBuffer:
 
 
 def pack(sequences: Sequence[EncodedSequence], queries: Sequence[np.ndarray],
-         dtype: np.dtype = np.float64) -> PackedBuffer:
-    """Lay heads out in ascending (layer, head) order; offsets/lengths exactly
-    describe each head's token span."""
+         dtype: np.dtype = np.float64, workspace: Workspace | None = None) -> PackedBuffer:
+    """Lay heads out in ascending (layer, head) order in `workspace` (a fresh
+    one when None); offsets/lengths exactly describe each head's token span.
+    Casting to dtype gives the bits of `np.concatenate(...).astype(dtype)`."""
     if len(sequences) != len(queries):
         raise ShapeError("one query matrix per encoded sequence required")
     if not sequences:
@@ -149,19 +171,25 @@ def pack(sequences: Sequence[EncodedSequence], queries: Sequence[np.ndarray],
     q_lengths = [q.shape[0] for q in queries]
     if min(k_lengths) < 1 or min(q_lengths) < 1:
         raise ShapeError("every head needs at least one key and one query token")
+    k_ends = list(accumulate(k_lengths, initial=0))
+    q_ends = list(accumulate(q_lengths, initial=0))
+    # keys, values and queries, then the score scratch, in one flat
+    parts = [([s.keys for s in sequences], k_ends[-1]), ([s.values for s in sequences], k_ends[-1]),
+             (queries, q_ends[-1])]
+    sizes = [rows * arrays[0].shape[1] for arrays, rows in parts]
+    n_scores = max(q_lengths) * max(k_lengths)
+    flat = (workspace or Workspace()).flat(dtype, sum(sizes) + n_scores)
+    flats, start = [], 0
+    for (arrays, rows), size in zip(parts, sizes):
+        flats.append(np.concatenate(arrays, out=flat[start:start + size].reshape(rows, -1),
+                                    casting="same_kind"))
+        start += size
     return PackedBuffer(
-        keys=np.concatenate([s.keys for s in sequences]).astype(dtype, copy=False),
-        values=np.concatenate([s.values for s in sequences]).astype(dtype, copy=False),
-        queries=np.concatenate(queries).astype(dtype, copy=False),
-        k_offsets=_offsets(k_lengths), k_lengths=np.array(k_lengths, dtype=np.int64),
-        q_offsets=_offsets(q_lengths), q_lengths=np.array(q_lengths, dtype=np.int64),
-        head_ids=ids,
+        keys=flats[0], values=flats[1], queries=flats[2],
+        k_offsets=np.array(k_ends[:-1], dtype=np.int64), k_lengths=np.array(k_lengths, dtype=np.int64),
+        q_offsets=np.array(q_ends[:-1], dtype=np.int64), q_lengths=np.array(q_lengths, dtype=np.int64),
+        scores=flat[start:start + n_scores], head_ids=ids,
     )
-
-
-def _offsets(lengths: list[int]) -> np.ndarray:
-    """(n,) int64 start of each span: the prefix sums of the lengths before it."""
-    return np.array(list(accumulate(lengths, initial=0))[:-1], dtype=np.int64)
 
 
 def _check_integrity(buffer: PackedBuffer) -> list[list[int]]:
@@ -191,17 +219,19 @@ def _check_integrity(buffer: PackedBuffer) -> list[list[int]]:
 
 def packed_attention(buffer: PackedBuffer) -> list[np.ndarray]:
     """One pass over the flat buffer honoring per-head boundaries; output i is
-    head i's attention over its own span."""
+    head i's attention over its own span, a fresh array. Each head's scores
+    and their softmax are computed in place in `buffer.scores`."""
     k_offsets, k_lengths, q_offsets, q_lengths = _check_integrity(buffer)
-    keys, values, queries = buffer.keys, buffer.values, buffer.queries
+    keys, values, queries, scratch = buffer.keys, buffer.values, buffer.queries, buffer.scores
     d = keys.shape[1]
     if queries.shape[1] != d:
         raise IntegrityError("query width differs from key width")
+    if scratch.size < max(q_lengths) * max(k_lengths):
+        raise IntegrityError(f"score scratch of {scratch.size} cannot hold the largest head's scores")
     scale = 1.0 / np.sqrt(d)
     outputs: list[np.ndarray] = []
     for ko, kl, qo, ql in zip(k_offsets, k_lengths, q_offsets, q_lengths):
-        scores = queries[qo:qo + ql] @ keys[ko:ko + kl].T
+        scores = np.matmul(queries[qo:qo + ql], keys[ko:ko + kl].T, out=scratch[:ql * kl].reshape(ql, kl))
         scores *= scale
-        outputs.append(softmax_rows(scores) @ values[ko:ko + kl])
+        outputs.append(softmax_rows(scores, out=scores) @ values[ko:ko + kl])
     return outputs
-

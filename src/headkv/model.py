@@ -72,6 +72,9 @@ class ModelConfig:
             raise ConfigError("model.seed must be non-negative")
         if self.scene_period < 1:
             raise ConfigError("model.scene_period must be >= 1")
+        # the wiggle is a share of the scene's noise
+        if not 0.0 <= self.scene_jitter <= 1.0:
+            raise ConfigError(f"model.scene_jitter must be in [0, 1], got {self.scene_jitter}")
 
     @property
     def d_model(self) -> int:

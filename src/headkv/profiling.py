@@ -33,9 +33,10 @@ class BucketProportions:
 
     def __post_init__(self) -> None:
         total = self.p_sink + self.p_middle + self.p_current
-        if min(self.p_sink, self.p_middle, self.p_current) < -1e-12:
+        # negated comparisons, so that a NaN proportion fails them too
+        if not min(self.p_sink, self.p_middle, self.p_current) >= -1e-12:
             raise ShapeError("bucket proportions must be non-negative")
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ShapeError(f"bucket proportions sum to {total}, expected 1")
 
     def as_tuple(self) -> tuple[float, float, float]:

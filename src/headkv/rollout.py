@@ -20,6 +20,7 @@ import numpy as np
 from .assembly import (
     AssembledSequence,
     EncodedSequence,
+    Workspace,
     assemble,
     encode_queries,
     encode_temporal,
@@ -227,6 +228,9 @@ class RolloutEngine:
         frame_grid = grid_positions(config.grid_h, config.grid_w)
         # q and k of every head and block share the f*s grid positions
         self._spatial = rope_rotation(np.tile(frame_grid, (config.f, 1)), rope, SPATIAL_AXES)
+        # every layer of every step packs and scores into it; nothing the
+        # engine returns or caches points into it
+        self._workspace = Workspace()
 
     def step(self, i: int, prompt: str, perturb: np.ndarray | None = None) -> LatentBlock:
         """Generate block i against the current cache state without mutating
@@ -272,7 +276,7 @@ class RolloutEngine:
                 queries.append(q_enc)
                 step_slots += seq.frame_count
 
-            buffer = pack(encoded, queries)
+            buffer = pack(encoded, queries, workspace=self._workspace)
             outputs = packed_attention(buffer)
             step_scalars += buffer.keys.size + buffer.values.size
             delta = np.zeros_like(hidden)

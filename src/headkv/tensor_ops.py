@@ -58,14 +58,16 @@ class RopeParams:
         return cls(d_t=d // 2, d_h=d // 4, d_w=d // 4)
 
 
-def softmax_rows(m: np.ndarray) -> np.ndarray:
+def softmax_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction. Preserves shape and
-    dtype; the input is left unchanged and the result is one new buffer."""
+    dtype. The result is written to `out`, which may be `m` itself for an
+    in-place softmax; without `out` it is one new buffer and the input is
+    left unchanged."""
     m = np.asarray(m)
     if m.ndim != 2:
         raise ShapeError(f"softmax_rows expects a 2-D matrix, got shape {m.shape}")
     # np.maximum.reduce and np.add.reduce are what .max and .sum call
-    out = m - np.maximum.reduce(m, axis=1, keepdims=True)
+    out = np.subtract(m, np.maximum.reduce(m, axis=1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= np.add.reduce(out, axis=1, keepdims=True)
     return out

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headkv.assembly import (
+    Workspace,
     assemble,
     encode_temporal,
     pack,
@@ -194,6 +195,29 @@ class TestPackedAttention:
         buf = pack([enc], [q])
         out = packed_attention(buf)[0]
         np.testing.assert_allclose(out, attention_rows(q, enc.keys, enc.values), atol=1e-12)
+
+    def test_outputs_outlive_the_next_pack_into_the_workspace(self):
+        workspace = Workspace()
+        packs = []
+        for n_history in ((1, 4, 8), (8, 2, 5, 3)):
+            packs.append(tuple(zip(*(encoded_head(0, h, n, seed=60 + 10 * len(packs) + h)
+                                     for h, n in enumerate(n_history)))))
+        first = packed_attention(pack(*packs[0], workspace=workspace))
+        kept = [out.copy() for out in first]
+        flat = workspace._flats[np.dtype(np.float64)]
+        second = pack(*packs[1], workspace=workspace)
+        assert workspace._flats[np.dtype(np.float64)] is flat     # written over, not regrown
+        packed_attention(second)
+        for out, want in zip(first, kept):
+            assert not np.may_share_memory(out, flat)
+            assert out.tobytes() == want.tobytes()
+
+    def test_small_score_scratch_detected(self):
+        enc, q = encoded_head(0, 0, n_history=1, seed=6)
+        buf = pack([enc], [q])
+        buf.scores = buf.scores[:-1]
+        with pytest.raises(IntegrityError):
+            packed_attention(buf)
 
     def test_corrupted_offsets_detected(self):
         encs, qs = [], []

@@ -1,6 +1,7 @@
 """The hot path's numpy forms against the plain forms they stand for, with
 exact equality: the batched projections, the stacked episodic pooling and
-scores, the stacked compression ranking, softmax_rows' reductions, the
+scores, the stacked compression ranking, softmax_rows' reductions and its
+in-place form, packing and scoring into a reused workspace, the
 temporal rotations served as views of one power-of-two prefix rotation and
 profiling's archive of keys rotated once per committed block."""
 
@@ -63,6 +64,90 @@ class TestSoftmaxRows:
             want /= want.sum(axis=1, keepdims=True)
             got = softmax_rows(m)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_equals_the_new_buffer_form(self, dtype):
+        rng = np.random.default_rng(1)
+        for shape in [(1, 1), (3, 7), (48, 176), (192, 704)]:
+            m = (rng.standard_normal(shape) * 8).astype(dtype)
+            want = softmax_rows(m)
+            scratch = m.copy()
+            got = softmax_rows(scratch, out=scratch)
+            assert got is scratch and got.tobytes() == want.tobytes()
+
+
+# (query rows, head dim, key rows tried) of one head on the toy and mid grids
+ATTENTION_SHAPES = {"toy": (48, 16, (48, 176, 400)), "mid": (192, 32, (192, 704, 1472))}
+
+
+def packed_heads(rng, q_rows, d, key_rows):
+    """Encoded sequences of random keys and values, one per key-row count
+    (layer 0, heads in order), and a query matrix for each."""
+    rope = RopeParams.default_for(d)
+    encoded = [assembly.EncodedSequence(layer=0, head=h, keys=rng.standard_normal((n, d)) * 3,
+                                        values=rng.standard_normal((n, d)), key_frame_indices=(),
+                                        query_frame_indices=(), query_rotation=frame_rotation((0,), 1, rope))
+               for h, n in enumerate(key_rows)]
+    return encoded, [rng.standard_normal((q_rows, d)) * 3 for _ in key_rows]
+
+
+class TestAttentionWorkspace:
+    """`pack` writes into a reused workspace, and `packed_attention` scores
+    into it with `np.matmul(..., out=)` and an in-place softmax."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("grid", ["toy", "mid"])
+    def test_scores_into_a_larger_buffer_equal_the_new_product(self, grid, dtype):
+        rng = np.random.default_rng(2)
+        q_rows, d, key_rows = ATTENTION_SHAPES[grid]
+        for k_rows in key_rows:
+            q = (rng.standard_normal((q_rows, d)) * 3).astype(dtype)
+            k = (rng.standard_normal((k_rows, d)) * 3).astype(dtype)
+            want = q @ k.T
+            for start in (0, 1, 3, k_rows * d):
+                flat = np.full(start + 2 * q_rows * k_rows, np.nan, dtype=dtype)
+                out = flat[start:start + q_rows * k_rows].reshape(q_rows, k_rows)
+                assert np.matmul(q, k.T, out=out) is out
+                assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pack_into_a_workspace_equals_the_concatenate_and_cast_form(self, dtype):
+        rng = np.random.default_rng(3)
+        workspace = assembly.Workspace()
+        for q_rows, d, key_rows in ATTENTION_SHAPES.values():
+            encoded, queries = packed_heads(rng, q_rows, d, key_rows)
+            got = assembly.pack(encoded, queries, dtype, workspace)
+            for flat, parts in ((got.keys, [e.keys for e in encoded]), (got.values, [e.values for e in encoded]),
+                                (got.queries, queries)):
+                want = np.concatenate(parts).astype(dtype, copy=False)
+                assert flat.dtype == want.dtype and flat.shape == want.shape
+                assert flat.tobytes() == want.tobytes()
+
+    def test_float32_after_float64_on_one_workspace(self):
+        rng = np.random.default_rng(4)
+        encoded, queries = packed_heads(rng, *ATTENTION_SHAPES["mid"])
+        workspace = assembly.Workspace()
+        wide = assembly.pack(encoded, queries, np.float64, workspace)
+        narrow = assembly.pack(encoded, queries, np.float32, workspace)
+        fresh = assembly.pack(encoded, queries, np.float32)
+        parts = {"keys": [e.keys for e in encoded], "values": [e.values for e in encoded], "queries": queries}
+        for name, arrays in parts.items():
+            assert getattr(narrow, name).tobytes() == getattr(fresh, name).tobytes()
+            # each dtype has its own storage, so the float32 pack left these intact
+            assert getattr(wide, name).tobytes() == np.concatenate(arrays).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("grid", ["toy", "mid"])
+    def test_packed_attention_equals_the_per_head_new_buffer_form(self, grid, dtype):
+        rng = np.random.default_rng(5)
+        q_rows, d, key_rows = ATTENTION_SHAPES[grid]
+        encoded, queries = packed_heads(rng, q_rows, d, key_rows)
+        buffer = assembly.pack(encoded, queries, dtype, assembly.Workspace())
+        for enc, q, got in zip(encoded, queries, assembly.packed_attention(buffer)):
+            k, v = enc.keys.astype(dtype), enc.values.astype(dtype)
+            scores = q.astype(dtype) @ k.T
+            scores *= 1.0 / np.sqrt(d)
+            assert got.tobytes() == (softmax_rows(scores) @ v).tobytes()
 
 
 HEADS = [(0, 1), (0, 3), (1, 0), (2, 2), (2, 5)]

@@ -336,6 +336,19 @@ class TestCli:
         assert "must be finite" in proc.stderr
         assert not (tmp_path / "out/head_stats.csv").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "profile"])
+    @pytest.mark.parametrize("jitter", [1e308, -0.05], ids=repr)
+    def test_scene_jitter_outside_unit_interval_exit_2(self, tmp_path, command, jitter):
+        """1e308 overflowed the block input: generate exited 0 with nan
+        fidelity, and profile wrote an all-nan head_stats.csv and a role map
+        classified from it."""
+        cfg = self.write_cfg(tmp_path, {"model": {"scene_jitter": jitter}, "n_blocks": 4,
+                                        "output_dir": str(tmp_path / "out")})
+        proc = self.run_cli(command, "--config", str(cfg))
+        assert proc.returncode == 2
+        assert "scene_jitter must be in [0, 1]" in proc.stderr
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
     def test_unknown_novelty_metric_exit_2(self, tmp_path):
         cfg = self.write_cfg(tmp_path, {"hyperparameters": {"novelty_metric": "latnet"},
                                         "output_dir": str(tmp_path / "out")})

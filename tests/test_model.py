@@ -27,6 +27,15 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(L=1, H=1, d=3, s=4, f=1, grid_h=2, grid_w=2)
 
+    @pytest.mark.parametrize("jitter", [1e308, 1.5, -0.05])
+    def test_scene_jitter_is_a_share(self, jitter):
+        with pytest.raises(ConfigError, match="scene_jitter"):
+            ModelConfig(L=1, H=1, d=4, s=4, f=1, grid_h=2, grid_w=2, scene_jitter=jitter)
+
+    def test_scene_jitter_bounds_accepted(self):
+        for jitter in (0.0, 1.0):
+            assert ModelConfig(L=1, H=1, d=4, s=4, f=1, grid_h=2, grid_w=2, scene_jitter=jitter)
+
     def test_d_model(self):
         assert SMALL.d_model == 8
 

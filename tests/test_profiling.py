@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -88,6 +89,12 @@ class TestBucketProportions:
     def test_proportions_validated(self):
         with pytest.raises(ShapeError):
             BucketProportions(0.5, 0.4, 0.3)
+
+    @pytest.mark.parametrize("props", [(math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5, math.nan),
+                                       (math.nan, math.nan, math.nan)], ids=repr)
+    def test_nan_proportions_refused(self, props):
+        with pytest.raises(ShapeError):
+            BucketProportions(*props)
 
 
 def synthetic_report(layers, heads, seed=0):

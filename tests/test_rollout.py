@@ -1,8 +1,14 @@
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import headkv
 from headkv import assembly, cache, rollout, tensor_ops
 from headkv.assembly import assemble
 from headkv.commands import cmd_generate
@@ -274,6 +280,96 @@ class TestCachedFramesOwnTheirRows:
         if isinstance(strategy, HeadWiseStrategy):
             assert strategy.episodic.entries      # the episodic tier is covered
         assert sum(held.values()) == accounted * 8
+
+
+# A mid-grid head-wise rollout in a fresh interpreter, so the heap starts
+# fresh: prints the mean minor page faults per block over blocks 9-24.
+FAULT_PROBE = """
+import resource
+import headkv as hk
+from headkv.roles import role_map_from_lists
+cfg = hk.ModelConfig(L=4, H=8, d=32, s=64, f=3, grid_h=8, grid_w=8, seed=7, scene_period=9)
+weights = hk.init_model(cfg)
+heads = cfg.heads
+role_map = role_map_from_lists(cfg.L, cfg.H, anchor=heads[0::4], local=heads[1::4][:6])
+engine = hk.RolloutEngine(weights, cfg, hk.RopeParams.default_for(cfg.d),
+                          hk.HeadWiseStrategy(cfg, weights, role_map))
+faults = []
+for i in range(1, 25):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    engine.commit(engine.step(i, "a prompt"), "a prompt")
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(sum(faults[8:]) / len(faults[8:]))
+"""
+
+
+class TestAttentionWorkspace:
+    """Each engine packs and scores into its own grow-only workspace."""
+
+    def test_nothing_returned_or_cached_points_into_it(self, toy_config, toy_weights, rope, toy_role_map):
+        strategy = HeadWiseStrategy(toy_config, toy_weights, toy_role_map, HeadWiseHyper(update_interval=1))
+        engine = RolloutEngine(toy_weights, toy_config, rope, strategy)
+        for i in range(1, 7):
+            block = engine.step(i, "p")
+            engine.commit(block, "p")
+            held = block.frames + list(block.q_spatial.values())
+            held += [a for slots in block.kv for fr in slots.values() for a in (fr.keys, fr.values)]
+            held += [a for lh in toy_config.heads for fr in strategy.history_frames(*lh)
+                     for a in (fr.keys, fr.values)]
+            for flat in engine._workspace._flats.values():
+                assert not any(np.may_share_memory(a, flat) for a in held)
+
+    def test_two_engines_in_alternation_equal_each_alone(self, toy_config, toy_weights, rope, toy_role_map):
+        def engines():
+            return (RolloutEngine(toy_weights, toy_config, rope,
+                                  HeadWiseStrategy(toy_config, toy_weights, toy_role_map)),
+                    RolloutEngine(toy_weights, toy_config, rope, WindowStrategy(toy_config, None)))
+
+        def latents(engine, i):
+            block = engine.step(i, "p")
+            engine.commit(block, "p")
+            return b"".join(fr.tobytes() for fr in block.frames)
+
+        n_blocks = 8
+        alone = [[latents(engine, i) for i in range(1, n_blocks + 1)] for engine in engines()]
+        together = ([], [])
+        pair = engines()
+        for i in range(1, n_blocks + 1):
+            for out, engine in zip(together, pair):
+                out.append(latents(engine, i))
+        assert list(together) == alone
+
+    def test_unbounded_rollout_regrows_it_about_log2_times(self, toy_config, toy_weights, rope):
+        engine = RolloutEngine(toy_weights, toy_config, rope, WindowStrategy(toy_config, None))
+        workspace = engine._workspace
+        flat = workspace.flat
+        grown = []
+
+        def recording_flat(dtype, size):
+            out = flat(dtype, size)
+            if not grown or out is not grown[-1]:
+                grown.append(out)
+            return out
+
+        workspace.flat = recording_flat
+        n_blocks = 64
+        for i in range(1, n_blocks + 1):
+            engine.commit(engine.step(i, "p"), "p")
+        sizes = [a.size for a in grown]
+        assert all(n & (n - 1) == 0 for n in sizes) and sizes == sorted(set(sizes))
+        assert len(grown) <= math.log2(n_blocks) + 1
+
+    def test_mid_rollout_does_not_fault_its_buffers_in_every_block(self):
+        """500 to 1500 minor faults per block when pack and attention
+        allocated fresh buffers per layer and head, which glibc returned to
+        the system and faulted in again."""
+        pytest.importorskip("resource")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(headkv.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True,
+                              env=env, check=True)
+        assert float(proc.stdout) < 100
 
 
 class TestRotationsBuiltOnce:
