@@ -1,7 +1,8 @@
 """Per-head context assembly, temporal re-encoding, and variable-length
-packing: each head's retained frames become a flat key/value span with
-per-head offsets, and one pass over the flat buffer computes every head's
-attention regardless of context-length differences.
+packing: each head's retained frames are copied once into a flat key/value
+span with per-head offsets, and its keys are rotated there; one pass over
+the flat buffer computes every head's attention regardless of
+context-length differences.
 """
 
 from __future__ import annotations
@@ -58,35 +59,34 @@ def assemble(layer: int, head: int, history: Sequence[FrameKV],
 
 @dataclass
 class EncodedSequence:
-    """One head's attention-ready context: temporally rotated flat keys, flat
-    values, the frame-index assignment used for queries and keys, and the
-    temporal rotation of the current block's queries."""
+    """One head's attention-ready context: its assembled frames, whose keys
+    are still spatial-only, the temporal index per key frame and per query
+    frame, and the two temporal rotations they stand for. `pack` copies the
+    frames into the attention workspace and rotates the keys there."""
 
     layer: int
     head: int
-    keys: np.ndarray                  # (tokens, d), temporal + spatial encoded
-    values: np.ndarray                # (tokens, d)
+    frames: list[FrameKV]
     key_frame_indices: tuple[int, ...]     # temporal index per frame
     query_frame_indices: tuple[int, ...]   # f_current of them
+    key_rotation: Rotation                 # one row per key token
     query_rotation: Rotation               # f_current * tokens_per_frame rows
 
 
 def _encode(seq: AssembledSequence, rope: RopeParams, key_idx: tuple[int, ...],
             query_idx: tuple[int, ...]) -> EncodedSequence:
-    """Rotate a transient flat copy of the keys; the cached frames themselves
-    stay spatial-only. Both rotations come from the `frame_rotation` cache."""
+    """Choose the rotations only; the cached frames themselves stay
+    spatial-only. Both rotations come from the `frame_rotation` cache."""
     if seq.temporal_encoded:
         raise IntegrityError(
             f"head ({seq.layer}, {seq.head}) keys already temporally encoded; double rotation refused"
         )
     s = seq.tokens_per_frame
-    keys = apply_rope(np.concatenate([fr.keys for fr in seq.frames]), frame_rotation(key_idx, s, rope))
     seq.temporal_encoded = True
     return EncodedSequence(
-        layer=seq.layer, head=seq.head, keys=keys,
-        values=np.concatenate([fr.values for fr in seq.frames]),
+        layer=seq.layer, head=seq.head, frames=seq.frames,
         key_frame_indices=key_idx, query_frame_indices=query_idx,
-        query_rotation=frame_rotation(query_idx, s, rope),
+        key_rotation=frame_rotation(key_idx, s, rope), query_rotation=frame_rotation(query_idx, s, rope),
     )
 
 
@@ -158,7 +158,11 @@ def pack(sequences: Sequence[EncodedSequence], queries: Sequence[np.ndarray],
          dtype: np.dtype = np.float64, workspace: Workspace | None = None) -> PackedBuffer:
     """Lay heads out in ascending (layer, head) order in `workspace` (a fresh
     one when None); offsets/lengths exactly describe each head's token span.
-    Casting to dtype gives the bits of `np.concatenate(...).astype(dtype)`."""
+    Every head's frames are copied once, cast to dtype, and its key span is
+    then rotated in place by its key rotation. So values and queries hold
+    the bits of `np.concatenate(...).astype(dtype)`, and in float64 the keys
+    those of `apply_rope(np.concatenate(keys), key_rotation)`; float32 keys
+    are cast first and rotated in float32."""
     if len(sequences) != len(queries):
         raise ShapeError("one query matrix per encoded sequence required")
     if not sequences:
@@ -167,14 +171,17 @@ def pack(sequences: Sequence[EncodedSequence], queries: Sequence[np.ndarray],
     if ids != sorted(ids) or len(set(ids)) != len(ids):
         raise ShapeError("sequences must be unique and ordered by (layer, head)")
 
-    k_lengths = [s.keys.shape[0] for s in sequences]
+    # a head's frames hold equal token counts (`AssembledSequence`); each
+    # key rotation is checked against its span by `apply_rope`
+    k_lengths = [len(s.frames) * s.frames[0].tokens for s in sequences]
     q_lengths = [q.shape[0] for q in queries]
     if min(k_lengths) < 1 or min(q_lengths) < 1:
         raise ShapeError("every head needs at least one key and one query token")
     k_ends = list(accumulate(k_lengths, initial=0))
     q_ends = list(accumulate(q_lengths, initial=0))
+    frames = [fr for s in sequences for fr in s.frames]
     # keys, values and queries, then the score scratch, in one flat
-    parts = [([s.keys for s in sequences], k_ends[-1]), ([s.values for s in sequences], k_ends[-1]),
+    parts = [([fr.keys for fr in frames], k_ends[-1]), ([fr.values for fr in frames], k_ends[-1]),
              (queries, q_ends[-1])]
     sizes = [rows * arrays[0].shape[1] for arrays, rows in parts]
     n_scores = max(q_lengths) * max(k_lengths)
@@ -184,8 +191,12 @@ def pack(sequences: Sequence[EncodedSequence], queries: Sequence[np.ndarray],
         flats.append(np.concatenate(arrays, out=flat[start:start + size].reshape(rows, -1),
                                     casting="same_kind"))
         start += size
+    keys = flats[0]
+    for seq, k_start, k_end in zip(sequences, k_ends, k_ends[1:]):
+        span = keys[k_start:k_end]
+        apply_rope(span, seq.key_rotation, out=span)
     return PackedBuffer(
-        keys=flats[0], values=flats[1], queries=flats[2],
+        keys=keys, values=flats[1], queries=flats[2],
         k_offsets=np.array(k_ends[:-1], dtype=np.int64), k_lengths=np.array(k_lengths, dtype=np.int64),
         q_offsets=np.array(q_ends[:-1], dtype=np.int64), q_lengths=np.array(q_lengths, dtype=np.int64),
         scores=flat[start:start + n_scores], head_ids=ids,

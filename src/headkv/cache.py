@@ -24,8 +24,8 @@ class FrameKV:
     them. An episodic summary frame has global frame index -1. provenance
     maps each token row to its (source global frame, source token) pair:
     summary frames are given theirs, since their rows originate from
-    multiple source frames; for ordinary frames it is the identity, built on
-    first read.
+    multiple source frames (one read-only array shared by the heads of a
+    layer); for ordinary frames it is the identity, built on first read.
     """
 
     __slots__ = ("keys", "values", "global_frame_index", "_provenance")

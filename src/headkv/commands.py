@@ -92,6 +92,8 @@ def cmd_generate(cfg: ExperimentConfig, out: str | None = None) -> dict[str, Pat
     strategy = build_strategy(cfg, weights)
     engine = RolloutEngine(weights, cfg.model, cfg.rope, strategy)
     reference = ReferenceGenerator(weights, cfg.model, cfg.rope) if cfg.oracle_enabled() else None
+    # the schedule is checked before any file is written
+    blocks = engine.run(cfg.n_blocks, cfg.prompt_schedule)
     out_path = _out_dir(cfg, out)
 
     metrics_path = out_path / "metrics.csv"
@@ -99,7 +101,7 @@ def cmd_generate(cfg: ExperimentConfig, out: str | None = None) -> dict[str, Pat
     with (_csv(metrics_path, ["block_index", "fidelity", "stored_scalar_count", "frame_slots_live",
                               "wall_time_ms", "commit_ms", "active_prompt"]) as metrics,
           _csv(admissions_path, ["block_index", "delta", "admitted", "compressed"]) as admissions):
-        for block, decisions, row in engine.run(cfg.n_blocks, cfg.prompt_schedule):
+        for block, decisions, row in blocks:
             fidelity = ""
             if reference is not None:
                 ref = reference.step(block.index, row.active_prompt)

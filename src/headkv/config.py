@@ -19,7 +19,7 @@ from typing import Optional, get_args, get_type_hints
 
 from .errors import ConfigError, ShapeError, require_int as _int, require_number as _float
 from .model import ModelConfig
-from .rollout import HeadWiseHyper
+from .rollout import HeadWiseHyper, check_schedule
 from .tensor_ops import RopeParams
 
 _STRATEGIES = ("unbounded", "uniform_window", "sink_window", "head_wise")
@@ -169,6 +169,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"prompt_schedule entries must be [prompt, start_block], got {entry!r}")
         schedule.append((_text(entry[0], "prompt_schedule prompt"),
                          _int(entry[1], "prompt_schedule start block")))
+    check_schedule(schedule)
 
     n_blocks = _int(raw.get("n_blocks", 8), "n_blocks")
     if n_blocks < 1:

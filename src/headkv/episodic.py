@@ -164,7 +164,8 @@ class EpisodicMemory:
         Per layer, the 2s concatenated tokens are ranked by the memory-head
         mean cosine between each key row and that layer's prompt key; the
         top-s (ties by original position, ascending) are gathered for keys and
-        values alike. One index set per layer, shared by that layer's heads.
+        values alike. One index set per layer, shared by that layer's heads,
+        which also share one read-only provenance array.
         """
         s = self.tokens_per_frame
         for e in (first, second):
@@ -185,7 +186,6 @@ class EpisodicMemory:
         dots = np.matmul(keys, pk[:, :, None])[:, :, 0]
         sims = np.divide(dots, denom, out=np.zeros_like(denom), where=denom > 0.0)
         values = _interleave([fr.values for fr in a], [fr.values for fr in b])
-        prov = _interleave([fr.provenance for fr in a], [fr.provenance for fr in b])
 
         slots: Slots = {}
         for l in sorted({l for (l, _) in heads}):
@@ -195,13 +195,18 @@ class EpisodicMemory:
             r /= len(rows)
             # stable sort: ties keep ascending position
             order = np.argsort(-r, kind="stable")[:s]
-            # gathered per head, so each summary frame owns its rows
+            # every head of a layer holds the same provenance rows (the
+            # identity for a frame, one order per layer for a summary), so
+            # the layer's heads share one read-only gather of it
+            prov = np.concatenate([a[rows[0]].provenance, b[rows[0]].provenance])[order]
+            prov.flags.writeable = False
+            # keys and values gathered per head, so each summary frame owns its rows
             for i in rows:
                 slots[heads[i]] = FrameKV(
                     keys=keys[i, order],
                     values=values[i, order],
                     global_frame_index=-1,
-                    provenance=prov[i, order],
+                    provenance=prov,
                 )
         return EpisodicEntry(frame_index=-1, slots=slots)
 

@@ -131,14 +131,16 @@ def profile_rollout(weights: ModelWeights, config: ModelConfig, rope: RopeParams
 
 def _archive_keys(archive: np.ndarray, block: LatentBlock, config: ModelConfig,
                   rope: RopeParams) -> None:
-    """Write each head's keys of the block into its archive rows, rotated at
-    the block's global frames."""
+    """Write each head's keys of the block into its archive rows and rotate
+    them there, at the block's global frames."""
     i = block.index
     f, s = config.f, config.s
     rows = slice(f * (i - 1) * s, f * i * s)
     rot = frame_rotation(tuple(range(f * (i - 1), f * i)), s, rope)
     for l, h in config.heads:
-        archive[l, h, rows] = apply_rope(np.concatenate([frame[(l, h)].keys for frame in block.kv]), rot)
+        dest = archive[l, h, rows]
+        np.concatenate([frame[(l, h)].keys for frame in block.kv], out=dest)
+        apply_rope(dest, rot, out=dest)
 
 
 def _accumulate_block(sums: np.ndarray, archive: np.ndarray, block: LatentBlock,
@@ -152,7 +154,7 @@ def _accumulate_block(sums: np.ndarray, archive: np.ndarray, block: LatentBlock,
     for (l, h), q in block.q_spatial.items():
         scores = apply_rope(q, q_rot) @ archive[l, h, :f * i * s].T
         scores /= scale
-        p = bucket_proportions(softmax_rows(scores), s, i)
+        p = bucket_proportions(softmax_rows(scores, out=scores), s, i)
         sums[l, h, 0] += p.p_sink
         sums[l, h, 1] += p.p_middle
         sums[l, h, 2] += p.p_current

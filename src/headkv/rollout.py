@@ -254,8 +254,10 @@ class RolloutEngine:
             encoded = []
             queries = []
             for h in range(cfg.H):
-                q = apply_rope(q_heads[h], self._spatial)
-                k = apply_rope(k_heads[h], self._spatial)
+                q, k = q_heads[h], k_heads[h]
+                # rotated in place: the layer's products are this step's own
+                apply_rope(q, self._spatial, out=q)
+                apply_rope(k, self._spatial, out=k)
                 v = v_heads[h]
                 # each frame owns its rows, so a frame kept past this block
                 # does not keep the whole block's k and v alive
@@ -297,8 +299,12 @@ class RolloutEngine:
             ) -> Iterator[tuple[LatentBlock, list[AdmissionDecision], MetricsRow]]:
         """Full rollout, streamed: steps and commits each block, then yields
         (block, its admission decisions, its metrics row) and keeps nothing.
-        `schedule` is [(prompt, start_block), ...] starting at block 1."""
-        for i, prompt in enumerate(_expand_schedule(schedule, n_blocks), 1):
+        `schedule` is [(prompt, start_block), ...] starting at block 1; it is
+        checked here, before the first block is asked for."""
+        return self._stream(_expand_schedule(schedule, n_blocks))
+
+    def _stream(self, prompts: list[str]) -> Iterator[tuple[LatentBlock, list[AdmissionDecision], MetricsRow]]:
+        for i, prompt in enumerate(prompts, 1):
             t0 = time.perf_counter()
             block = self.step(i, prompt)
             t1 = time.perf_counter()
@@ -308,7 +314,10 @@ class RolloutEngine:
                                                commit_ms=(t2 - t1) * 1000.0, active_prompt=prompt)
 
 
-def _expand_schedule(schedule: list[tuple[str, int]], n_blocks: int) -> list[str]:
+def check_schedule(schedule: list[tuple[str, int]]) -> list[tuple[str, int]]:
+    """The prompt schedule ordered by start block. It must be non-empty,
+    start at block 1 and start each prompt at its own block; the config
+    loader and every run check it here."""
     if not schedule:
         raise ConfigError("prompt schedule must not be empty")
     ordered = sorted(schedule, key=lambda ps: ps[1])
@@ -316,5 +325,10 @@ def _expand_schedule(schedule: list[tuple[str, int]], n_blocks: int) -> list[str
         raise ConfigError("prompt schedule must start at block 1")
     if len({start for _, start in ordered}) != len(ordered):
         raise ConfigError("prompt schedule has duplicate start blocks")
+    return ordered
+
+
+def _expand_schedule(schedule: list[tuple[str, int]], n_blocks: int) -> list[str]:
+    ordered = check_schedule(schedule)
     # block i runs the prompt with the latest start at or before i
     return [next(text for text, start in reversed(ordered) if start <= i) for i in range(1, n_blocks + 1)]

@@ -5,9 +5,10 @@ position set (`rope_rotation`; every temporal one through the cached
 one rotation of a power-of-two frame count) and applied to any number of
 token matrices with `apply_rope`.
 
-All functions are pure and operate on plain numpy arrays (rows = tokens,
-cols = channels). Double precision is the reference path; callers may pass
-float32 arrays for the relaxed-tolerance fast path.
+All functions operate on plain numpy arrays (rows = tokens, cols =
+channels) and are pure, except that `softmax_rows` and `apply_rope` write
+into an `out=` array when one is given. Double precision is the reference
+path; callers may pass float32 arrays for the relaxed-tolerance fast path.
 """
 
 from __future__ import annotations
@@ -140,10 +141,13 @@ def _read_only(parts: list[np.ndarray]) -> np.ndarray:
     return rows
 
 
-def apply_rope(tokens: np.ndarray, rotation: Rotation) -> np.ndarray:
-    """A rotated copy of `tokens`, float32 or float64 with rotation.tokens
-    rows and rotation.d columns: one complex multiply per run of the
-    rotation."""
+def apply_rope(tokens: np.ndarray, rotation: Rotation, out: np.ndarray | None = None) -> np.ndarray:
+    """`tokens` rotated, float32 or float64 with rotation.tokens rows and
+    rotation.d columns: one complex multiply per run of the rotation. The
+    result is written to `out`, an array of the same shape and dtype whose
+    rows are contiguous, which may be `tokens` itself for an in-place
+    rotation; without `out` it is one new array and the input is left
+    unchanged."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ShapeError(f"apply_rope expects a 2-D token matrix, got shape {tokens.shape}")
@@ -153,7 +157,12 @@ def apply_rope(tokens: np.ndarray, rotation: Rotation) -> np.ndarray:
     if tokens.shape != (rotation.tokens, rotation.d):
         raise ShapeError(f"tokens {tokens.shape} do not match the rotation's "
                          f"({rotation.tokens}, {rotation.d})")
-    out = tokens.copy()                      # C order, so pairs are adjacent
+    if out is None:
+        out = tokens.copy()                  # C order, so pairs are adjacent
+    elif out.shape != tokens.shape or out.dtype != tokens.dtype or out.strides[1] != out.itemsize:
+        raise ShapeError(f"rope out must be a {tokens.shape} {tokens.dtype} matrix with contiguous rows")
+    elif out is not tokens:
+        out[...] = tokens
     pairs = out.view(complex_type)
     for first, rows in rotation.runs:
         pairs[:, first:first + rows.shape[1]] *= rows

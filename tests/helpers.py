@@ -8,7 +8,7 @@ import numpy as np
 import headkv.rollout
 from headkv.assembly import EncodedSequence
 from headkv.errors import ShapeError
-from headkv.tensor_ops import softmax_rows
+from headkv.tensor_ops import apply_rope, softmax_rows
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -30,7 +30,27 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
 def key_token_temporal(enc: EncodedSequence) -> np.ndarray:
     """(tokens,) temporal index of every key row of an encoded head."""
     idx = np.array(enc.key_frame_indices, dtype=np.int64)
-    return np.repeat(idx, enc.keys.shape[0] // len(idx))
+    return np.repeat(idx, enc.key_rotation.tokens // len(idx))
+
+
+def encoded_keys(enc: EncodedSequence, dtype: np.dtype = np.float64) -> np.ndarray:
+    """An encoded head's keys as `pack` defines them: its frames' keys
+    concatenated in order, cast to dtype, then rotated by its key rotation
+    into a new array."""
+    keys = np.concatenate([fr.keys for fr in enc.frames]).astype(dtype, copy=False)
+    return apply_rope(keys, enc.key_rotation)
+
+
+def encoded_values(enc: EncodedSequence) -> np.ndarray:
+    """An encoded head's values in frame order."""
+    return np.concatenate([fr.values for fr in enc.frames])
+
+
+def root(arr: np.ndarray) -> np.ndarray:
+    """The array that owns arr's memory."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr
 
 
 class Retention(NamedTuple):

@@ -36,7 +36,7 @@ from headkv.rollout import (
     WindowStrategy,
 )
 from headkv.tensor_ops import RopeParams
-from helpers import run_with_retention
+from helpers import encoded_keys, encoded_values, run_with_retention
 
 TOY = ModelConfig(L=4, H=6, d=16, s=16, f=3, grid_h=4, grid_w=4, seed=0)
 ROPE = RopeParams.default_for(16)
@@ -138,7 +138,7 @@ def test_criterion_03_packed_attention_equivalence():
             buf32 = pack(encs, queries, dtype=np.float32)
             out32 = packed_attention(buf32)
             for enc, q, o64, o32 in zip(encs, queries, out64, out32):
-                ref = attention_rows(q, enc.keys, enc.values)
+                ref = attention_rows(q, encoded_keys(enc), encoded_values(enc))
                 assert np.abs(o64 - ref).max() < 1e-12
                 assert np.abs(o32 - ref).max() < 1e-5
     _report(3, f"packed-attention equivalence ({n_instances} instances)", t)

@@ -18,7 +18,7 @@ from headkv.reference import attention_rows, rotate_temporal_rows
 from headkv.roles import role_map_from_lists
 from headkv.rollout import HeadWiseHyper, HeadWiseStrategy, RolloutEngine
 from headkv.tensor_ops import TEMPORAL, RopeParams, frame_rotation, rope_rotation
-from helpers import attention, key_token_temporal, run_with_retention
+from helpers import attention, encoded_keys, encoded_values, key_token_temporal, run_with_retention
 
 D = 8
 ROPE8 = RopeParams.default_for(8)
@@ -68,15 +68,15 @@ class TestReencodeTemporal:
         seq = assembled(n_history=2)
         raw = np.vstack([fr.keys for fr in seq.frames])
         enc = reencode_temporal(seq, ROPE8)
-        np.testing.assert_array_equal(enc.keys[:, ROPE8.d_t:], raw[:, ROPE8.d_t:])
-        assert not np.array_equal(enc.keys[:, :ROPE8.d_t], raw[:, :ROPE8.d_t])
+        np.testing.assert_array_equal(encoded_keys(enc)[:, ROPE8.d_t:], raw[:, ROPE8.d_t:])
+        assert not np.array_equal(encoded_keys(enc)[:, :ROPE8.d_t], raw[:, :ROPE8.d_t])
 
     def test_matches_scalar_rotation_oracle(self):
         seq = assembled(n_history=3)
         raw = np.vstack([fr.keys for fr in seq.frames])
         enc = reencode_temporal(seq, ROPE8)
         expected = rotate_temporal_rows(raw, key_token_temporal(enc), ROPE8)
-        np.testing.assert_allclose(enc.keys, expected, atol=1e-12)
+        np.testing.assert_allclose(encoded_keys(enc), expected, atol=1e-12)
 
     def test_explicit_global_indices(self):
         seq = assemble(0, 0, [frame(10), frame(11)], [frame(12), frame(13), frame(14)])
@@ -105,7 +105,7 @@ class TestEncodeTemporalAnyIndices:
         enc = encode_temporal(seq, ROPE8)
         raw = np.vstack([fr.keys for fr in frames])
         expected = rotate_temporal_rows(raw, np.repeat(key_idx, s), ROPE8)
-        np.testing.assert_allclose(enc.keys, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(encoded_keys(enc), expected, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(enc.key_frame_indices, key_idx)
 
     @settings(max_examples=40, deadline=None)
@@ -160,9 +160,24 @@ class TestPack:
             ko, kl = int(buf.k_offsets[idx]), int(buf.k_lengths[idx])
             qo, ql = int(buf.q_offsets[idx]), int(buf.q_lengths[idx])
             q_got, k_got, v_got = buf.queries[qo:qo + ql], buf.keys[ko:ko + kl], buf.values[ko:ko + kl]
-            np.testing.assert_array_equal(k_got, enc.keys)
-            np.testing.assert_array_equal(v_got, enc.values)
+            np.testing.assert_array_equal(k_got, encoded_keys(enc))
+            np.testing.assert_array_equal(v_got, encoded_values(enc))
             np.testing.assert_array_equal(q_got, qs[idx])
+
+    def test_encoding_and_packing_leave_the_cached_frames_as_they_were(self):
+        """Encoding hands the assembled frames on without copying them, and
+        `pack` rotates the keys in its own buffer: the frames keep their
+        spatial-only keys, and the buffer shares no memory with them."""
+        seq = assembled(n_history=3)
+        enc = reencode_temporal(seq, ROPE8)
+        assert len(enc.frames) == len(seq.frames) and all(a is b for a, b in zip(enc.frames, seq.frames))
+        q = np.random.default_rng(7).standard_normal((3 * 4, D))
+        before = [(fr.keys.tobytes(), fr.values.tobytes()) for fr in enc.frames]
+        buf = pack([enc], [q])
+        assert [(fr.keys.tobytes(), fr.values.tobytes()) for fr in enc.frames] == before
+        assert buf.keys.tobytes() != np.concatenate([fr.keys for fr in enc.frames]).tobytes()
+        for fr in enc.frames:
+            assert not np.may_share_memory(fr.keys, buf.keys) and not np.may_share_memory(fr.values, buf.values)
 
     def test_order_enforced(self):
         enc0, q0 = encoded_head(0, 1, 1, seed=1)
@@ -176,7 +191,7 @@ class TestPackedAttention:
         enc, q = encoded_head(0, 0, n_history=2, seed=3)
         buf = pack([enc], [q])
         out = packed_attention(buf)[0]
-        np.testing.assert_allclose(out, attention(q, enc.keys, enc.values), atol=0)
+        np.testing.assert_allclose(out, attention(q, encoded_keys(enc), encoded_values(enc)), atol=0)
 
     def test_mixed_lengths_match_per_head_oracle(self):
         encs, qs = [], []
@@ -187,14 +202,14 @@ class TestPackedAttention:
         buf = pack(encs, qs)
         outs = packed_attention(buf)
         for enc, q, out in zip(encs, qs, outs):
-            ref = attention_rows(q, enc.keys, enc.values)
+            ref = attention_rows(q, encoded_keys(enc), encoded_values(enc))
             np.testing.assert_allclose(out, ref, atol=1e-12)
 
     def test_zero_history_equals_within_block(self):
         enc, q = encoded_head(0, 0, n_history=0, seed=4)
         buf = pack([enc], [q])
         out = packed_attention(buf)[0]
-        np.testing.assert_allclose(out, attention_rows(q, enc.keys, enc.values), atol=1e-12)
+        np.testing.assert_allclose(out, attention_rows(q, encoded_keys(enc), encoded_values(enc)), atol=1e-12)
 
     def test_outputs_outlive_the_next_pack_into_the_workspace(self):
         workspace = Workspace()

@@ -1,9 +1,10 @@
 """The hot path's numpy forms against the plain forms they stand for, with
 exact equality: the batched projections, the stacked episodic pooling and
 scores, the stacked compression ranking, softmax_rows' reductions and its
-in-place form, packing and scoring into a reused workspace, the
-temporal rotations served as views of one power-of-two prefix rotation and
-profiling's archive of keys rotated once per committed block."""
+in-place form, apply_rope's in-place form, packing and scoring into a reused
+workspace with each head's keys rotated where they are packed, the temporal
+rotations served as views of one power-of-two prefix rotation and
+profiling's archive of keys rotated once per committed block, in place."""
 
 import gc
 import math
@@ -12,12 +13,13 @@ import weakref
 import numpy as np
 import pytest
 
-from headkv import assembly, tensor_ops
+from headkv import assembly, profiling, tensor_ops
 from headkv.cache import FrameKV
 from headkv.episodic import EpisodicEntry, EpisodicMemory, _similarities
 from headkv.model import ModelConfig, block_input, init_model, measurement_perturbation
 from headkv.profiling import bucket_proportions, profile_rollout
 from headkv.rollout import HeadWiseHyper, HeadWiseStrategy, RolloutEngine, WindowStrategy
+from headkv.errors import ShapeError
 from headkv.tensor_ops import (
     TEMPORAL,
     RopeParams,
@@ -26,6 +28,7 @@ from headkv.tensor_ops import (
     rope_rotation,
     softmax_rows,
 )
+from helpers import encoded_keys, encoded_values, root
 
 MID = ModelConfig(L=4, H=8, d=32, s=64, f=3, grid_h=8, grid_w=8, seed=0)
 
@@ -81,13 +84,19 @@ ATTENTION_SHAPES = {"toy": (48, 16, (48, 176, 400)), "mid": (192, 32, (192, 704,
 
 
 def packed_heads(rng, q_rows, d, key_rows):
-    """Encoded sequences of random keys and values, one per key-row count
-    (layer 0, heads in order), and a query matrix for each."""
+    """Encoded sequences of random frames of q_rows / 3 tokens, one per
+    key-row count (layer 0, heads in order, keys at frames 0..F-1), and a
+    query matrix for each."""
     rope = RopeParams.default_for(d)
-    encoded = [assembly.EncodedSequence(layer=0, head=h, keys=rng.standard_normal((n, d)) * 3,
-                                        values=rng.standard_normal((n, d)), key_frame_indices=(),
-                                        query_frame_indices=(), query_rotation=frame_rotation((0,), 1, rope))
-               for h, n in enumerate(key_rows)]
+    s = q_rows // 3
+    encoded = []
+    for h, n in enumerate(key_rows):
+        frames = [FrameKV(keys=rng.standard_normal((s, d)) * 3, values=rng.standard_normal((s, d)),
+                          global_frame_index=t) for t in range(n // s)]
+        idx = tuple(range(len(frames)))
+        encoded.append(assembly.EncodedSequence(
+            layer=0, head=h, frames=frames, key_frame_indices=idx, query_frame_indices=idx[-3:],
+            key_rotation=frame_rotation(idx, s, rope), query_rotation=frame_rotation(idx[-3:], s, rope)))
     return encoded, [rng.standard_normal((q_rows, d)) * 3 for _ in key_rows]
 
 
@@ -117,11 +126,22 @@ class TestAttentionWorkspace:
         for q_rows, d, key_rows in ATTENTION_SHAPES.values():
             encoded, queries = packed_heads(rng, q_rows, d, key_rows)
             got = assembly.pack(encoded, queries, dtype, workspace)
-            for flat, parts in ((got.keys, [e.keys for e in encoded]), (got.values, [e.values for e in encoded]),
-                                (got.queries, queries)):
-                want = np.concatenate(parts).astype(dtype, copy=False)
+            for flat, want in ((got.keys, np.concatenate([encoded_keys(e, dtype) for e in encoded])),
+                               (got.values, np.concatenate([encoded_values(e) for e in encoded]).astype(dtype)),
+                               (got.queries, np.concatenate(queries).astype(dtype))):
                 assert flat.dtype == want.dtype and flat.shape == want.shape
                 assert flat.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("grid", ["toy", "mid"])
+    def test_in_place_key_rotation_equals_concatenate_rotate_concatenate(self, grid):
+        """Float64 keys rotated where `pack` lays them out hold the bits of
+        the former path: each head's frames concatenated, rotated into a new
+        array, and the rotated heads concatenated."""
+        rng = np.random.default_rng(8)
+        encoded, queries = packed_heads(rng, *ATTENTION_SHAPES[grid])
+        want = np.concatenate([encoded_keys(e) for e in encoded])
+        for workspace in (None, assembly.Workspace()):
+            assert assembly.pack(encoded, queries, np.float64, workspace).keys.tobytes() == want.tobytes()
 
     def test_float32_after_float64_on_one_workspace(self):
         rng = np.random.default_rng(4)
@@ -130,7 +150,8 @@ class TestAttentionWorkspace:
         wide = assembly.pack(encoded, queries, np.float64, workspace)
         narrow = assembly.pack(encoded, queries, np.float32, workspace)
         fresh = assembly.pack(encoded, queries, np.float32)
-        parts = {"keys": [e.keys for e in encoded], "values": [e.values for e in encoded], "queries": queries}
+        parts = {"keys": [encoded_keys(e) for e in encoded], "values": [encoded_values(e) for e in encoded],
+                 "queries": queries}
         for name, arrays in parts.items():
             assert getattr(narrow, name).tobytes() == getattr(fresh, name).tobytes()
             # each dtype has its own storage, so the float32 pack left these intact
@@ -144,10 +165,66 @@ class TestAttentionWorkspace:
         encoded, queries = packed_heads(rng, q_rows, d, key_rows)
         buffer = assembly.pack(encoded, queries, dtype, assembly.Workspace())
         for enc, q, got in zip(encoded, queries, assembly.packed_attention(buffer)):
-            k, v = enc.keys.astype(dtype), enc.values.astype(dtype)
+            k, v = encoded_keys(enc, dtype), encoded_values(enc).astype(dtype)
             scores = q.astype(dtype) @ k.T
             scores *= 1.0 / np.sqrt(d)
             assert got.tobytes() == (softmax_rows(scores) @ v).tobytes()
+
+
+class TestRopeInPlace:
+    """`apply_rope(x, rot, out=x)` rotates x where it lies, with the bits of
+    the new-array form."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("grid", ["toy", "mid"])
+    def test_in_place_on_views_of_a_larger_flat_equals_the_new_array(self, grid, dtype):
+        rng = np.random.default_rng(9)
+        q_rows, d, key_rows = ATTENTION_SHAPES[grid]
+        rope = RopeParams.default_for(d)
+        s = q_rows // 3
+        grid_side = int(math.isqrt(s))
+        spatial = rope_rotation(np.tile(tensor_ops.grid_positions(grid_side, grid_side), (3, 1)), rope,
+                                tensor_ops.SPATIAL_AXES)
+        rotations = [spatial] + [frame_rotation(tuple(range(n // s)), s, rope) for n in key_rows] + \
+                    [frame_rotation((4, 9, 10), s, rope)]
+        for rot in rotations:
+            x = (rng.standard_normal((rot.tokens, d)) * 3).astype(dtype)
+            want = tensor_ops.apply_rope(x, rot)
+            assert want is not x and want.tobytes() != x.tobytes()
+            # even and odd element offsets, and one past a whole matrix
+            for start in (0, 1, 2, 3, rot.tokens * d):
+                flat = np.full(start + 2 * rot.tokens * d, np.nan, dtype=dtype)
+                view = flat[start:start + rot.tokens * d].reshape(rot.tokens, d)
+                view[...] = x
+                assert tensor_ops.apply_rope(view, rot, out=view) is view
+                assert view.tobytes() == want.tobytes()
+                assert np.isnan(flat[:start]).all() and np.isnan(flat[start + x.size:]).all()
+                other = np.empty_like(x)
+                assert tensor_ops.apply_rope(x, rot, out=other) is other
+                assert other.tobytes() == want.tobytes()
+
+    def test_out_of_another_shape_or_dtype_or_layout_is_refused(self):
+        rope = RopeParams.default_for(8)
+        rot = frame_rotation((0, 1), 2, rope)
+        x = np.ones((4, 8))
+        for out in (np.empty((4, 6)), np.empty((4, 8), dtype=np.float32), np.empty((8, 4)).T):
+            with pytest.raises(ShapeError):
+                tensor_ops.apply_rope(x, rot, out=out)
+
+    def test_step_rotates_its_own_projections(self, toy_config, toy_weights, rope, toy_role_map):
+        """The engine rotates the layer's q and k products in place: every
+        head's queries and frame keys hold the bits of the new-array rotation
+        of its own product."""
+        cfg = toy_config
+        engine = RolloutEngine(toy_weights, cfg, rope, HeadWiseStrategy(cfg, toy_weights, toy_role_map))
+        block = engine.step(1, "a prompt")
+        hidden = block_input(toy_weights, "a prompt", 1)
+        for h in range(cfg.H):
+            q = tensor_ops.apply_rope(hidden @ toy_weights.wq[0, h], engine._spatial)
+            k = tensor_ops.apply_rope(hidden @ toy_weights.wk[0, h], engine._spatial)
+            assert block.q_spatial[(0, h)].tobytes() == q.tobytes()
+            for t, frame in enumerate(block.kv):
+                assert frame[(0, h)].keys.tobytes() == k[t * cfg.s:(t + 1) * cfg.s].tobytes()
 
 
 HEADS = [(0, 1), (0, 3), (1, 0), (2, 2), (2, 5)]
@@ -322,12 +399,6 @@ def same_rotation(a: Rotation, b: Rotation) -> bool:
         fa == fb and ra.tobytes() == rb.tobytes() for (fa, ra), (fb, rb) in zip(a.runs, b.runs))
 
 
-def root(arr: np.ndarray) -> np.ndarray:
-    while arr.base is not None:
-        arr = arr.base
-    return arr
-
-
 class TestPrefixRotations:
     def test_prefix_rows_equal_a_direct_build(self):
         rope = RopeParams.default_for(16)
@@ -446,6 +517,23 @@ def profile_full_history(weights, config, rope, sampled_blocks, repeats, prompts
 
 
 class TestProfileArchive:
+    def test_in_place_archive_rows_equal_the_assigned_rotation(self, toy_config, toy_weights, rope):
+        """`_archive_keys` concatenates and rotates into the archive rows
+        themselves, with the bits of assigning a new rotated array to them."""
+        cfg = toy_config
+        f, s, n_blocks = cfg.f, cfg.s, 5
+        engine = RolloutEngine(toy_weights, cfg, rope, WindowStrategy(cfg, window=8, n_sink=1))
+        got, want = (np.full((cfg.L, cfg.H, n_blocks * f * s, cfg.d), np.nan) for _ in range(2))
+        for i in range(1, n_blocks + 1):
+            block = engine.step(i, "p")
+            profiling._archive_keys(got, block, cfg, rope)
+            rot = frame_rotation(tuple(range(f * (i - 1), f * i)), s, rope)
+            for l, h in cfg.heads:
+                want[l, h, f * (i - 1) * s:f * i * s] = tensor_ops.apply_rope(
+                    np.concatenate([frame[(l, h)].keys for frame in block.kv]), rot)
+            engine.commit(block, "p")
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("perturb_offset", [0, 1])
     def test_means_equal_the_full_history_rotation(self, perturb_offset, toy_config, toy_weights, rope):
         """Offset 0 measures each block as generated, then once perturbed;

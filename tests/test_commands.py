@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import subprocess
@@ -124,6 +125,14 @@ class TestCmdGenerate:
         b = cmd_generate(cfg_b)["metrics"].read_text()
         strip = lambda text: re.sub(r"^(\d+,[^,]*,\d+,\d+,)[0-9.]+,[0-9.]+", r"\1_", text, flags=re.M)
         assert strip(a) == strip(b)
+
+    def test_bad_schedule_on_a_built_config_writes_nothing(self, tmp_path):
+        """A config built in code, not loaded, is checked by the run before
+        cmd_generate creates its output directory."""
+        cfg = dataclasses.replace(self.generate_cfg(tmp_path, {"type": "unbounded"}), prompt_schedule=[("a", 2)])
+        with pytest.raises(ConfigError, match="must start at block 1"):
+            cmd_generate(cfg, str(tmp_path / "built"))
+        assert not (tmp_path / "built").exists()
 
     def test_commit_ms_column(self, tmp_path):
         """commit_ms follows wall_time_ms and times the cache roll and the
@@ -391,6 +400,15 @@ class TestCli:
         leave an empty output directory behind."""
         self.assert_config_error_leaves_no_output(tmp_path, command, raw)
 
+    @pytest.mark.parametrize("schedule", [[["a", 2]], [["a", 1], ["b", 3], ["c", 3]]],
+                             ids=["starts_at_2", "duplicate_start"])
+    def test_bad_schedule_exit_2_and_writes_nothing(self, tmp_path, schedule):
+        """The schedule used to be checked only as the first block ran, after
+        metrics.csv and admissions.csv had been opened: generate exited 2 but
+        left both files behind, with headers only."""
+        proc = self.assert_config_error_leaves_no_output(tmp_path, ["generate"], {"prompt_schedule": schedule})
+        assert "prompt schedule" in proc.stderr
+
     @pytest.mark.parametrize("key,value", [("candidate_mode", "latest"), ("novelty_metric", "key_cosine")])
     def test_retired_hyper_key_exit_2(self, tmp_path, key, value):
         """Both keys were options whose other value no config used; an old
@@ -540,6 +558,9 @@ class TestConfigLoading:
         {"stability": {"block_sets": [3, 4]}},
         {"head_role_map": 5},
         {"prompt_schedule": [[5, 1]]},
+        {"prompt_schedule": [["a", 2]]},
+        {"prompt_schedule": [["a", 1], ["b", 3], ["c", 3]]},
+        {"prompt_schedule": [["a", 0], ["b", 1]]},
         {"stability": {"prompt_pool": [5]}},
         {"output_dir": 5},
         {"hyperparameters": {"novelty_metric": "latnet"}},

@@ -372,6 +372,27 @@ class TestCachedPooledKeys:
                 assert fr.keys[row].tobytes() == archive.keys[lh][frame][token].tobytes()
                 assert fr.values[row].tobytes() == archive.values[lh][frame][token].tobytes()
 
+    def test_summary_heads_share_one_read_only_provenance_per_layer(self, churned):
+        """Within a layer every summary head holds equal provenance (one
+        object, not writeable), and the gathered keys and values stay each
+        head's own."""
+        mem, _, _ = churned
+        summary = mem.entries[0]
+        assert summary.is_summary
+        by_layer: dict[int, list[FrameKV]] = {}
+        for (l, _), fr in summary.slots.items():
+            by_layer.setdefault(l, []).append(fr)
+        assert max(len(frs) for frs in by_layer.values()) > 1       # a layer with several memory heads
+        for frs in by_layer.values():
+            lead = frs[0].provenance
+            assert not lead.flags.writeable
+            for fr in frs:
+                assert fr.provenance.tobytes() == lead.tobytes()
+                assert fr.provenance is lead
+                assert fr.keys.base is None and fr.values.base is None
+        provs = [frs[0].provenance for frs in by_layer.values()]
+        assert len({id(p) for p in provs}) == len(provs)             # one per layer, not one per summary
+
 
 ALL_HEADS = [(l, h) for l in range(2) for h in range(3)]
 TAUS = st.sampled_from([-0.5, 0.0, 0.3, 0.9, 0.95, 2.0])

@@ -23,7 +23,7 @@ from headkv.rollout import (
     WindowStrategy,
 )
 from headkv.tensor_ops import RopeParams
-from helpers import run_with_retention
+from helpers import root, run_with_retention
 
 SCHED = [("rollout prompt", 1)]
 
@@ -156,6 +156,16 @@ class TestScheduleHandling:
         cfg, weights, rope = small_setup()
         with pytest.raises(ConfigError):
             run(weights, cfg, rope, WindowStrategy(cfg, window=None), [("x", 2)], 4)
+
+    def test_schedule_is_checked_before_the_first_block(self, monkeypatch):
+        """run refuses a bad schedule when called, not when first iterated,
+        and steps no block."""
+        cfg, weights, rope = small_setup()
+        engine = RolloutEngine(weights, cfg, rope, WindowStrategy(cfg, window=None))
+        monkeypatch.setattr(engine, "step", lambda *a, **k: pytest.fail("a block was stepped"))
+        for schedule in ([("x", 2)], [("x", 1), ("y", 3), ("z", 3)], []):
+            with pytest.raises(ConfigError):
+                engine.run(4, schedule)
 
     def test_mismatched_config_rejected(self):
         cfg, weights, rope = small_setup()
@@ -370,6 +380,33 @@ class TestAttentionWorkspace:
         proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True,
                               env=env, check=True)
         assert float(proc.stdout) < 100
+
+
+class TestStepTransientMemory:
+    def test_steady_mid_step_stages_no_layer_copy_of_the_context(self):
+        """A warm mid head-wise step allocates, beyond what it returns, less
+        than 1.5 times one layer's packed keys and values: each head's frames
+        are copied once, into the workspace. When encoding built every
+        head's rotated keys and concatenated values before `pack`, a whole
+        layer's copy was alive at once (4.90 MB against a bound of 2.76 MB)."""
+        cfg = ModelConfig(L=4, H=8, d=32, s=64, f=3, grid_h=8, grid_w=8, seed=7, scene_period=9)
+        weights = init_model(cfg)
+        heads = cfg.heads
+        role_map = role_map_from_lists(cfg.L, cfg.H, anchor=heads[0::4], local=heads[1::4][:6])
+        engine = RolloutEngine(weights, cfg, RopeParams.default_for(cfg.d), HeadWiseStrategy(cfg, weights, role_map))
+        for i in range(1, 17):
+            engine.commit(engine.step(i, "p"), "p")
+        tracemalloc.start()
+        try:
+            block = engine.step(17, "p")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = list(block.frames) + list(block.q_spatial.values())
+        returned += [a for slots in block.kv for fr in slots.values() for a in (fr.keys, fr.values)]
+        returned_bytes = sum({id(root(a)): root(a).nbytes for a in returned}.values())
+        layer_bytes = block.stored_scalars * 8 / cfg.L
+        assert peak - returned_bytes < 1.5 * layer_bytes
 
 
 class TestRotationsBuiltOnce:
