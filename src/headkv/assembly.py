@@ -1,13 +1,13 @@
 """Per-head context assembly, temporal re-encoding, and variable-length
 packing: each head's retained frames are copied once into a flat key/value
-span with per-head offsets, and its keys are rotated there; one pass over
+span described by its length, and its keys are rotated there; one pass over
 the flat buffer computes every head's attention regardless of
 context-length differences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
@@ -28,7 +28,6 @@ class AssembledSequence:
     head: int
     frames: list[FrameKV]
     f_current: int
-    temporal_encoded: bool = False
 
     def __post_init__(self) -> None:
         if self.f_current < 1 or self.f_current > len(self.frames):
@@ -49,9 +48,8 @@ class AssembledSequence:
 
 def assemble(layer: int, head: int, history: Sequence[FrameKV],
              current: Sequence[FrameKV]) -> AssembledSequence:
-    """History frames in policy order, then the current block's frames."""
-    if not current:
-        raise ShapeError("assemble requires at least the current block's frames")
+    """History frames in policy order, then the current block's frames, of
+    which there must be at least one."""
     return AssembledSequence(layer=layer, head=head,
                              frames=list(history) + list(current),
                              f_current=len(current))
@@ -73,16 +71,13 @@ class EncodedSequence:
     query_rotation: Rotation               # f_current * tokens_per_frame rows
 
 
-def _encode(seq: AssembledSequence, rope: RopeParams, key_idx: tuple[int, ...],
-            query_idx: tuple[int, ...]) -> EncodedSequence:
+def _encode(seq: AssembledSequence, rope: RopeParams, key_idx: tuple[int, ...]) -> EncodedSequence:
     """Choose the rotations only; the cached frames themselves stay
-    spatial-only. Both rotations come from the `frame_rotation` cache."""
-    if seq.temporal_encoded:
-        raise IntegrityError(
-            f"head ({seq.layer}, {seq.head}) keys already temporally encoded; double rotation refused"
-        )
+    spatial-only, so encoding twice does no harm. The queries take the last
+    f_current key indices, the current block's. Both rotations come from the
+    `frame_rotation` cache."""
     s = seq.tokens_per_frame
-    seq.temporal_encoded = True
+    query_idx = key_idx[-seq.f_current:]
     return EncodedSequence(
         layer=seq.layer, head=seq.head, frames=seq.frames,
         key_frame_indices=key_idx, query_frame_indices=query_idx,
@@ -92,20 +87,17 @@ def _encode(seq: AssembledSequence, rope: RopeParams, key_idx: tuple[int, ...],
 
 def encode_temporal(seq: AssembledSequence, rope: RopeParams) -> EncodedSequence:
     """Temporal encoding at global frame indices (the window baselines): each
-    key frame at its own, and the queries at the last f_current of them, the
-    current block's."""
+    frame at its own."""
     # from a list, not a generator: tuple() of a generator over-allocates and
     # shrinks, and the shrunk tuples pile up on CPython's tuple free list
-    key_idx = tuple([fr.global_frame_index for fr in seq.frames])
-    return _encode(seq, rope, key_idx, key_idx[-seq.f_current:])
+    return _encode(seq, rope, tuple([fr.global_frame_index for fr in seq.frames]))
 
 
 def reencode_temporal(seq: AssembledSequence, rope: RopeParams) -> EncodedSequence:
-    """Contiguous per-head re-indexing: keys take frame indices 0..F-1 in
-    assembly order, queries take F-f..F-1, so every relative temporal
-    distance is bounded by the head's own capacity."""
-    F = seq.frame_count
-    return _encode(seq, rope, tuple(range(F)), tuple(range(F - seq.f_current, F)))
+    """Contiguous per-head re-indexing: frames take indices 0..F-1 in
+    assembly order, so every relative temporal distance is bounded by the
+    head's own capacity."""
+    return _encode(seq, rope, tuple(range(seq.frame_count)))
 
 
 def encode_queries(q_spatial: np.ndarray, enc: EncodedSequence) -> np.ndarray:
@@ -134,20 +126,19 @@ class Workspace:
 
 @dataclass
 class PackedBuffer:
-    """Flat concatenation of all heads' key/value/query spans with per-head
-    offsets and lengths, and scratch for one head's scores; the
-    variable-length attention input. The arrays are views of the workspace
-    it was packed into, valid until the next `pack` into that workspace."""
+    """Flat concatenation of all heads' key/value/query spans, described by
+    per-head lengths alone: head i's span starts at the sum of the lengths
+    before it. With scratch for one head's scores, the variable-length
+    attention input. The arrays are views of the workspace it was packed
+    into, valid until the next `pack` into that workspace."""
 
-    keys: np.ndarray      # (total_kv, d)
+    keys: np.ndarray       # (total_kv, d)
     values: np.ndarray
-    queries: np.ndarray   # (total_q, d)
-    k_offsets: np.ndarray  # (n_heads,) int64
-    k_lengths: np.ndarray
-    q_offsets: np.ndarray
+    queries: np.ndarray    # (total_q, d)
+    k_lengths: np.ndarray  # (n_heads,) int64
     q_lengths: np.ndarray
-    scores: np.ndarray    # 1-D, room for max(q_lengths) * max(k_lengths)
-    head_ids: list[tuple[int, int]] = field(default_factory=list)
+    scores: np.ndarray     # 1-D, room for max(q_lengths) * max(k_lengths)
+    head_ids: list[tuple[int, int]]
 
     @property
     def n_heads(self) -> int:
@@ -157,7 +148,7 @@ class PackedBuffer:
 def pack(sequences: Sequence[EncodedSequence], queries: Sequence[np.ndarray],
          dtype: np.dtype = np.float64, workspace: Workspace | None = None) -> PackedBuffer:
     """Lay heads out in ascending (layer, head) order in `workspace` (a fresh
-    one when None); offsets/lengths exactly describe each head's token span.
+    one when None); the lengths exactly describe each head's token span.
     Every head's frames are copied once, cast to dtype, and its key span is
     then rotated in place by its key rotation. So values and queries hold
     the bits of `np.concatenate(...).astype(dtype)`, and in float64 the keys
@@ -178,11 +169,10 @@ def pack(sequences: Sequence[EncodedSequence], queries: Sequence[np.ndarray],
     if min(k_lengths) < 1 or min(q_lengths) < 1:
         raise ShapeError("every head needs at least one key and one query token")
     k_ends = list(accumulate(k_lengths, initial=0))
-    q_ends = list(accumulate(q_lengths, initial=0))
     frames = [fr for s in sequences for fr in s.frames]
     # keys, values and queries, then the score scratch, in one flat
     parts = [([fr.keys for fr in frames], k_ends[-1]), ([fr.values for fr in frames], k_ends[-1]),
-             (queries, q_ends[-1])]
+             (queries, sum(q_lengths))]
     sizes = [rows * arrays[0].shape[1] for arrays, rows in parts]
     n_scores = max(q_lengths) * max(k_lengths)
     flat = (workspace or Workspace()).flat(dtype, sum(sizes) + n_scores)
@@ -197,32 +187,25 @@ def pack(sequences: Sequence[EncodedSequence], queries: Sequence[np.ndarray],
         apply_rope(span, seq.key_rotation, out=span)
     return PackedBuffer(
         keys=keys, values=flats[1], queries=flats[2],
-        k_offsets=np.array(k_ends[:-1], dtype=np.int64), k_lengths=np.array(k_lengths, dtype=np.int64),
-        q_offsets=np.array(q_ends[:-1], dtype=np.int64), q_lengths=np.array(q_lengths, dtype=np.int64),
+        k_lengths=np.array(k_lengths, dtype=np.int64), q_lengths=np.array(q_lengths, dtype=np.int64),
         scores=flat[start:start + n_scores], head_ids=ids,
     )
 
 
 def _check_integrity(buffer: PackedBuffer) -> list[list[int]]:
-    """Check the offset tables against the flats; returns them as lists:
-    key offsets, key lengths, query offsets, query lengths."""
+    """Check the length tables against the flats; returns them as lists:
+    key lengths, query lengths."""
     tables = []
-    for name, offsets, lengths, flat in (
-        ("key", buffer.k_offsets, buffer.k_lengths, buffer.keys),
-        ("query", buffer.q_offsets, buffer.q_lengths, buffer.queries),
-    ):
-        offsets, lengths = offsets.tolist(), lengths.tolist()
-        if len(offsets) != buffer.n_heads or len(lengths) != buffer.n_heads:
-            raise IntegrityError(f"{name} offset table does not match head count")
+    for name, lengths, flat in (("key", buffer.k_lengths, buffer.keys),
+                                ("query", buffer.q_lengths, buffer.queries)):
+        lengths = lengths.tolist()
+        if len(lengths) != buffer.n_heads:
+            raise IntegrityError(f"{name} length table does not match head count")
         if min(lengths, default=1) < 1:
             raise IntegrityError(f"{name} span with non-positive length")
-        # prefix-sum equality implies strictly increasing, non-overlapping spans
-        ends = list(accumulate(lengths, initial=0))
-        if offsets != ends[:-1]:
-            raise IntegrityError(f"{name} offsets are not the prefix sums of lengths")
-        if ends[-1] != flat.shape[0]:
-            raise IntegrityError(f"{name} lengths sum to {ends[-1]}, flat size is {flat.shape[0]}")
-        tables += (offsets, lengths)
+        if sum(lengths) != flat.shape[0]:
+            raise IntegrityError(f"{name} lengths sum to {sum(lengths)}, flat size is {flat.shape[0]}")
+        tables.append(lengths)
     if buffer.values.shape[0] != buffer.keys.shape[0]:
         raise IntegrityError("key and value flats differ in length")
     return tables
@@ -232,7 +215,7 @@ def packed_attention(buffer: PackedBuffer) -> list[np.ndarray]:
     """One pass over the flat buffer honoring per-head boundaries; output i is
     head i's attention over its own span, a fresh array. Each head's scores
     and their softmax are computed in place in `buffer.scores`."""
-    k_offsets, k_lengths, q_offsets, q_lengths = _check_integrity(buffer)
+    k_lengths, q_lengths = _check_integrity(buffer)
     keys, values, queries, scratch = buffer.keys, buffer.values, buffer.queries, buffer.scores
     d = keys.shape[1]
     if queries.shape[1] != d:
@@ -241,7 +224,8 @@ def packed_attention(buffer: PackedBuffer) -> list[np.ndarray]:
         raise IntegrityError(f"score scratch of {scratch.size} cannot hold the largest head's scores")
     scale = 1.0 / np.sqrt(d)
     outputs: list[np.ndarray] = []
-    for ko, kl, qo, ql in zip(k_offsets, k_lengths, q_offsets, q_lengths):
+    for ko, kl, qo, ql in zip(accumulate(k_lengths, initial=0), k_lengths,
+                              accumulate(q_lengths, initial=0), q_lengths):
         scores = np.matmul(queries[qo:qo + ql], keys[ko:ko + kl].T, out=scratch[:ql * kl].reshape(ql, kl))
         scores *= scale
         outputs.append(softmax_rows(scores, out=scores) @ values[ko:ko + kl])

@@ -24,7 +24,10 @@ from .rollout import HeadWiseStrategy, RolloutEngine, WindowStrategy
 
 def _out_dir(cfg: ExperimentConfig, out: str | None) -> Path:
     path = Path(out) if out else Path(cfg.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:     # a file by that name, or a parent that is one
+        raise ConfigError(f"output directory {path} cannot be created: {exc}") from exc
     return path
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
-from .errors import ConfigError, ShapeError, require_int as _int, require_number as _float
+from .errors import ConfigError, ShapeError, read_input, require_int as _int, require_number as _float
 from .model import ModelConfig
 from .rollout import HeadWiseHyper, check_schedule
 from .tensor_ops import RopeParams
@@ -188,11 +188,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        raw = json.loads(read_input(path, "config file"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     # head_role_map and output_dir are both resolved against the working

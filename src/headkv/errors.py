@@ -5,6 +5,7 @@ The CLI maps ConfigError to exit code 2 and SequencingError/IntegrityError
 """
 
 import sys
+from pathlib import Path
 
 
 class ShapeError(ValueError):
@@ -20,7 +21,17 @@ class SequencingError(RuntimeError):
 
 
 class IntegrityError(RuntimeError):
-    """Internal bookkeeping violated: corrupted offsets, double re-encoding, etc."""
+    """Internal bookkeeping violated: a packed buffer whose length tables do
+    not describe its flats, a score scratch too small for its heads, etc."""
+
+
+def read_input(path: str | Path, name: str) -> str:
+    """The UTF-8 text of an input file; one that is missing, unreadable or
+    not UTF-8 is a ConfigError, not a traceback."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{name} {path} cannot be read: {exc}") from exc
 
 
 def require_int(value, name: str) -> int:

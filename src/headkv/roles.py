@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import ConfigError, require_int, require_number
+from .errors import ConfigError, read_input, require_int, require_number
 
 
 class HeadRole(str, Enum):
@@ -81,10 +81,7 @@ class HeadRoleMap:
 
     @classmethod
     def load(cls, path: str | Path) -> "HeadRoleMap":
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"role map file not found: {p}")
-        return cls.from_json(p.read_text(encoding="utf-8"))
+        return cls.from_json(read_input(path, "role map file"))
 
 
 def role_map_from_lists(

@@ -58,11 +58,19 @@ class TestReencodeTemporal:
         np.testing.assert_array_equal(enc.key_frame_indices, [0, 1, 2, 3])
         np.testing.assert_array_equal(enc.query_frame_indices, [1, 2, 3])
 
-    def test_double_rotation_detected(self):
-        seq = assembled()
-        reencode_temporal(seq, ROPE8)
-        with pytest.raises(IntegrityError):
-            reencode_temporal(seq, ROPE8)
+    @pytest.mark.parametrize("encode", [encode_temporal, reencode_temporal])
+    def test_encoding_twice_is_idempotent(self, encode):
+        """Encoding only looks rotations up and leaves the frames alone, so a
+        second encode of one sequence gives the same indices and the same
+        cached rotation objects."""
+        seq = assemble(0, 0, [frame(10), frame(11)], [frame(12), frame(13), frame(14)])
+        before = [fr.keys.tobytes() for fr in seq.frames]
+        first, second = encode(seq, ROPE8), encode(seq, ROPE8)
+        assert first.key_frame_indices == second.key_frame_indices
+        assert first.query_frame_indices == second.query_frame_indices
+        assert first.key_rotation is second.key_rotation
+        assert first.query_rotation is second.query_rotation
+        assert [fr.keys.tobytes() for fr in seq.frames] == before
 
     def test_spatial_channels_untouched(self):
         seq = assembled(n_history=2)
@@ -121,6 +129,12 @@ class TestEncodeTemporalAnyIndices:
         assert frame_rotation(tuple(idx), s, ROPE8) is rot
 
 
+def spans(lengths) -> list[tuple[int, int]]:
+    """(start, end) of every head's span, read from a length table alone."""
+    ends = np.cumsum(lengths)
+    return list(zip((ends - lengths).tolist(), ends.tolist()))
+
+
 def encoded_head(layer, head, n_history, f=3, s=4, seed=0):
     rng = np.random.default_rng(seed)
     history = [frame(i, s=s, seed=int(rng.integers(1 << 30))) for i in range(n_history)]
@@ -135,8 +149,8 @@ class TestPack:
     def test_single_head_offsets(self):
         enc, q = encoded_head(0, 0, n_history=1)
         buf = pack([enc], [q])
-        np.testing.assert_array_equal(buf.k_offsets, [0])
-        assert buf.k_lengths[0] == 4 * 4  # F=4 frames of s=4 tokens
+        assert spans(buf.k_lengths) == [(0, 4 * 4)]  # F=4 frames of s=4 tokens
+        assert spans(buf.q_lengths) == [(0, 3 * 4)]
 
     def test_prefix_sum_offsets(self):
         s = 4
@@ -146,7 +160,7 @@ class TestPack:
             encs.append(enc)
             qs.append(q)
         buf = pack(encs, qs)
-        np.testing.assert_array_equal(buf.k_offsets, [0, 4 * s, 11 * s])
+        assert spans(buf.k_lengths) == [(0, 4 * s), (4 * s, 11 * s), (11 * s, 22 * s)]
         assert buf.keys.shape[0] == 22 * s
 
     def test_round_trip_token_identical(self):
@@ -156,13 +170,11 @@ class TestPack:
             encs.append(enc)
             qs.append(q)
         buf = pack(encs, qs)
-        for idx, enc in enumerate(encs):
-            ko, kl = int(buf.k_offsets[idx]), int(buf.k_lengths[idx])
-            qo, ql = int(buf.q_offsets[idx]), int(buf.q_lengths[idx])
-            q_got, k_got, v_got = buf.queries[qo:qo + ql], buf.keys[ko:ko + kl], buf.values[ko:ko + kl]
-            np.testing.assert_array_equal(k_got, encoded_keys(enc))
-            np.testing.assert_array_equal(v_got, encoded_values(enc))
-            np.testing.assert_array_equal(q_got, qs[idx])
+        for enc, q, (k0, k1), (q0, q1) in zip(encs, qs, spans(buf.k_lengths), spans(buf.q_lengths),
+                                              strict=True):
+            np.testing.assert_array_equal(buf.keys[k0:k1], encoded_keys(enc))
+            np.testing.assert_array_equal(buf.values[k0:k1], encoded_values(enc))
+            np.testing.assert_array_equal(buf.queries[q0:q1], q)
 
     def test_encoding_and_packing_leave_the_cached_frames_as_they_were(self):
         """Encoding hands the assembled frames on without copying them, and
@@ -234,16 +246,12 @@ class TestPackedAttention:
         with pytest.raises(IntegrityError):
             packed_attention(buf)
 
-    def test_corrupted_offsets_detected(self):
-        encs, qs = [], []
-        for h in range(3):
-            enc, q = encoded_head(0, h, n_history=1, seed=40 + h)
-            encs.append(enc)
-            qs.append(q)
+    @pytest.mark.parametrize("table", ["k_lengths", "q_lengths"])
+    def test_length_table_one_head_short_detected(self, table):
+        encs, qs = zip(*(encoded_head(0, h, n_history=1, seed=40 + h) for h in range(3)))
         buf = pack(encs, qs)
-        buf.k_offsets = buf.k_offsets.copy()
-        buf.k_offsets[1] += 2
-        with pytest.raises(IntegrityError):
+        setattr(buf, table, getattr(buf, table)[:-1])
+        with pytest.raises(IntegrityError, match="length table does not match head count"):
             packed_attention(buf)
 
     def test_truncated_flat_detected(self):

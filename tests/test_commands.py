@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from headkv import commands
+from headkv.cli import main
 from headkv.commands import cmd_budget, cmd_generate, cmd_profile, cmd_stability
 from headkv.config import ProfilingSpec, StabilitySpec, StrategySpec, config_from_dict, load_config
 from headkv.errors import ConfigError
@@ -491,6 +492,56 @@ class TestCli:
         assert proc.returncode == 0
         rows = list(csv.DictReader((tmp_path / "out/metrics.csv").open()))
         assert all(row["fidelity"] for row in rows)
+
+
+class TestCliUnusableFiles:
+    """Run through `cli.main`: each of these used to end in a traceback and
+    exit 1 instead of a configuration error and exit 2."""
+
+    @staticmethod
+    def run_main(capsys, *args):
+        code = main(list(args))
+        return code, capsys.readouterr().err
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b"\xff" + json.dumps({"output_dir": str(tmp_path / "out")}).encode())
+        code, err = self.run_main(capsys, "generate", "--config", str(cfg))
+        assert code == 2
+        assert f"configuration error: config file {cfg} cannot be read" in err
+        assert "can't decode byte 0xff" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "budget"])
+    def test_non_utf8_role_map_exit_2(self, tmp_path, capsys, command):
+        roles = tmp_path / "roles.json"
+        roles.write_bytes(b"\xff{}")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"strategy": {"type": "head_wise"}, "head_role_map": str(roles),
+                                   "n_blocks": 1, "output_dir": str(tmp_path / "out")}))
+        code, err = self.run_main(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert f"configuration error: role map file {roles} cannot be read" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_budget_out_names_a_file_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({}))
+        code, err = self.run_main(capsys, "budget", "--config", str(cfg), "--out", str(cfg),
+                                  "--counts", "1,1,1")
+        assert code == 2
+        assert f"configuration error: output directory {cfg} cannot be created" in err
+        assert cfg.read_text() == "{}"
+
+    def test_generate_output_dir_names_a_file_exit_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_blocks": 1, "output_dir": str(taken)}))
+        code, err = self.run_main(capsys, "generate", "--config", str(cfg))
+        assert code == 2
+        assert f"configuration error: output directory {taken} cannot be created" in err
+        assert taken.read_text() == "kept"
 
 
 class TestConfigLoading:
