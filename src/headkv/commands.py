@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .cache import CacheBudget, budget_table
 from .config import ExperimentConfig
-from .errors import ConfigError
+from .errors import ConfigError, open_output
 from .model import init_model
 from .profiling import ProfileReport, classify_heads, core_stability_ratio, profile_rollout
 from .reference import ReferenceGenerator, token_cosine_fidelity
@@ -34,7 +34,7 @@ def _out_dir(cfg: ExperimentConfig, out: str | None) -> Path:
 @contextmanager
 def _csv(path: Path, header: list[str]) -> Iterator:
     """A csv writer on path with its header row written."""
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         yield writer
@@ -122,7 +122,8 @@ def cmd_generate(cfg: ExperimentConfig, out: str | None = None) -> dict[str, Pat
         "stored_scalar_count_last": block.stored_scalars,
         **strategy.state(),
     }
-    state_path.write_text(json.dumps(state, indent=2) + "\n", encoding="utf-8")
+    with open_output(state_path) as fh:
+        fh.write(json.dumps(state, indent=2) + "\n")
     return {"metrics": metrics_path, "admissions": admissions_path, "final_state": state_path}
 
 

@@ -12,12 +12,11 @@ type. Unknown keys are rejected so typos fail loudly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
-from .errors import ConfigError, ShapeError, read_input, require_int as _int, require_number as _float
+from .errors import ConfigError, ShapeError, parse_json, read_input, require_int as _int, require_number as _float
 from .model import ModelConfig
 from .rollout import HeadWiseHyper, check_schedule
 from .tensor_ops import RopeParams
@@ -188,10 +187,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    try:
-        raw = json.loads(read_input(path, "config file"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    raw = parse_json(read_input(path, "config file"), "config")
     # head_role_map and output_dir are both resolved against the working
     # directory, like any CLI path argument
     return config_from_dict(raw)

@@ -47,14 +47,18 @@ def _interleave(first: list[np.ndarray], second: list[np.ndarray]) -> np.ndarray
 
 @dataclass
 class EpisodicEntry:
-    """One logical episodic frame, materialized per (layer, memory-head).
-    The summary is the entry at frame index -1."""
+    """One logical episodic frame, materialized per (layer, memory-head); its
+    frames share its global frame index, which is -1 for the summary."""
 
-    frame_index: int              # source global frame; -1 for the summary
     slots: Slots
     # built by the memory the first time the entry is scored, as a candidate
     # or as a stored entry, and dropped with it
     pooled: Pooled | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def frame_index(self) -> int:
+        """The source global frame; -1 for the summary."""
+        return next(iter(self.slots.values())).global_frame_index
 
     @property
     def is_summary(self) -> bool:
@@ -73,7 +77,6 @@ class AdmissionDecision:
 class EpisodicMemory:
     capacity: int                              # B_epi, summary included
     memory_heads: list[tuple[int, int]]
-    tokens_per_frame: int                      # s; summaries hold exactly s tokens
     entries: list[EpisodicEntry] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -105,9 +108,12 @@ class EpisodicMemory:
     def novelty_score(self, candidate: EpisodicEntry) -> float:
         """Max over stored entries of the layer/head-averaged cosine between
         mean-pooled keys, for the entry the candidate would become. Defined as
-        -1 for an empty memory (forced admit)."""
+        -1 for an empty memory (forced admit). A candidate's frames must cover
+        the memory heads and share one global frame index, the entry's."""
         if set(candidate.slots) != set(self.memory_heads):
             raise ConfigError("candidate slots do not cover the memory-head set")
+        if len({fr.global_frame_index for fr in candidate.slots.values()}) != 1:
+            raise ConfigError("candidate frames hold differing global frame indices")
         if not self.entries:
             return -1.0
         entries = [self._entry_pool(entry) for entry in self.entries]
@@ -159,7 +165,8 @@ class EpisodicMemory:
 
     def compress_into_summary(self, first: EpisodicEntry, second: EpisodicEntry,
                               prompt_keys: dict[tuple[int, int], np.ndarray]) -> EpisodicEntry:
-        """Merge two entries into one summary of exactly s tokens per slot.
+        """Merge two entries into one summary of exactly s tokens per slot, s
+        being what the first operand's frames hold.
 
         Per layer, the 2s concatenated tokens are ranked by the memory-head
         mean cosine between each key row and that layer's prompt key; the
@@ -167,7 +174,7 @@ class EpisodicMemory:
         values alike. One index set per layer, shared by that layer's heads,
         which also share one read-only provenance array.
         """
-        s = self.tokens_per_frame
+        s = first.slots[self.memory_heads[0]].tokens
         for e in (first, second):
             for lh in self.memory_heads:
                 if e.slots[lh].tokens != s:
@@ -208,7 +215,7 @@ class EpisodicMemory:
                     global_frame_index=-1,
                     provenance=prov,
                 )
-        return EpisodicEntry(frame_index=-1, slots=slots)
+        return EpisodicEntry(slots=slots)
 
     def _compress_overflow(self, prompt_keys: dict[tuple[int, int], np.ndarray]) -> None:
         if not self.summary_present:
@@ -221,12 +228,12 @@ class EpisodicMemory:
 
     # -- admission --------------------------------------------------------
 
-    def try_admit(self, candidate: Slots, frame_index: int, block_index: int,
-                  tau_novel: float, prompt_keys: dict[tuple[int, int], np.ndarray]) -> AdmissionDecision:
+    def try_admit(self, candidate: Slots, block_index: int, tau_novel: float,
+                  prompt_keys: dict[tuple[int, int], np.ndarray]) -> AdmissionDecision:
         """One admission transaction: score, reject or append, and compress in
         the same transaction if the append overflows capacity. The entry
         scored is the entry admitted, pooled keys included."""
-        entry = EpisodicEntry(frame_index=frame_index, slots=dict(candidate))
+        entry = EpisodicEntry(slots=dict(candidate))
         delta = self.novelty_score(entry)
         if delta >= tau_novel:
             return AdmissionDecision(block_index, delta, admitted=False, compressed=False)

@@ -4,8 +4,11 @@ The CLI maps ConfigError to exit code 2 and SequencingError/IntegrityError
 (internal invariant violations) to exit code 3.
 """
 
+import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Any, Iterator, TextIO
 
 
 class ShapeError(ValueError):
@@ -32,6 +35,36 @@ def read_input(path: str | Path, name: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{name} {path} cannot be read: {exc}") from exc
+
+
+def parse_json(text: str, name: str) -> Any:
+    """text parsed as JSON; malformed JSON, and an object that repeats a key
+    (which would silently keep the last value), are ConfigErrors."""
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise ConfigError(f"{name} repeats the JSON key {key!r}")
+            out[key] = value
+        return out
+
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{name} is not valid JSON: {exc}") from exc
+
+
+@contextmanager
+def open_output(path: str | Path) -> Iterator[TextIO]:
+    """path opened for UTF-8 text, line ends written as given; one that
+    cannot be opened (a directory, no permission) is a ConfigError, not a
+    traceback."""
+    try:
+        fh = Path(path).open("w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"output file {path} cannot be written: {exc}") from exc
+    with fh:
+        yield fh
 
 
 def require_int(value, name: str) -> int:

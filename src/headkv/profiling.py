@@ -99,7 +99,6 @@ def profile_rollout(weights: ModelWeights, config: ModelConfig, rope: RopeParams
     n_blocks = max(sampled)
     f, s = config.f, config.s
     sums = np.zeros((config.L, config.H, 3))
-    count = 0
     # every (layer, head)'s keys at their global frames, rows f*(i-1)*s ..
     # f*i*s-1 for block i; each prompt overwrites the rows it reads
     archive = np.empty((config.L, config.H, n_blocks * f * s, config.d))
@@ -121,12 +120,11 @@ def profile_rollout(weights: ModelWeights, config: ModelConfig, rope: RopeParams
                     _archive_keys(archive, probe, config, rope)
                     archived = probe
                     _accumulate_block(sums, archive, probe, config, rope)
-                count += repeats
             engine.commit(block, prompt)
             if archived is not block and i < n_blocks:
                 _archive_keys(archive, block, config, rope)
 
-    return ProfileReport(layers=config.L, heads=config.H, means=sums / count)
+    return ProfileReport(layers=config.L, heads=config.H, means=sums / (len(prompts) * len(sampled) * repeats))
 
 
 def _archive_keys(archive: np.ndarray, block: LatentBlock, config: ModelConfig,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import ConfigError, read_input, require_int, require_number
+from .errors import ConfigError, open_output, parse_json, read_input, require_int, require_number
 
 
 class HeadRole(str, Enum):
@@ -57,12 +57,13 @@ class HeadRoleMap:
         return json.dumps(payload, indent=2) + "\n"
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        with open_output(path) as fh:
+            fh.write(self.to_json())
 
     @classmethod
     def from_json(cls, text: str) -> "HeadRoleMap":
+        payload = parse_json(text, "role map")
         try:
-            payload = json.loads(text)
             alpha = require_number(payload["alpha_anchor"], "alpha_anchor")
             tau = require_number(payload["tau_local"], "tau_local")
             roles: dict[tuple[int, int], HeadRole] = {}

@@ -142,19 +142,15 @@ class HeadWiseStrategy:
         self.config = config
         self.weights = weights
         self.hyper = hyper or HeadWiseHyper()
-        self.episodic = EpisodicMemory(
-            capacity=self.hyper.b_epi,
-            memory_heads=role_map.heads_of(HeadRole.MEMORY),
-            tokens_per_frame=config.s,
-        )
         self.role_map = role_map
         sizes = {HeadRole.LOCAL: (0, 1), HeadRole.ANCHOR: (config.f, 1),
                  HeadRole.MEMORY: (0, self.hyper.b_fast)}
         self.windows = {role: FrameWindow(*size) for role, size in sizes.items()}
         self._heads = {role: role_map.heads_of(role) for role in sizes}
-        # the newest block-first frame to leave fast memory since the last
-        # update, as (frame index, slots)
-        self._candidate: tuple[int, Slots] | None = None
+        self.episodic = EpisodicMemory(capacity=self.hyper.b_epi, memory_heads=self._heads[HeadRole.MEMORY])
+        # the frame map of the newest block-first frame to leave fast memory
+        # since the last update
+        self._candidate: Slots | None = None
         # the last prompt's key vector per memory head, as (prompt, keys)
         self._prompt_keys: tuple[str, dict[tuple[int, int], np.ndarray]] | None = None
 
@@ -181,20 +177,17 @@ class HeadWiseStrategy:
         # fires when a block's first frame leaves, and a newer candidate
         # replaces an older one
         for slots in evicted[HeadRole.MEMORY]:
-            index = slots[self.episodic.memory_heads[0]].global_frame_index
-            if index % self.config.f == 0:
-                self._candidate = (index, slots)
+            if slots[self.episodic.memory_heads[0]].global_frame_index % self.config.f == 0:
+                self._candidate = slots
 
         if block.index % self.hyper.update_interval or self._candidate is None:
             return []
-        frame_index, slots = self._candidate
-        self._candidate = None
+        candidate, self._candidate = self._candidate, None
         if self._prompt_keys is None or self._prompt_keys[0] != prompt:
             self._prompt_keys = (prompt, {(l, h): self.weights.prompt_key_vector(prompt, l, h)
                                           for (l, h) in self.episodic.memory_heads})
         return [self.episodic.try_admit(
-            candidate=slots,
-            frame_index=frame_index,
+            candidate=candidate,
             block_index=block.index,
             tau_novel=self.hyper.tau_novel,
             prompt_keys=self._prompt_keys[1],

@@ -231,13 +231,13 @@ def test_criterion_07_oracle_suites():
         n_cases = 500
         for case in range(n_cases):
             n_entries = int(rng.integers(1, 7))
-            mem = EpisodicMemory(capacity=8, memory_heads=heads, tokens_per_frame=4)
+            mem = EpisodicMemory(capacity=8, memory_heads=heads)
             stored = [slots(3 * i) for i in range(n_entries)]
             pk = {lh: rng.standard_normal(6) for lh in heads}
             for i, sl in enumerate(stored):
-                mem.try_admit(sl, 3 * i, i + 1, tau_novel=2.0, prompt_keys=pk)
+                mem.try_admit(sl, i + 1, tau_novel=2.0, prompt_keys=pk)
             cand = slots(99)
-            assert mem.novelty_score(EpisodicEntry(frame_index=99, slots=cand)) == pytest.approx(
+            assert mem.novelty_score(EpisodicEntry(slots=cand)) == pytest.approx(
                 brute_force_novelty(cand, [e.slots for e in mem.entries]), abs=1e-12)
             if n_entries >= 2:
                 assert mem.find_redundant_pair() == brute_force_pair(
@@ -255,7 +255,7 @@ def test_criterion_07_oracle_suites():
         for case in range(500):
             s = 6
             one_head = [(0, 0)]
-            mem = EpisodicMemory(capacity=4, memory_heads=one_head, tokens_per_frame=s)
+            mem = EpisodicMemory(capacity=4, memory_heads=one_head)
             a = {(0, 0): FrameKV(keys=rng.standard_normal((s, 6)),
                                  values=rng.standard_normal((s, 6)),
                                  global_frame_index=0)}
@@ -263,8 +263,8 @@ def test_criterion_07_oracle_suites():
                                  values=rng.standard_normal((s, 6)),
                                  global_frame_index=3)}
             pk = {(0, 0): rng.standard_normal(6)}
-            mem.try_admit(a, 0, 1, 2.0, pk)
-            mem.try_admit(b, 3, 2, 2.0, pk)
+            mem.try_admit(a, 1, 2.0, pk)
+            mem.try_admit(b, 2, 2.0, pk)
             summary = mem.compress_into_summary(mem.entries[0], mem.entries[1], pk)
             cat = np.vstack([a[(0, 0)].keys, b[(0, 0)].keys])
             pkv = pk[(0, 0)]

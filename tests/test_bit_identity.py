@@ -262,15 +262,14 @@ class TestEpisodicScores:
     @pytest.fixture
     def memory(self):
         rng = np.random.default_rng(7)
-        mem = EpisodicMemory(capacity=6, memory_heads=list(HEADS), tokens_per_frame=S)
+        mem = EpisodicMemory(capacity=6, memory_heads=list(HEADS))
         for n in range(5):
-            mem.entries.append(EpisodicEntry(frame_index=3 * n,
-                                             slots=random_slots(rng, 3 * n, HEADS[2] if n == 1 else None)))
+            mem.entries.append(EpisodicEntry(slots=random_slots(rng, 3 * n, HEADS[2] if n == 1 else None)))
         return mem, random_slots(rng, 99, HEADS[2])
 
     def test_pooled_key_is_the_mean_and_its_norm(self, memory):
         mem, candidate = memory
-        for entry in mem.entries + [EpisodicEntry(frame_index=99, slots=candidate)]:
+        for entry in mem.entries + [EpisodicEntry(slots=candidate)]:
             means, norms, _ = mem._entry_pool(entry)
             for row, lh in enumerate(HEADS):
                 want_vec, want_norm = pooled_reference(entry.slots[lh])
@@ -280,13 +279,13 @@ class TestEpisodicScores:
     @pytest.mark.parametrize("d", [8, 16, 32])
     def test_stacked_pooling_equals_the_per_frame_form(self, s, d):
         rng = np.random.default_rng(s * 100 + d)
-        mem = EpisodicMemory(capacity=2, memory_heads=list(HEADS), tokens_per_frame=s)
+        mem = EpisodicMemory(capacity=2, memory_heads=list(HEADS))
         for scale in (1e-3, 1.0, 1e3):
             for _ in range(10):
                 slots = {lh: FrameKV(keys=rng.standard_normal((s, d)) * scale,
                                      values=np.zeros((s, d)), global_frame_index=0)
                          for lh in HEADS}
-                means, norms, nonzero = mem._entry_pool(EpisodicEntry(frame_index=0, slots=slots))
+                means, norms, nonzero = mem._entry_pool(EpisodicEntry(slots=slots))
                 for row, lh in enumerate(HEADS):
                     want = slots[lh].keys.mean(axis=0)
                     assert means[row].tobytes() == want.tobytes()
@@ -295,7 +294,7 @@ class TestEpisodicScores:
     def test_novelty_equals_the_per_head_mean(self, memory):
         mem, candidate = memory
         want = max(similarity_reference(candidate, e.slots, HEADS) for e in mem.entries)
-        assert mem.novelty_score(EpisodicEntry(frame_index=99, slots=candidate)) == want
+        assert mem.novelty_score(EpisodicEntry(slots=candidate)) == want
 
     def test_every_pair_score_equals_the_per_head_mean(self, memory):
         mem, _ = memory
@@ -313,7 +312,10 @@ class TestEpisodicScores:
                 for i in range(n) for j in range(i + 1, n)}
         assert mem.find_redundant_pair() == max(sims, key=lambda ij: (sims[ij], -ij[0], -ij[1]))
 
-        mem.entries[0] = EpisodicEntry(frame_index=-1, slots=mem.entries[0].slots)
+        # the same keys as summary frames at -1
+        mem.entries[0] = EpisodicEntry(slots={lh: FrameKV(keys=fr.keys, values=fr.values, global_frame_index=-1)
+                                              for lh, fr in mem.entries[0].slots.items()})
+        assert mem.summary_present
         scores = []
         for idx in range(1, n):
             near = [sims[(k, k + 1)] for k in (idx - 1, idx) if 1 <= k < n - 1]
@@ -322,15 +324,15 @@ class TestEpisodicScores:
 
     def test_pooled_arrays_die_with_a_merged_entry(self):
         rng = np.random.default_rng(3)
-        mem = EpisodicMemory(capacity=2, memory_heads=list(HEADS), tokens_per_frame=S)
+        mem = EpisodicMemory(capacity=2, memory_heads=list(HEADS))
         keys = {lh: np.ones(D) for lh in HEADS}
         for n in range(2):
-            mem.try_admit(random_slots(rng, 3 * n), 3 * n, n + 1, tau_novel=2.0, prompt_keys=keys)
+            mem.try_admit(random_slots(rng, 3 * n), n + 1, tau_novel=2.0, prompt_keys=keys)
         # builds both entries' pooled arrays
-        mem.novelty_score(EpisodicEntry(frame_index=90, slots=random_slots(rng, 90)))
+        mem.novelty_score(EpisodicEntry(slots=random_slots(rng, 90)))
         entries = [weakref.ref(e) for e in mem.entries]
         arrays = [[weakref.ref(arr) for arr in e.pooled] for e in mem.entries]
-        mem.try_admit(random_slots(rng, 6), 6, 3, tau_novel=2.0, prompt_keys=keys)
+        mem.try_admit(random_slots(rng, 6), 3, tau_novel=2.0, prompt_keys=keys)
         assert mem.summary_present and len(mem.entries) == 2
         gc.collect()
         assert any(entry() is None for entry in entries)   # the merge dropped at least one
@@ -345,7 +347,7 @@ def compress_reference(mem: EpisodicMemory, first: EpisodicEntry, second: Episod
     """One layer at a time, one head at a time: row-norm cosines against the
     head's prompt key summed over the layer's heads, a stable ranking, and
     per-head gathers of keys, values and provenance."""
-    s = mem.tokens_per_frame
+    s = first.slots[mem.memory_heads[0]].tokens
     out = {}
     for l in sorted({l for l, _ in mem.memory_heads}):
         heads = [lh for lh in mem.memory_heads if lh[0] == l]
@@ -369,8 +371,8 @@ class TestCompression:
                              ids=["layer_order", "interleaved_layers"])
     def test_stacked_ranking_equals_the_per_head_loop(self, heads):
         rng = np.random.default_rng(11)
-        mem = EpisodicMemory(capacity=3, memory_heads=list(heads), tokens_per_frame=S)
-        entries = [EpisodicEntry(frame_index=3 * n, slots=random_slots(rng, 3 * n))
+        mem = EpisodicMemory(capacity=3, memory_heads=list(heads))
+        entries = [EpisodicEntry(slots=random_slots(rng, 3 * n))
                    for n in range(3)]
         entries[1].slots[heads[0]].keys[2] = 0.0                        # a zero key row
         prompt_keys = {lh: rng.standard_normal(D) for lh in heads}

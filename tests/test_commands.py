@@ -543,6 +543,52 @@ class TestCliUnusableFiles:
         assert f"configuration error: output directory {taken} cannot be created" in err
         assert taken.read_text() == "kept"
 
+    @pytest.mark.parametrize("command, name", [
+        ("generate", "metrics.csv"), ("generate", "final_state.json"),
+        ("budget", "budget.csv"), ("profile", "role_map.json"),
+    ])
+    def test_output_file_that_is_a_directory_exit_2(self, tmp_path, capsys, command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": TOY_MODEL, "prompt_schedule": [["x", 1]], "n_blocks": 3,
+                                   "profiling": {"sampled_blocks": [3], "repeats": 1}}))
+        extra = ["--counts", "1,1,1"] if command == "budget" else []
+        code, err = self.run_main(capsys, command, "--config", str(cfg), "--out", str(out), *extra)
+        assert code == 2
+        assert f"configuration error: output file {out / name} cannot be written" in err
+        assert (out / name).is_dir()
+
+    @pytest.mark.parametrize("text, repeated", [
+        ('{"n_blocks": 2, "n_blocks": 3}', "n_blocks"),
+        ('{"model": {"seed": 1, "seed": 2}}', "seed"),
+        ('{"model": {"seed": 1}, "model": {"L": 2}}', "model"),
+    ], ids=["top_level", "in_a_section", "a_whole_section"])
+    def test_repeated_config_key_exit_2(self, tmp_path, capsys, text, repeated):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, err = self.run_main(capsys, "budget", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                                  "--counts", "1,1,1")
+        assert code == 2
+        assert f"configuration error: config repeats the JSON key '{repeated}'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, repeated", [
+        ('{"alpha_anchor": 0.0, "tau_local": 0.0, '
+         '"roles": [{"layer": 0, "head": 0, "role": "memory", "role": "anchor"}]}', "role"),
+        ('{"alpha_anchor": 0.0, "tau_local": 0.0, "alpha_anchor": 0.5, '
+         '"roles": [{"layer": 0, "head": 0, "role": "memory"}]}', "alpha_anchor"),
+    ], ids=["in_a_role_entry", "a_threshold"])
+    def test_repeated_role_map_key_exit_2(self, tmp_path, capsys, text, repeated):
+        roles = tmp_path / "roles.json"
+        roles.write_text(text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"head_role_map": str(roles), "output_dir": str(tmp_path / "out")}))
+        code, err = self.run_main(capsys, "budget", "--config", str(cfg))
+        assert code == 2
+        assert f"configuration error: role map repeats the JSON key '{repeated}'" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigLoading:
     @pytest.mark.parametrize("raw", [

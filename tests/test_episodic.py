@@ -28,11 +28,12 @@ def random_slots(rng, heads=HEADS2, s=S, d=D, idx=0):
     return {lh: frame_from_keys(rng.standard_normal((s, d)), idx) for lh in heads}
 
 
-def memory_with(entries_slots, heads=HEADS2, capacity=5, s=S):
-    mem = EpisodicMemory(capacity=capacity, memory_heads=list(heads), tokens_per_frame=s)
+def memory_with(entries_slots, heads=HEADS2, capacity=5):
+    """Each frame map admitted as entry n at block n + 1; an entry's index is
+    its frames' global frame index."""
+    mem = EpisodicMemory(capacity=capacity, memory_heads=list(heads))
     for n, slots in enumerate(entries_slots):
-        mem.try_admit(slots, frame_index=3 * n, block_index=n + 1, tau_novel=2.0,
-                      prompt_keys=zero_prompt_keys(heads))
+        mem.try_admit(slots, block_index=n + 1, tau_novel=2.0, prompt_keys=zero_prompt_keys(heads))
     return mem
 
 
@@ -46,16 +47,16 @@ def slot_hash(mem: EpisodicMemory, layer: int, head: int) -> str:
 
 class TestNoveltyScore:
     def test_empty_memory_sentinel(self):
-        mem = EpisodicMemory(capacity=5, memory_heads=HEADS2, tokens_per_frame=S)
+        mem = EpisodicMemory(capacity=5, memory_heads=HEADS2)
         rng = np.random.default_rng(0)
-        assert mem.novelty_score(EpisodicEntry(frame_index=0, slots=random_slots(rng))) == -1.0
+        assert mem.novelty_score(EpisodicEntry(slots=random_slots(rng))) == -1.0
 
     def test_identical_candidate_scores_one(self):
         rng = np.random.default_rng(1)
         slots = random_slots(rng)
         mem = memory_with([slots])
         dup = {lh: frame_from_keys(slots[lh].keys.copy(), 9) for lh in HEADS2}
-        assert mem.novelty_score(EpisodicEntry(frame_index=9, slots=dup)) == pytest.approx(1.0, abs=1e-12)
+        assert mem.novelty_score(EpisodicEntry(slots=dup)) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_brute_force_three_entries(self):
         rng = np.random.default_rng(2)
@@ -63,13 +64,21 @@ class TestNoveltyScore:
         mem = memory_with(stored)
         cand = random_slots(rng, idx=99)
         expected = brute_force_novelty(cand, [e.slots for e in mem.entries])
-        assert mem.novelty_score(EpisodicEntry(99, cand)) == pytest.approx(expected, abs=1e-12)
+        assert mem.novelty_score(EpisodicEntry(cand)) == pytest.approx(expected, abs=1e-12)
 
     def test_head_set_mismatch_raises(self):
-        mem = EpisodicMemory(capacity=5, memory_heads=HEADS2, tokens_per_frame=S)
+        mem = EpisodicMemory(capacity=5, memory_heads=HEADS2)
         rng = np.random.default_rng(3)
         with pytest.raises(ConfigError):
-            mem.novelty_score(EpisodicEntry(frame_index=0, slots=random_slots(rng, heads=[(0, 1)])))
+            mem.novelty_score(EpisodicEntry(slots=random_slots(rng, heads=[(0, 1)])))
+
+    def test_frames_at_differing_indices_refused(self):
+        rng = np.random.default_rng(24)
+        mem = memory_with([random_slots(rng, idx=0)])
+        mixed = {lh: frame_from_keys(rng.standard_normal((S, D)), idx) for lh, idx in zip(HEADS2, (3, 6))}
+        with pytest.raises(ConfigError, match="differing global frame indices"):
+            mem.try_admit(mixed, block_index=2, tau_novel=2.0, prompt_keys=zero_prompt_keys())
+        assert [e.frame_index for e in mem.entries] == [0]
 
 
 class TestTryAdmit:
@@ -78,7 +87,7 @@ class TestTryAdmit:
         slots = random_slots(rng)
         mem = memory_with([slots])
         dup = {lh: frame_from_keys(slots[lh].keys.copy(), 3) for lh in HEADS2}
-        decision = mem.try_admit(dup, 3, 2, tau_novel=0.95, prompt_keys=zero_prompt_keys())
+        decision = mem.try_admit(dup, 2, tau_novel=0.95, prompt_keys=zero_prompt_keys())
         assert not decision.admitted
         assert decision.delta >= 0.95
         assert len(mem.entries) == 1
@@ -90,7 +99,7 @@ class TestTryAdmit:
         ortho[:, 1] = 1.0
         mem = memory_with([{lh: frame_from_keys(base.copy()) for lh in HEADS2}])
         cand = {lh: frame_from_keys(ortho.copy(), 3) for lh in HEADS2}
-        decision = mem.try_admit(cand, 3, 2, tau_novel=0.95, prompt_keys=zero_prompt_keys())
+        decision = mem.try_admit(cand, 2, tau_novel=0.95, prompt_keys=zero_prompt_keys())
         assert decision.admitted
         assert decision.delta == pytest.approx(0.0, abs=1e-12)
 
@@ -108,12 +117,12 @@ class TestTryAdmit:
             return pooled
 
         monkeypatch.setattr(EpisodicMemory, "_entry_pool", spy)
-        decision = mem.try_admit(random_slots(rng, idx=3), 3, 2, tau_novel=2.0,
+        decision = mem.try_admit(random_slots(rng, idx=3), 2, tau_novel=2.0,
                                  prompt_keys=zero_prompt_keys())
         assert decision.admitted and not decision.compressed
         admitted = mem.entries[-1]
         assert admitted.pooled is not None
-        mem.novelty_score(EpisodicEntry(frame_index=6, slots=random_slots(rng, idx=6)))
+        mem.novelty_score(EpisodicEntry(slots=random_slots(rng, idx=6)))
         # stacked once, while it was the candidate, and kept by the entry
         builds = [pooled for entry, pooled in built if entry is admitted]
         assert len(builds) == 1 and admitted.pooled is builds[0]
@@ -125,17 +134,17 @@ class TestTryAdmit:
         before = {lh: slot_hash(mem, *lh) for lh in HEADS2}
         before_keys = [e.slots[(0, 1)].keys.copy() for e in mem.entries]
         dup = {lh: frame_from_keys(slots[lh].keys.copy(), 3) for lh in HEADS2}
-        mem.try_admit(dup, 3, 2, tau_novel=0.95, prompt_keys=zero_prompt_keys())
+        mem.try_admit(dup, 2, tau_novel=0.95, prompt_keys=zero_prompt_keys())
         assert {lh: slot_hash(mem, *lh) for lh in HEADS2} == before
         for got, want in zip((e.slots[(0, 1)].keys for e in mem.entries), before_keys):
             np.testing.assert_array_equal(got, want)
 
     def test_eight_admissions_capacity_and_compressions(self):
         rng = np.random.default_rng(6)
-        mem = EpisodicMemory(capacity=5, memory_heads=HEADS2, tokens_per_frame=S)
+        mem = EpisodicMemory(capacity=5, memory_heads=HEADS2)
         compressions = 0
         for n in range(8):
-            decision = mem.try_admit(random_slots(rng, idx=3 * n), 3 * n, n + 1,
+            decision = mem.try_admit(random_slots(rng, idx=3 * n), n + 1,
                                      tau_novel=2.0, prompt_keys=zero_prompt_keys())
             assert decision.admitted
             compressions += decision.compressed
@@ -145,9 +154,9 @@ class TestTryAdmit:
 
     def test_global_consistency_across_slots(self):
         rng = np.random.default_rng(7)
-        mem = EpisodicMemory(capacity=3, memory_heads=HEADS2, tokens_per_frame=S)
+        mem = EpisodicMemory(capacity=3, memory_heads=HEADS2)
         for n in range(6):
-            mem.try_admit(random_slots(rng, idx=3 * n), 3 * n, n + 1, tau_novel=2.0,
+            mem.try_admit(random_slots(rng, idx=3 * n), n + 1, tau_novel=2.0,
                           prompt_keys=zero_prompt_keys())
             hashes = {slot_hash(mem, *lh) for lh in HEADS2}
             assert len(hashes) == 1
@@ -187,14 +196,11 @@ class TestFindRedundantPair:
 def make_summary_memory(non_summary_keys: list[np.ndarray]) -> EpisodicMemory:
     """Memory with a synthetic summary at index 0 followed by given entries."""
     rng = np.random.default_rng(11)
-    mem = EpisodicMemory(capacity=len(non_summary_keys) + 1, memory_heads=HEADS2,
-                         tokens_per_frame=S)
+    mem = EpisodicMemory(capacity=len(non_summary_keys) + 1, memory_heads=HEADS2)
     summary_slots = {lh: frame_from_keys(rng.standard_normal((S, D)), -1) for lh in HEADS2}
-    mem.entries.append(EpisodicEntry(frame_index=-1, slots=summary_slots))
+    mem.entries.append(EpisodicEntry(slots=summary_slots))
     for n, keys in enumerate(non_summary_keys):
-        mem.entries.append(EpisodicEntry(
-            frame_index=3 * n,
-            slots={lh: frame_from_keys(keys.copy(), 3 * n) for lh in HEADS2}))
+        mem.entries.append(EpisodicEntry(slots={lh: frame_from_keys(keys.copy(), 3 * n) for lh in HEADS2}))
     return mem
 
 
@@ -259,9 +265,9 @@ class TestCompressIntoSummary:
         heads = [(0, 0)]
         a = {lh: frame_from_keys(rng.standard_normal((s, D)), 0) for lh in heads}
         b = {lh: frame_from_keys(rng.standard_normal((s, D)), 3) for lh in heads}
-        mem = EpisodicMemory(capacity=5, memory_heads=heads, tokens_per_frame=s)
-        mem.try_admit(a, 0, 1, 2.0, zero_prompt_keys(heads))
-        mem.try_admit(b, 3, 2, 2.0, zero_prompt_keys(heads))
+        mem = EpisodicMemory(capacity=5, memory_heads=heads)
+        mem.try_admit(a, 1, 2.0, zero_prompt_keys(heads))
+        mem.try_admit(b, 2, 2.0, zero_prompt_keys(heads))
         pk = rng.standard_normal(D)
         summary = mem.compress_into_summary(mem.entries[0], mem.entries[1], {heads[0]: pk})
 
@@ -298,7 +304,7 @@ class TestCompressIntoSummary:
         a = random_slots(rng, idx=0)
         small = {lh: frame_from_keys(rng.standard_normal((S - 1, D)), 3) for lh in HEADS2}
         mem = memory_with([a])
-        bad = EpisodicEntry(frame_index=3, slots=small)
+        bad = EpisodicEntry(slots=small)
         with pytest.raises(ShapeError):
             mem.compress_into_summary(mem.entries[0], bad, zero_prompt_keys())
 
@@ -311,14 +317,14 @@ class TestExhaustiveNoveltySuite:
             n_heads = int(rng.integers(1, 5))
             heads = [(l, h) for l in range(n_layers) for h in range(n_heads)]
             n_entries = int(rng.integers(1, 7))
-            mem = EpisodicMemory(capacity=8, memory_heads=heads, tokens_per_frame=S)
+            mem = EpisodicMemory(capacity=8, memory_heads=heads)
             stored = [random_slots(rng, heads=heads, idx=3 * i) for i in range(n_entries)]
             for i, slots in enumerate(stored):
-                mem.try_admit(slots, 3 * i, i + 1, tau_novel=2.0,
+                mem.try_admit(slots, i + 1, tau_novel=2.0,
                               prompt_keys=zero_prompt_keys(heads))
             cand = random_slots(rng, heads=heads, idx=99)
             expected = brute_force_novelty(cand, [e.slots for e in mem.entries])
-            assert mem.novelty_score(EpisodicEntry(99, cand)) == pytest.approx(expected, abs=1e-12)
+            assert mem.novelty_score(EpisodicEntry(cand)) == pytest.approx(expected, abs=1e-12)
 
 
 class TestCachedPooledKeys:
@@ -351,7 +357,7 @@ class TestCachedPooledKeys:
     def test_novelty_matches_brute_force(self, churned):
         mem, blocks, _ = churned
         cand = {lh: blocks[-1].kv[0][lh] for lh in mem.memory_heads}
-        entry = EpisodicEntry(frame_index=cand[mem.memory_heads[0]].global_frame_index, slots=cand)
+        entry = EpisodicEntry(slots=cand)
         # scored twice: the second call reads the candidate's kept pooled keys
         for _ in range(2):
             expected = brute_force_novelty(cand, [e.slots for e in mem.entries])
@@ -408,7 +414,7 @@ class EpisodicAdmissionMachine(RuleBasedStateMachine):
     def start(self, heads, capacity, seed):
         self.heads = sorted(heads)
         self.rng = np.random.default_rng(seed)
-        self.mem = EpisodicMemory(capacity=capacity, memory_heads=self.heads, tokens_per_frame=S)
+        self.mem = EpisodicMemory(capacity=capacity, memory_heads=self.heads)
         self.prompt_keys = {lh: self.rng.standard_normal(D) for lh in self.heads}
         self.block = 0
 
@@ -431,8 +437,8 @@ class EpisodicAdmissionMachine(RuleBasedStateMachine):
         before = list(self.mem.entries)
         slots = [e.slots for e in before]
         expected_delta = brute_force_novelty(candidate, slots)
-        decision = self.mem.try_admit(candidate, frame_index=3 * self.block, block_index=self.block,
-                                      tau_novel=tau, prompt_keys=self.prompt_keys)
+        decision = self.mem.try_admit(candidate, block_index=self.block, tau_novel=tau,
+                                      prompt_keys=self.prompt_keys)
         assert decision.delta == pytest.approx(expected_delta, rel=0, abs=1e-12)
         if abs(expected_delta - tau) < 1e-9:
             return                              # too close to the threshold to call
@@ -461,9 +467,11 @@ class EpisodicAdmissionMachine(RuleBasedStateMachine):
     @invariant()
     def summary_only_at_index_zero(self):
         assert not any(e.is_summary for e in self.mem.entries[1:])
-        if self.mem.entries:
-            first = self.mem.entries[0]
-            assert all((fr.global_frame_index == -1) == first.is_summary for fr in first.slots.values())
+
+    @invariant()
+    def every_entry_frames_share_one_index(self):
+        for e in self.mem.entries:
+            assert {fr.global_frame_index for fr in e.slots.values()} == {e.frame_index}
 
     @invariant()
     def every_head_holds_the_same_sequence(self):

@@ -107,3 +107,39 @@ class TestExitStatus:
         parent = stub_checkout(tmp_path, "parent", True, 2.0)
         assert self.run(parent, stub_checkout(tmp_path, "change", False, 1.5)) == 1
         assert "correct=false" in capsys.readouterr().err
+
+
+class TestOrderEffect:
+    def test_median_difference_per_first_side(self):
+        parent = [2.0, 2.5, 2.0, 2.5, 2.0]
+        change = [2.5, 2.0, 2.5, 2.1, 2.3]
+        firsts = ["parent", "change", "parent", "change", "parent"]
+        assert pair_bench.order_effect(parent, change, firsts) == (
+            pytest.approx(0.5), pytest.approx(-0.45))
+
+    def test_an_order_no_pair_ran_in_is_none(self):
+        assert pair_bench.order_effect([1.0], [1.5], ["parent"]) == (0.5, None)
+
+    def test_every_report_shows_the_order_effect(self, tmp_path, capsys, monkeypatch):
+        """Faked runs in which the side that runs second in a pair reads
+        1.0 ms more block_ms_p90: the gain shows only in one order."""
+        calls = []
+
+        def fake_run(checkout, workload, seed, seconds):
+            second = bool(calls) and calls[-1][1] == seed
+            calls.append((checkout.name, seed))
+            return {name: 10.0 + (name == "block_ms_p90") * second for name in metrics}
+
+        declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+        metrics = [m["name"] for m in declared["end_to_end"]]
+        monkeypatch.setattr(pair_bench, "run", fake_run)
+        parent = stub_checkout(tmp_path, "parent", True, 2.0)
+        change = stub_checkout(tmp_path, "change", True, 2.0)
+        assert pair_bench.main([str(parent), str(change), "--workload", "toy-churn", "--pairs", "4",
+                                "--seed", "0"]) == 0
+        assert [name for name, _ in calls] == ["parent", "change", "change", "parent"] * 2
+        out = capsys.readouterr().out
+        assert "parent first (2 pairs)" in out and "change first (2 pairs)" in out
+        rows = {line.split()[0]: line.split()[2:] for line in out.split("run order:")[1].splitlines()[2:]}
+        assert rows["block_ms_p90"] == ["+1", "-1"]
+        assert rows["fidelity"] == ["+0", "+0"]

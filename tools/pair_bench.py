@@ -17,6 +17,9 @@ counting for neither side, and the medians differ by more than the
 parent's quartile distance); and for every other metric whether the
 change's median is worse than the parent's by more than its bound, or
 unresolved because the parent's own quartile distance exceeds the bound.
+Then, per metric, the median change-minus-parent difference over the pairs
+the parent ran first and over those the change ran first: a gain that shows
+in one order only is the run order's, not the change's.
 Exits 1 when a run fails or reports "correct": false, 2 when the claim is
 not met or a metric is worse than its bound, 0 otherwise.
 """
@@ -101,6 +104,18 @@ def regression(parent: list[float], change: list[float], better: str, bound: flo
     return "ok"
 
 
+def order_effect(parent: list[float], change: list[float], firsts: list[str]
+                 ) -> tuple[float | None, float | None]:
+    """Median change - parent difference over the pairs whose first run was
+    the parent's, and over those whose first run was the change's (firsts[k]
+    names pair k's first side); None for an order no pair ran in."""
+    out = []
+    for side in ("parent", "change"):
+        diffs = [c - p for p, c, first in zip(parent, change, firsts) if first == side]
+        out.append(statistics.median(diffs) if diffs else None)
+    return out[0], out[1]
+
+
 def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     """One `perfbench/run.py --trace 0` in checkout; its JSON result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -138,11 +153,13 @@ def main(argv=None) -> int:
     seconds = args.seconds or declared["run_seconds"]
 
     values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
+    firsts: list[str] = []
     print(f"pair_bench workload={args.workload} pairs={args.pairs} seconds={seconds} "
           f"seeds={args.seed}..{args.seed + args.pairs - 1}")
     for k in range(args.pairs):
         seed = args.seed + k
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        firsts.append(order[0])
         got = {}
         for side in order:
             try:
@@ -171,6 +188,14 @@ def main(argv=None) -> int:
             print(f"claim {name}: {'met' if v.met else 'not met'}: the change wins {v.wins} of "
                   f"{v.pairs} pairs (needs {WIN_SHARE:.0%}); median gain {v.gain:.6g} {meta['unit']} "
                   f"against the parent's quartile distance {v.parent_iqr:.6g}")
+
+    heads = [f"{side} first ({firsts.count(side)} pairs)" for side in ("parent", "change")]
+    print(f"\nrun order: median change - parent difference over the pairs each side ran first\n"
+          f"{'metric':24} {'unit':>12} {heads[0]:>26} {heads[1]:>26}")
+    for name, meta in metrics.items():
+        effect = order_effect(values["parent"][name], values["change"][name], firsts)
+        cells = ["-" if e is None else f"{e:+.6g}" for e in effect]
+        print(f"{name:24} {meta['unit']:>12} {cells[0]:>26} {cells[1]:>26}")
     return 0 if passed else 2
 
 
