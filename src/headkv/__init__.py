@@ -5,7 +5,6 @@ all verified against brute-force oracles.
 """
 
 from .assembly import (
-    AssembledSequence,
     EncodedSequence,
     PackedBuffer,
     assemble,
@@ -51,7 +50,6 @@ from .tensor_ops import (
 
 __all__ = [
     "AdmissionDecision",
-    "AssembledSequence",
     "BucketProportions",
     "CacheBudget",
     "ConfigError",

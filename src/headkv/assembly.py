@@ -19,85 +19,62 @@ from .tensor_ops import RopeParams, Rotation, apply_rope, frame_rotation, softma
 
 
 @dataclass
-class AssembledSequence:
-    """Ordered frame context for one head; the current block occupies the
-    last f_current logical frames. Keys still carry spatial-only encoding.
-    Every frame holds the same number of tokens."""
-
-    layer: int
-    head: int
-    frames: list[FrameKV]
-    f_current: int
-
-    def __post_init__(self) -> None:
-        if self.f_current < 1 or self.f_current > len(self.frames):
-            raise ShapeError(
-                f"current block must occupy 1..{len(self.frames)} trailing frames, got {self.f_current}"
-            )
-        if len({fr.keys.shape[0] for fr in self.frames}) != 1:
-            raise ShapeError(f"head ({self.layer}, {self.head}) frames hold differing token counts")
-
-    @property
-    def frame_count(self) -> int:
-        return len(self.frames)
-
-    @property
-    def tokens_per_frame(self) -> int:
-        return self.frames[0].tokens
-
-
-def assemble(layer: int, head: int, history: Sequence[FrameKV],
-             current: Sequence[FrameKV]) -> AssembledSequence:
-    """History frames in policy order, then the current block's frames, of
-    which there must be at least one."""
-    return AssembledSequence(layer=layer, head=head,
-                             frames=list(history) + list(current),
-                             f_current=len(current))
-
-
-@dataclass
 class EncodedSequence:
-    """One head's attention-ready context: its assembled frames, whose keys
-    are still spatial-only, the temporal index per key frame and per query
-    frame, and the two temporal rotations they stand for. `pack` copies the
-    frames into the attention workspace and rotates the keys there."""
+    """One head's attention-ready context: its frames in policy order, the
+    current block's last, with keys still spatial-only; the temporal index
+    per key frame and per query frame; and the two temporal rotations they
+    stand for. `pack` copies the frames into the attention workspace and
+    rotates the keys there."""
 
     layer: int
     head: int
-    frames: list[FrameKV]
+    frames: list[FrameKV]                  # every frame holds the same number of tokens
     key_frame_indices: tuple[int, ...]     # temporal index per frame
     query_frame_indices: tuple[int, ...]   # f_current of them
     key_rotation: Rotation                 # one row per key token
     query_rotation: Rotation               # f_current * tokens_per_frame rows
 
+    @property
+    def frame_count(self) -> int:
+        return len(self.frames)
 
-def _encode(seq: AssembledSequence, rope: RopeParams, key_idx: tuple[int, ...]) -> EncodedSequence:
-    """Choose the rotations only; the cached frames themselves stay
-    spatial-only, so encoding twice does no harm. The queries take the last
-    f_current key indices, the current block's. Both rotations come from the
-    `frame_rotation` cache."""
-    s = seq.tokens_per_frame
-    query_idx = key_idx[-seq.f_current:]
+
+def assemble(layer: int, head: int, frames: list[FrameKV], f_current: int,
+             key_frame_indices: tuple[int, ...], rope: RopeParams) -> EncodedSequence:
+    """One head's context: `frames` in policy order, kept as given, of which
+    the last f_current are the current block's, each at its key frame index.
+    The queries take the last f_current indices, the current block's. Both
+    rotations come from the `frame_rotation` cache and the frames stay
+    spatial-only, so assembling twice does no harm."""
+    if f_current < 1 or f_current > len(frames):
+        raise ShapeError(f"current block must occupy 1..{len(frames)} trailing frames, got {f_current}")
+    if len({fr.keys.shape[0] for fr in frames}) != 1:
+        raise ShapeError(f"head ({layer}, {head}) frames hold differing token counts")
+    if len(key_frame_indices) != len(frames):
+        raise ShapeError(f"head ({layer}, {head}) has {len(frames)} frames "
+                         f"but {len(key_frame_indices)} key frame indices")
+    s = frames[0].tokens
+    query_idx = key_frame_indices[-f_current:]
     return EncodedSequence(
-        layer=seq.layer, head=seq.head, frames=seq.frames,
-        key_frame_indices=key_idx, query_frame_indices=query_idx,
-        key_rotation=frame_rotation(key_idx, s, rope), query_rotation=frame_rotation(query_idx, s, rope),
+        layer=layer, head=head, frames=frames,
+        key_frame_indices=key_frame_indices, query_frame_indices=query_idx,
+        key_rotation=frame_rotation(key_frame_indices, s, rope), query_rotation=frame_rotation(query_idx, s, rope),
     )
 
 
-def encode_temporal(seq: AssembledSequence, rope: RopeParams) -> EncodedSequence:
+def encode_temporal(frames: Sequence[FrameKV]) -> tuple[int, ...]:
     """Temporal encoding at global frame indices (the window baselines): each
     frame at its own."""
     # from a list, not a generator: tuple() of a generator over-allocates and
     # shrinks, and the shrunk tuples pile up on CPython's tuple free list
-    return _encode(seq, rope, tuple([fr.global_frame_index for fr in seq.frames]))
+    return tuple([fr.global_frame_index for fr in frames])
 
 
-def reencode_temporal(seq: AssembledSequence, rope: RopeParams) -> EncodedSequence:
+def reencode_temporal(frames: Sequence[FrameKV]) -> tuple[int, ...]:
     """Contiguous per-head re-indexing: frames take indices 0..F-1 in
     assembly order, so every relative temporal distance is bounded by the
     head's own capacity."""
-    return _encode(seq, rope, tuple(range(seq.frame_count)))
+    return tuple(range(len(frames)))
 
 
 def encode_queries(q_spatial: np.ndarray, enc: EncodedSequence) -> np.ndarray:
@@ -162,7 +139,7 @@ def pack(sequences: Sequence[EncodedSequence], queries: Sequence[np.ndarray],
     if ids != sorted(ids) or len(set(ids)) != len(ids):
         raise ShapeError("sequences must be unique and ordered by (layer, head)")
 
-    # a head's frames hold equal token counts (`AssembledSequence`); each
+    # a head's frames hold equal token counts (`assemble`); each
     # key rotation is checked against its span by `apply_rope`
     k_lengths = [len(s.frames) * s.frames[0].tokens for s in sequences]
     q_lengths = [q.shape[0] for q in queries]

@@ -101,9 +101,13 @@ def cmd_generate(cfg: ExperimentConfig, out: str | None = None) -> dict[str, Pat
 
     metrics_path = out_path / "metrics.csv"
     admissions_path = out_path / "admissions.csv"
+    state_path = out_path / "final_state.json"
+    # every output is opened before the first block, so one that cannot be
+    # written fails the run before it starts
     with (_csv(metrics_path, ["block_index", "fidelity", "stored_scalar_count", "frame_slots_live",
                               "wall_time_ms", "commit_ms", "active_prompt"]) as metrics,
-          _csv(admissions_path, ["block_index", "delta", "admitted", "compressed"]) as admissions):
+          _csv(admissions_path, ["block_index", "delta", "admitted", "compressed"]) as admissions,
+          open_output(state_path) as state_file):
         for block, decisions, row in blocks:
             fidelity = ""
             if reference is not None:
@@ -113,17 +117,14 @@ def cmd_generate(cfg: ExperimentConfig, out: str | None = None) -> dict[str, Pat
                               f"{row.wall_time_ms:.3f}", f"{row.commit_ms:.3f}", row.active_prompt])
             admissions.writerows([d.block_index, _fmt(d.delta), str(d.admitted).lower(),
                                   str(d.compressed).lower()] for d in decisions)
-
-    state_path = out_path / "final_state.json"
-    state = {
-        "strategy": strategy.name,
-        "n_blocks": cfg.n_blocks,
-        "frame_slots_live_last": block.frame_slots,
-        "stored_scalar_count_last": block.stored_scalars,
-        **strategy.state(),
-    }
-    with open_output(state_path) as fh:
-        fh.write(json.dumps(state, indent=2) + "\n")
+        state = {
+            "strategy": strategy.name,
+            "n_blocks": cfg.n_blocks,
+            "frame_slots_live_last": block.frame_slots,
+            "stored_scalar_count_last": block.stored_scalars,
+            **strategy.state(),
+        }
+        state_file.write(json.dumps(state, indent=2) + "\n")
     return {"metrics": metrics_path, "admissions": admissions_path, "final_state": state_path}
 
 

@@ -94,6 +94,12 @@ class ExperimentConfig:
 
 _TOP_KEYS = ("model", "strategy", "head_role_map", "hyperparameters", "prompt_schedule",
              "n_blocks", "output_dir", "profiling", "stability")
+# keys that only some strategy types or stability axes read: section ->
+# (the field that chooses, {key: the choices that read it})
+_READ_ONLY_BY = {
+    "strategy": ("type", {"W": ("uniform_window", "sink_window"), "n_sink": ("sink_window",)}),
+    "stability": ("axis", {"prompt_pool": ("prompts",)}),
+}
 _TOY_MODEL = {"L": 4, "H": 6, "d": 16, "s": 16, "f": 3, "grid_h": 4, "grid_w": 4}
 _JSON_KEYS = {"b_epi": "B_epi", "b_fast": "B_fast"}    # field name -> JSON key, where they differ
 
@@ -130,7 +136,8 @@ def _typed(value, tp, name: str):
 
 def _section(cls, raw, name: str, **given):
     """cls built from the JSON object raw, whose keys are cls's field names.
-    An absent key keeps its value in given, else the field default."""
+    An absent key keeps its value in given, else the field default. A key
+    that the section's chosen type or axis never reads is refused."""
     hints = get_type_hints(cls)
     by_key = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
     unknown = set(_object(raw, name)) - set(by_key)
@@ -139,9 +146,15 @@ def _section(cls, raw, name: str, **given):
     for key, value in raw.items():
         given[by_key[key]] = _typed(value, hints[by_key[key]], f"{name}.{key}")
     try:
-        return cls(**given)
+        spec = cls(**given)
     except (ShapeError, ConfigError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+    chooser, read_by = _READ_ONLY_BY.get(name, ("", {}))
+    for key, choices in read_by.items():
+        if key in raw and getattr(spec, chooser) not in choices:
+            raise ConfigError(f"{name}.{key} is read only when {name}.{chooser} is "
+                              f"{' or '.join(map(repr, choices))}, not {getattr(spec, chooser)!r}")
+    return spec
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

@@ -189,6 +189,8 @@ class ReferenceGenerator:
     recompute oracle and the fidelity baseline."""
 
     def __init__(self, weights: ModelWeights, config: ModelConfig, rope: RopeParams):
+        if weights.config != config:
+            raise ConfigError("model weights were built for a different model config")
         self.weights = weights
         self.config = config
         self.rope = rope

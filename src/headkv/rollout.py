@@ -1,10 +1,10 @@
 """Block-wise autoregressive rollout engine with pluggable cache strategies.
 
 Each step projects per-head Q/K/V from the block's hidden state, asks the
-strategy for every head's retained history and for its temporal encoding
-(contiguous re-indexing for the head-wise strategy, global frame indices for
-the baselines), packs all heads of a layer into one flat buffer, and runs
-packed attention. Caches advance only at commit time, through the strategy's
+strategy for every head's retained history and for the temporal index of
+each frame (contiguous re-indexing for the head-wise strategy, global frame
+indices for the baselines), packs all heads of a layer into one flat
+buffer, and runs packed attention. Caches advance only at commit time, through the strategy's
 roll.
 """
 
@@ -18,8 +18,6 @@ from typing import Iterator, Protocol
 import numpy as np
 
 from .assembly import (
-    AssembledSequence,
-    EncodedSequence,
     Workspace,
     assemble,
     encode_queries,
@@ -54,15 +52,16 @@ class LatentBlock:
 
 class CacheStrategy(Protocol):
     """What the engine and the commands need of a cache policy: the model
-    config it was built for, each head's retained frames, their temporal
-    encoding, the roll past a finished block, and its own final state."""
+    config it was built for, each head's retained frames, the temporal index
+    of each frame of a head's context, the roll past a finished block, and
+    its own final state."""
 
     name: str
     config: ModelConfig
 
     def history_frames(self, layer: int, head: int) -> list[FrameKV]: ...
 
-    def encode(self, seq: AssembledSequence, rope: RopeParams) -> EncodedSequence: ...
+    def encode(self, frames: list[FrameKV]) -> tuple[int, ...]: ...
 
     def roll(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]: ...
 
@@ -99,8 +98,8 @@ class WindowStrategy:
         return [frame[(layer, head)] for frame in self.window.frames]
 
     @staticmethod
-    def encode(seq: AssembledSequence, rope: RopeParams) -> EncodedSequence:
-        return encode_temporal(seq, rope)
+    def encode(frames: list[FrameKV]) -> tuple[int, ...]:
+        return encode_temporal(frames)
 
     def roll(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]:
         self.window.roll(block.index, block.kv)
@@ -139,6 +138,8 @@ class HeadWiseStrategy:
             raise ConfigError(
                 f"role map covers {role_map.layers}x{role_map.heads} heads but model is {config.L}x{config.H}"
             )
+        if weights.config != config:
+            raise ConfigError("model weights were built for a different model config")
         self.config = config
         self.weights = weights
         self.hyper = hyper or HeadWiseHyper()
@@ -162,9 +163,9 @@ class HeadWiseStrategy:
         return frames
 
     @staticmethod
-    def encode(seq: AssembledSequence, rope: RopeParams) -> EncodedSequence:
+    def encode(frames: list[FrameKV]) -> tuple[int, ...]:
         # contiguous per-head indices replace the global ones
-        return reencode_temporal(seq, rope)
+        return reencode_temporal(frames)
 
     def roll(self, block: LatentBlock, prompt: str) -> list[AdmissionDecision]:
         # each window keeps its own role's heads, so an anchor's sink frames
@@ -212,6 +213,8 @@ class RolloutEngine:
                  strategy: CacheStrategy):
         if rope.d != config.d:
             raise ConfigError(f"rope channel total {rope.d} != head dim {config.d}")
+        if weights.config != config:
+            raise ConfigError("model weights were built for a different model config")
         if strategy.config != config:
             raise ConfigError("cache strategy was built for a different model config")
         self.weights = weights
@@ -260,16 +263,15 @@ class RolloutEngine:
                             global_frame_index=base_frame + t)
                     for t in range(f)
                 ]
-                history = self.strategy.history_frames(l, h)
-                seq = assemble(l, h, history, current)
-                enc = self.strategy.encode(seq, self.rope)
+                context = self.strategy.history_frames(l, h) + current
+                enc = assemble(l, h, context, f, self.strategy.encode(context), self.rope)
                 q_enc = encode_queries(q, enc)
                 q_spatial[(l, h)] = q
                 for frame, fr in zip(kv, current):
                     frame[(l, h)] = fr
                 encoded.append(enc)
                 queries.append(q_enc)
-                step_slots += seq.frame_count
+                step_slots += enc.frame_count
 
             buffer = pack(encoded, queries, workspace=self._workspace)
             outputs = packed_attention(buffer)

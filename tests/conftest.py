@@ -1,5 +1,6 @@
 import pytest
 
+import headkv.rollout
 from headkv.model import ModelConfig, init_model
 from headkv.roles import role_map_from_lists
 from headkv.tensor_ops import RopeParams
@@ -42,3 +43,14 @@ def toy_role_map():
     return role_map_from_lists(TOY.L, TOY.H, anchor=heads[:6], local=heads[6:11],
                                alpha_anchor=0.25, tau_local=0.20)
 
+
+
+@pytest.fixture(autouse=True)
+def _engine_seams_restored():
+    """A test that fails inside a `run_with_retention` loop leaves that
+    generator suspended with its seams still wrapped, until it is collected;
+    putting them back after every test keeps the failure from spreading."""
+    seams = {name: getattr(headkv.rollout, name) for name in ("assemble", "packed_attention")}
+    yield
+    for name, fn in seams.items():
+        setattr(headkv.rollout, name, fn)

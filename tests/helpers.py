@@ -67,23 +67,21 @@ def run_with_retention(engine: headkv.rollout.RolloutEngine, n_blocks: int,
                        ) -> Iterator[tuple[headkv.rollout.LatentBlock, dict[tuple[int, int], Retention]]]:
     """engine.run, yielding (block, {(layer, head): Retention}) per block.
 
-    The evidence is read at two seams the engine already passes it through:
-    the strategy's encode(seq, rope), wrapped on the instance, sees each
-    head's assembled frames and temporal indices, and
-    headkv.rollout.packed_attention, wrapped at that module name, returns
-    each head's output in buffer.head_ids order. Both are restored when the
-    generator finishes or is closed."""
-    strategy = engine.strategy
-    encode = strategy.encode
+    The evidence is read at two seams the engine already passes it through,
+    each wrapped at its headkv.rollout module name: assemble returns each
+    head's context, its frames and temporal indices, and packed_attention
+    returns each head's output in buffer.head_ids order. Both are restored
+    when the generator finishes or is closed."""
+    assemble = headkv.rollout.assemble
     attend = headkv.rollout.packed_attention
     encoded: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     outputs: dict[tuple[int, int], np.ndarray] = {}
 
-    def recording_encode(seq, rope):
-        enc = encode(seq, rope)
-        lh = (seq.layer, seq.head)
-        assert lh not in encoded, f"head {lh} encoded twice in one step"
-        encoded[lh] = (np.vstack([fr.provenance for fr in seq.frames]),
+    def recording_assemble(*args):
+        enc = assemble(*args)
+        lh = (enc.layer, enc.head)
+        assert lh not in encoded, f"head {lh} assembled twice in one step"
+        encoded[lh] = (np.vstack([fr.provenance for fr in enc.frames]),
                        key_token_temporal(enc), np.array(enc.query_frame_indices, dtype=np.int64))
         return enc
 
@@ -94,7 +92,7 @@ def run_with_retention(engine: headkv.rollout.RolloutEngine, n_blocks: int,
             outputs[lh] = out
         return result
 
-    strategy.encode = recording_encode
+    headkv.rollout.assemble = recording_assemble
     headkv.rollout.packed_attention = recording_attention
     try:
         for block, _, _ in engine.run(n_blocks, schedule):
@@ -102,5 +100,5 @@ def run_with_retention(engine: headkv.rollout.RolloutEngine, n_blocks: int,
             encoded.clear()
             outputs.clear()
     finally:
+        headkv.rollout.assemble = assemble
         headkv.rollout.packed_attention = attend
-        del strategy.encode

@@ -121,8 +121,7 @@ def _random_packed_instance(rng):
                           values=rng.standard_normal((s, d)),
                           global_frame_index=idx)
                   for idx in range(n_history + f)]
-        seq = assemble(l, h, frames[:n_history], frames[n_history:])
-        encs.append(reencode_temporal(seq, rope))
+        encs.append(assemble(l, h, frames, f, reencode_temporal(frames), rope))
         queries.append(rng.standard_normal((f * s, d)))
     return encs, queries
 

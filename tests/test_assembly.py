@@ -30,65 +30,75 @@ def frame(idx: int, s: int = 4, d: int = D, seed: int | None = None) -> FrameKV:
                    global_frame_index=idx)
 
 
+def context(n_history=2, f=3, s=4):
+    """n_history history frames, then f current ones, at indices 0.."""
+    return [frame(i, s=s) for i in range(n_history + f)]
+
+
 def assembled(layer=0, head=0, n_history=2, f=3, s=4):
-    history = [frame(i, s=s) for i in range(n_history)]
-    current = [frame(n_history + t, s=s) for t in range(f)]
-    return assemble(layer, head, history, current)
+    frames = context(n_history, f, s)
+    return assemble(layer, head, frames, f, reencode_temporal(frames), ROPE8)
 
 
 class TestAssemble:
     def test_current_only(self):
-        seq = assemble(0, 0, [], [frame(0), frame(1), frame(2)])
-        assert seq.frame_count == 3
-        assert seq.f_current == 3
+        frames = [frame(0), frame(1), frame(2)]
+        enc = assemble(0, 0, frames, 3, encode_temporal(frames), ROPE8)
+        assert enc.frame_count == 3
+        assert enc.frames == frames
+        assert enc.query_frame_indices == enc.key_frame_indices == (0, 1, 2)
 
-    def test_requires_current_block(self):
+    @pytest.mark.parametrize("f_current", [0, 2])
+    def test_requires_current_block(self, f_current):
         with pytest.raises(ShapeError):
-            assemble(0, 0, [frame(0)], [])
+            assemble(0, 0, [frame(0)], f_current, (0,), ROPE8)
 
     def test_mixed_token_counts_raise(self):
+        frames = [frame(0, s=2), frame(1), frame(2), frame(3)]
         with pytest.raises(ShapeError):
-            assemble(0, 0, [frame(0, s=2)], [frame(1), frame(2), frame(3)])
+            assemble(0, 0, frames, 3, reencode_temporal(frames), ROPE8)
+
+    @pytest.mark.parametrize("key_frame_indices", [(0, 1, 2), (0, 1, 2, 3, 4), ()])
+    def test_one_index_per_frame_required(self, key_frame_indices):
+        with pytest.raises(ShapeError, match="key frame indices"):
+            assemble(0, 0, context(n_history=1), 3, key_frame_indices, ROPE8)
 
 
 class TestReencodeTemporal:
     def test_contiguous_indices_f4(self):
-        seq = assembled(n_history=1, f=3)  # F = 4
-        enc = reencode_temporal(seq, ROPE8)
+        enc = assembled(n_history=1, f=3)  # F = 4
         np.testing.assert_array_equal(enc.key_frame_indices, [0, 1, 2, 3])
         np.testing.assert_array_equal(enc.query_frame_indices, [1, 2, 3])
 
     @pytest.mark.parametrize("encode", [encode_temporal, reencode_temporal])
-    def test_encoding_twice_is_idempotent(self, encode):
-        """Encoding only looks rotations up and leaves the frames alone, so a
-        second encode of one sequence gives the same indices and the same
+    def test_assembling_twice_is_idempotent(self, encode):
+        """Assembly only looks rotations up and leaves the frames alone, so a
+        second assembly of one context gives equal indices and the same
         cached rotation objects."""
-        seq = assemble(0, 0, [frame(10), frame(11)], [frame(12), frame(13), frame(14)])
-        before = [fr.keys.tobytes() for fr in seq.frames]
-        first, second = encode(seq, ROPE8), encode(seq, ROPE8)
+        frames = [frame(10), frame(11), frame(12), frame(13), frame(14)]
+        before = [fr.keys.tobytes() for fr in frames]
+        first, second = (assemble(0, 0, frames, 3, encode(frames), ROPE8) for _ in range(2))
         assert first.key_frame_indices == second.key_frame_indices
         assert first.query_frame_indices == second.query_frame_indices
         assert first.key_rotation is second.key_rotation
         assert first.query_rotation is second.query_rotation
-        assert [fr.keys.tobytes() for fr in seq.frames] == before
+        assert [fr.keys.tobytes() for fr in frames] == before
 
     def test_spatial_channels_untouched(self):
-        seq = assembled(n_history=2)
-        raw = np.vstack([fr.keys for fr in seq.frames])
-        enc = reencode_temporal(seq, ROPE8)
+        enc = assembled(n_history=2)
+        raw = np.vstack([fr.keys for fr in enc.frames])
         np.testing.assert_array_equal(encoded_keys(enc)[:, ROPE8.d_t:], raw[:, ROPE8.d_t:])
         assert not np.array_equal(encoded_keys(enc)[:, :ROPE8.d_t], raw[:, :ROPE8.d_t])
 
     def test_matches_scalar_rotation_oracle(self):
-        seq = assembled(n_history=3)
-        raw = np.vstack([fr.keys for fr in seq.frames])
-        enc = reencode_temporal(seq, ROPE8)
+        enc = assembled(n_history=3)
+        raw = np.vstack([fr.keys for fr in enc.frames])
         expected = rotate_temporal_rows(raw, key_token_temporal(enc), ROPE8)
         np.testing.assert_allclose(encoded_keys(enc), expected, atol=1e-12)
 
     def test_explicit_global_indices(self):
-        seq = assemble(0, 0, [frame(10), frame(11)], [frame(12), frame(13), frame(14)])
-        enc = encode_temporal(seq, ROPE8)
+        frames = [frame(10), frame(11), frame(12), frame(13), frame(14)]
+        enc = assemble(0, 0, frames, 3, encode_temporal(frames), ROPE8)
         np.testing.assert_array_equal(enc.key_frame_indices, [10, 11, 12, 13, 14])
         np.testing.assert_array_equal(enc.query_frame_indices, [12, 13, 14])
 
@@ -109,8 +119,7 @@ class TestEncodeTemporalAnyIndices:
         n_query = min(n_query, len(key_idx))
         rng = np.random.default_rng(seed)
         frames = [frame(i, s=s, seed=int(rng.integers(1 << 30))) for i in key_idx]
-        seq = assemble(0, 0, frames[:-n_query], frames[-n_query:])
-        enc = encode_temporal(seq, ROPE8)
+        enc = assemble(0, 0, frames, n_query, encode_temporal(frames), ROPE8)
         raw = np.vstack([fr.keys for fr in frames])
         expected = rotate_temporal_rows(raw, np.repeat(key_idx, s), ROPE8)
         np.testing.assert_allclose(encoded_keys(enc), expected, rtol=0, atol=1e-12)
@@ -137,10 +146,8 @@ def spans(lengths) -> list[tuple[int, int]]:
 
 def encoded_head(layer, head, n_history, f=3, s=4, seed=0):
     rng = np.random.default_rng(seed)
-    history = [frame(i, s=s, seed=int(rng.integers(1 << 30))) for i in range(n_history)]
-    current = [frame(n_history + t, s=s, seed=int(rng.integers(1 << 30))) for t in range(f)]
-    seq = assemble(layer, head, history, current)
-    enc = reencode_temporal(seq, ROPE8)
+    frames = [frame(i, s=s, seed=int(rng.integers(1 << 30))) for i in range(n_history + f)]
+    enc = assemble(layer, head, frames, f, reencode_temporal(frames), ROPE8)
     q = rng.standard_normal((f * s, D))
     return enc, q
 
@@ -176,13 +183,13 @@ class TestPack:
             np.testing.assert_array_equal(buf.values[k0:k1], encoded_values(enc))
             np.testing.assert_array_equal(buf.queries[q0:q1], q)
 
-    def test_encoding_and_packing_leave_the_cached_frames_as_they_were(self):
-        """Encoding hands the assembled frames on without copying them, and
-        `pack` rotates the keys in its own buffer: the frames keep their
-        spatial-only keys, and the buffer shares no memory with them."""
-        seq = assembled(n_history=3)
-        enc = reencode_temporal(seq, ROPE8)
-        assert len(enc.frames) == len(seq.frames) and all(a is b for a, b in zip(enc.frames, seq.frames))
+    def test_assembly_and_packing_leave_the_cached_frames_as_they_were(self):
+        """Assembly keeps the frames without copying them, and `pack` rotates
+        the keys in its own buffer: the frames keep their spatial-only keys,
+        and the buffer shares no memory with them."""
+        frames = context(n_history=3)
+        enc = assemble(0, 0, frames, 3, reencode_temporal(frames), ROPE8)
+        assert len(enc.frames) == len(frames) and all(a is b for a, b in zip(enc.frames, frames))
         q = np.random.default_rng(7).standard_normal((3 * 4, D))
         before = [(fr.keys.tobytes(), fr.values.tobytes()) for fr in enc.frames]
         buf = pack([enc], [q])

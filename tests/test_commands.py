@@ -558,6 +558,9 @@ class TestCliUnusableFiles:
         assert code == 2
         assert f"configuration error: output file {out / name} cannot be written" in err
         assert (out / name).is_dir()
+        if name == "final_state.json":
+            # every output opens before the first block: no block ran
+            assert (out / "metrics.csv").read_text().splitlines()[1:] == []
 
     @pytest.mark.parametrize("text, repeated", [
         ('{"n_blocks": 2, "n_blocks": 3}', "n_blocks"),
@@ -587,6 +590,38 @@ class TestCliUnusableFiles:
         code, err = self.run_main(capsys, "budget", "--config", str(cfg))
         assert code == 2
         assert f"configuration error: role map repeats the JSON key '{repeated}'" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestCliUnreadKeys:
+    """Keys that the chosen strategy type or stability axis never reads used
+    to be ignored with exit 0; each is now refused at load, through
+    `cli.main`, before any output directory is made."""
+
+    @pytest.mark.parametrize("command, raw, key, choice", [
+        ("generate", {"strategy": {"W": 6}}, "strategy.W", "unbounded"),
+        ("generate", {"strategy": {"type": "unbounded", "W": 6}}, "strategy.W", "unbounded"),
+        ("generate", {"strategy": {"type": "head_wise", "W": 6}}, "strategy.W", "head_wise"),
+        ("generate", {"strategy": {"type": "unbounded", "n_sink": 1}}, "strategy.n_sink", "unbounded"),
+        ("generate", {"strategy": {"type": "uniform_window", "W": 6, "n_sink": 3}}, "strategy.n_sink",
+         "uniform_window"),
+        ("generate", {"strategy": {"type": "head_wise", "n_sink": 1}}, "strategy.n_sink", "head_wise"),
+        ("stability", {"stability": {"axis": "blocks", "prompt_pool": ["x", "y"]}}, "stability.prompt_pool",
+         "blocks"),
+        ("stability", {"stability": {"axis": "repeats", "prompt_pool": ["x", "y"]}}, "stability.prompt_pool",
+         "repeats"),
+        ("stability", {"stability": {"axis": "inject_disjoint_anchor", "prompt_pool": ["x", "y"]}},
+         "stability.prompt_pool", "inject_disjoint_anchor"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_unread_key_exit_2(self, tmp_path, capsys, command, raw, key, choice):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": TOY_MODEL, "n_blocks": 2, "output_dir": str(tmp_path / "out"),
+                                   **raw}))
+        code = main([command, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"configuration error: {key} is read only when" in err
+        assert f"not {choice!r}" in err
         assert not (tmp_path / "out").exists()
 
 

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from headkv.errors import SequencingError
+from headkv.errors import ConfigError, SequencingError
 from headkv.model import ModelConfig, init_model
 from headkv.reference import (
     FrameArchive,
@@ -29,6 +30,13 @@ from headkv.tensor_ops import RopeParams
 from helpers import attention, run_with_retention
 
 SCHED = [("oracle prompt", 1)]
+
+
+@pytest.mark.parametrize("change", [{"seed": 5}, {"scene_period": 9}], ids=repr)
+def test_oracle_refuses_weights_for_another_config(change):
+    cfg = ModelConfig(L=2, H=3, d=8, s=4, f=3, grid_h=2, grid_w=2, seed=1)
+    with pytest.raises(ConfigError, match="weights were built for a different model config"):
+        ReferenceGenerator(init_model(replace(cfg, **change)), cfg, RopeParams.default_for(8))
 
 
 def run_blocks(weights, cfg, rope, strategy, n_blocks):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,22 @@ class TestScheduleHandling:
         other = ModelConfig(L=2, H=3, d=8, s=4, f=3, grid_h=2, grid_w=2, seed=99)
         with pytest.raises(ConfigError):
             RolloutEngine(weights, cfg, rope, WindowStrategy(other, window=None))
+
+    @pytest.mark.parametrize("change", [{"seed": 5}, {"scene_period": 9}], ids=repr)
+    def test_engine_refuses_weights_for_another_config(self, change):
+        """Such an engine used to step: its block inputs came from the
+        weights' own seed and scene period, everything else from cfg."""
+        cfg, _, rope = small_setup()
+        weights = init_model(replace(cfg, **change))
+        with pytest.raises(ConfigError, match="weights were built for a different model config"):
+            RolloutEngine(weights, cfg, rope, WindowStrategy(cfg, 6))
+
+    @pytest.mark.parametrize("change", [{"seed": 5}, {"scene_period": 9}], ids=repr)
+    def test_head_wise_strategy_refuses_weights_for_another_config(self, change):
+        cfg, _, _ = small_setup()
+        weights = init_model(replace(cfg, **change))
+        with pytest.raises(ConfigError, match="weights were built for a different model config"):
+            HeadWiseStrategy(cfg, weights, hand_map(cfg))
 
     @pytest.mark.parametrize("window,n_sink", [(None, 0), (6, 0), (6, 1)])
     def test_window_commit_out_of_order_raises(self, window, n_sink):
@@ -498,14 +515,15 @@ class TestWindowEncode:
         for i in range(1, 4):
             engine.commit(engine.step(i, "p"), "p")
         current = [frame[(0, 0)] for frame in engine.step(4, "p").kv]
-        enc = strategy.encode(assemble(0, 0, strategy.history_frames(0, 0), current), rope)
+        context = strategy.history_frames(0, 0) + current
+        enc = assemble(0, 0, context, cfg.f, strategy.encode(context), rope)
         assert list(enc.key_frame_indices) == [0, 6, 7, 8, 9, 10, 11]
         assert list(enc.query_frame_indices) == [9, 10, 11]
 
 
 class TestRunWithRetention:
     """The test helper that reads the masked-oracle evidence at the engine's
-    encode and packed-attention seams."""
+    assemble and packed-attention seams."""
 
     STRATEGIES = {
         "head_wise": lambda cfg, weights: HeadWiseStrategy(cfg, weights, mixed_map(cfg), HeadWiseHyper()),
@@ -537,13 +555,13 @@ class TestRunWithRetention:
         strategy = HeadWiseStrategy(cfg, weights, hand_map(cfg), HeadWiseHyper())
         steps = run_with_retention(RolloutEngine(weights, cfg, rope, strategy), 4, SCHED)
         for n, _ in enumerate(steps, 1):
+            assert rollout.assemble is not assembly.assemble
             assert rollout.packed_attention is not assembly.packed_attention
-            assert "encode" in vars(strategy)
             if n == stop_after:
                 steps.close()
         assert n == (stop_after or 4)
+        assert rollout.assemble is assembly.assemble
         assert rollout.packed_attention is assembly.packed_attention
-        assert "encode" not in vars(strategy)
 
 
 class TestEpisodicCadence:
